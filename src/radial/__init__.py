@@ -10,16 +10,12 @@ correspondences between the two problems.
 
 from .calculus import (
     KthKind,
-    SetOracle,
-    ball_set,
-    box_set,
     dual_gradient,
     dual_hessian,
     dual_subgradient,
     gauge,
     general_point_map,
     general_transform,
-    halfspace_set,
     indicator_oracle,
     rule_kth,
     rule_linear,
@@ -77,6 +73,11 @@ from .sets import (
     NormalKind,
     NormalVector,
     Polyhedron,
+    SetOracle,
+    ball_set,
+    box_set,
+    constraint_from_json,
+    halfspace_set,
     membership,
     set_from_json,
     set_to_json,
@@ -96,8 +97,6 @@ from .transform import (
     check_radial,
     duality_residual,
     extpos_gap,
-    lower_value,
-    upper_value,
 )
 
 __version__ = "0.1.0"

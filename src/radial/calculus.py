@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .core import INF, ZERO, ExtPos
@@ -33,7 +30,7 @@ from .oracle import (
     Trilean,
     gradient,
 )
-from .sets import NormalVector
+from .sets import NormalVector, SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense
 
 #: Denominators this close to zero (or positive) violate the strictness
@@ -89,28 +86,6 @@ def _dual_operands(handles, op_name: str, gate: bool):
                     f"{h.base.name or 'operand'} has upper_radial={h.base.meta.upper_radial.value}"
                 )
     return handles
-
-
-def rule_min(dual1: DualHandle, dual2: DualHandle) -> FunctionOracle:
-    """Transform of min{f1, f2}: the pointwise max of the two transforms.
-    Holds unconditionally."""
-    d1, d2 = _dual_operands((dual1, dual2), "rule_min", gate=False)
-
-    def ev(y):
-        return max(d1.value(y), d2.value(y))
-
-    return FunctionOracle(d1.dim, ev, meta=DECLARED_UPPER, name="min-rule")
-
-
-def rule_max(dual1: DualHandle, dual2: DualHandle) -> FunctionOracle:
-    """Transform of max{f1, f2}: the pointwise min of the two transforms.
-    Requires both base functions ray-monotone."""
-    d1, d2 = _dual_operands((dual1, dual2), "rule_max", gate=True)
-
-    def ev(y):
-        return min(d1.value(y), d2.value(y))
-
-    return FunctionOracle(d1.dim, ev, meta=DECLARED_UPPER, name="max-rule")
 
 
 class KthKind:
@@ -184,17 +159,19 @@ def rule_kth(kind: str, k: int, duals, tol: float = DEFAULT_TOL) -> FunctionOrac
     return FunctionOracle(handles[0].dim, ev, meta=DECLARED_UPPER, name=f"{kind}[{k}/{n}]")
 
 
+def rule_min(dual1: DualHandle, dual2: DualHandle) -> FunctionOracle:
+    """Transform of min{f1, f2}: the pointwise max of the two transforms.
+    Holds unconditionally."""
+    return rule_kth(KthKind.KMIN, 1, (dual1, dual2))
+
+
+def rule_max(dual1: DualHandle, dual2: DualHandle) -> FunctionOracle:
+    """Transform of max{f1, f2}: the pointwise min of the two transforms.
+    Requires both base functions ray-monotone."""
+    return rule_kth(KthKind.KMAX, 1, (dual1, dual2))
+
+
 # -- gauges ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SetOracle:
-    """Membership handle for a set in decision space.  Gauge evaluation
-    requires contains_origin (the caller asserts convexity)."""
-
-    dim: int
-    member: Callable[[np.ndarray], bool]
-    contains_origin: bool
 
 
 def indicator_oracle(s: SetOracle) -> FunctionOracle:
@@ -227,26 +204,6 @@ def gauge(
         raise OriginNotInSetError("gauge requires a set containing the origin")
     handle = DualHandle(indicator_oracle(s), Sense.UPPER, tol=tol, v_min=v_min, v_max=v_max)
     return handle.value(y)
-
-
-def ball_set(dim: int, radius: float) -> SetOracle:
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    return SetOracle(dim, lambda x: float(x @ x) <= radius * radius, True)
-
-
-def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    if lo.shape != hi.shape or not np.all(lo < hi):
-        raise ValueError("box requires lo < hi componentwise")
-    contains_origin = bool(np.all((lo <= 0.0) & (0.0 <= hi)))
-    return SetOracle(lo.shape[0], lambda x: bool(np.all((x >= lo) & (x <= hi))), contains_origin)
-
-
-def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    return SetOracle(a.shape[0], lambda x: float(a @ x) <= b, 0.0 <= b)
 
 
 # -- dual derivatives ------------------------------------------------------

@@ -7,12 +7,18 @@ tolerance; an explicit --tol flag overrides both.
 
 Exit codes:
   0  success (check: sampled radial)
-  1  runtime failure (check: not radial)
-  2  parse/usage/schema error
+  1  runtime failure, including an unwritable output file (check: not radial)
+  2  expression/usage/schema error: parse errors, a negative or nan
+     expression value, a count below 1, an unreadable input file, a JSON
+     document that breaks its schema (constraint dimensions must match
+     --dim; a ball's "dim" defaults to it)
   3  eval/grid: non-monotone perspective (retry with --global);
      solve: objective not ray-monotone
   4  check: inconclusive sample
   5  solve: iteration budget exhausted (partial result still printed)
+
+Expression errors exit 2 in every subcommand.  Handlers raise; main maps
+every exception through _EXIT_CODES and prints one "error:" line.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ import sys
 
 import numpy as np
 
-from .calculus import SetOracle, ball_set, box_set, halfspace_set
 from .core import ExtPos, LiftedPoint, gamma_point
 from .errors import (
-    InfiniteValueError,
+    ExpressionRangeError,
     NonMonotonePerspectiveError,
     OriginNotInSetError,
     ParseError,
@@ -37,8 +42,7 @@ from .errors import (
     SchemaError,
 )
 from .grammar import parse_function
-from .oracle import FunctionOracle
-from .sets import SCHEMA_VERSION, set_from_json, set_to_json, transform_set
+from .sets import SCHEMA_VERSION, constraint_from_json, set_from_json, set_to_json, transform_set
 from .optimize import SolveParams, solve_via_dual
 from .transform import DEFAULT_TOL, DualHandle, Sense, Verdict, check_radial, extpos_gap
 
@@ -49,6 +53,20 @@ EXIT_NONMONOTONE = 3
 EXIT_RADIALITY = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_BUDGET = 5
+
+
+class _UsageError(RadialError):
+    """Arguments argparse accepted that the subcommand cannot use."""
+
+
+#: Exception -> (exit code, hint), first match wins.  Every failure of a
+#: subcommand is mapped here, in main; handlers do not catch.
+_EXIT_CODES = (
+    (NonMonotonePerspectiveError, EXIT_NONMONOTONE, "retry with --global"),
+    (RadialityRequiredError, EXIT_RADIALITY, None),
+    ((ParseError, _UsageError, SchemaError, ExpressionRangeError, OriginNotInSetError), EXIT_PARSE, None),
+    ((RadialError, ValueError, OSError), EXIT_FAILURE, None),
+)
 
 _EMIT_TOKENS = ("primal", "dual", "lower", "bidual", "residual", "gamma")
 
@@ -77,6 +95,26 @@ def _vector(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"tolerance (--tol or RADIAL_TOL) must be a positive number, got {text!r}")
+
+
 def _axis(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -89,34 +127,27 @@ def _axis(text: str):
     return lo, hi, count
 
 
-def _parse_expression(args) -> FunctionOracle | None:
+def _check_point(flag: str, point: np.ndarray, dim: int) -> None:
+    if point.shape[0] != dim:
+        raise _UsageError(f"{flag} has {point.shape[0]} coordinates, expected {dim}")
+
+
+def _load_json(path: str):
     try:
-        return parse_function(args.f, args.dim)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def _cmd_eval(args, tol: float) -> int:
-    oracle = _parse_expression(args)
-    if oracle is None:
-        return EXIT_PARSE
+def _cmd_eval(args) -> int:
+    oracle = parse_function(args.f, args.dim)
+    _check_point("--at", args.at, args.dim)
     sense = Sense.UPPER if args.sense == "upper" else Sense.LOWER
-    if args.at.shape[0] != args.dim:
-        print(f"error: --at has {args.at.shape[0]} coordinates, expected {args.dim}", file=sys.stderr)
-        return EXIT_PARSE
-    handle = DualHandle(oracle, sense, tol=tol, global_scan=args.global_scan)
-    try:
-        value, cert = handle.value_with_certificate(args.at)
-    except NonMonotonePerspectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: retry with --global", file=sys.stderr)
-        return EXIT_NONMONOTONE
-    except RadialError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    handle = DualHandle(oracle, sense, tol=args.tol, global_scan=args.global_scan)
+    value, cert = handle.value_with_certificate(args.at)
     if value.is_finite:
-        print(f"{value.value:.10f} ± {tol:g}")
+        print(f"{value.value:.10f} ± {args.tol:g}")
     else:
         print(_extpos_token(value))
     print(
@@ -133,22 +164,18 @@ def _grid_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _cmd_grid(args, tol: float) -> int:
-    oracle = _parse_expression(args)
-    if oracle is None:
-        return EXIT_PARSE
+def _cmd_grid(args) -> int:
+    oracle = parse_function(args.f, args.dim)
     if args.dim > 2:
-        print("error: grid emission supports dim 1 or 2", file=sys.stderr)
-        return EXIT_PARSE
+        raise _UsageError("grid emission supports dim 1 or 2")
     if len(args.grid) != args.dim:
-        print(f"error: --grid has {len(args.grid)} axes, expected {args.dim}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _UsageError(f"--grid has {len(args.grid)} axes, expected {args.dim}")
     emit = [t.strip() for t in args.emit.split(",") if t.strip()]
     for t in emit:
         if t not in _EMIT_TOKENS:
-            print(f"error: unknown emit token {t!r} (choose from {', '.join(_EMIT_TOKENS)})", file=sys.stderr)
-            return EXIT_PARSE
+            raise _UsageError(f"unknown emit token {t!r} (choose from {', '.join(_EMIT_TOKENS)})")
 
+    tol = args.tol
     upper = DualHandle(oracle, Sense.UPPER, tol=tol, global_scan=args.global_scan)
     lower = DualHandle(oracle, Sense.LOWER, tol=tol, global_scan=args.global_scan)
     bidual = DualHandle(upper, Sense.UPPER, tol=tol)
@@ -168,33 +195,28 @@ def _cmd_grid(args, tol: float) -> int:
         columns.extend([f"gamma_y{i}" for i in range(args.dim)] + ["gamma_v"])
 
     rows = []
-    try:
-        for point in _grid_points(args.grid):
-            row = [float(c) for c in point]
-            fx = oracle.eval(point)
-            if "primal" in emit:
-                row.append(fx)
-            if "dual" in emit:
-                row.append(upper.value(point))
-            if "lower" in emit:
-                row.append(lower.value(point))
-            if "bidual" in emit or "residual" in emit:
-                bi = bidual.value(point)
-            if "bidual" in emit:
-                row.append(bi)
-            if "residual" in emit:
-                row.append(extpos_gap(fx, bi))
-            if "gamma" in emit:
-                if fx.is_finite:
-                    image = gamma_point(LiftedPoint(point, fx.value))
-                    row.extend([float(c) for c in image.x] + [image.u])
-                else:
-                    row.extend([math.nan] * (args.dim + 1))
-            rows.append(row)
-    except NonMonotonePerspectiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: retry with --global", file=sys.stderr)
-        return EXIT_NONMONOTONE
+    for point in _grid_points(args.grid):
+        row = [float(c) for c in point]
+        fx = oracle.eval(point)
+        if "primal" in emit:
+            row.append(fx)
+        if "dual" in emit:
+            row.append(upper.value(point))
+        if "lower" in emit:
+            row.append(lower.value(point))
+        if "bidual" in emit or "residual" in emit:
+            bi = bidual.value(point)
+        if "bidual" in emit:
+            row.append(bi)
+        if "residual" in emit:
+            row.append(extpos_gap(fx, bi))
+        if "gamma" in emit:
+            if fx.is_finite:
+                image = gamma_point(LiftedPoint(point, fx.value))
+                row.extend([float(c) for c in image.x] + [image.u])
+            else:
+                row.extend([math.nan] * (args.dim + 1))
+        rows.append(row)
 
     def cell(v) -> str:
         if isinstance(v, ExtPos):
@@ -212,42 +234,21 @@ def _cmd_grid(args, tol: float) -> int:
             "rows": [[v.to_json() if isinstance(v, ExtPos) else float(v) for v in row] for row in rows],
         }
         payload = json.dumps(doc, sort_keys=True) + "\n"
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    with open(args.out, "w") as fh:
+        fh.write(payload)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_set_transform(args) -> int:
-    try:
-        with open(args.infile) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {args.infile}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        transformed = transform_set(set_from_json(doc))
-    except (SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    payload = json.dumps(set_to_json(transformed), indent=2, sort_keys=True) + "\n"
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    transformed = transform_set(set_from_json(_load_json(args.infile)))
+    with open(args.out, "w") as fh:
+        fh.write(json.dumps(set_to_json(transformed), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    oracle = _parse_expression(args)
-    if oracle is None:
-        return EXIT_PARSE
+    oracle = parse_function(args.f, args.dim)
     lo, hi = args.box
     report = check_radial(oracle, args.rays, args.points, box=(lo, hi), seed=args.seed)
     if report.verdict is Verdict.RADIAL:
@@ -269,53 +270,12 @@ def _cmd_check(args) -> int:
     return code
 
 
-def _constraint_from_json(doc) -> SetOracle:
-    if not isinstance(doc, dict):
-        raise SchemaError("constraint document must be a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise SchemaError(f'missing or unsupported "schema" (expected "{SCHEMA_VERSION}")')
-    kind = doc.get("type")
-    try:
-        if kind == "ball":
-            return ball_set(int(doc.get("dim", 1)), float(doc["radius"]))
-        if kind == "box":
-            return box_set(np.asarray(doc["lo"], dtype=float), np.asarray(doc["hi"], dtype=float))
-        if kind == "halfspace":
-            return halfspace_set(np.asarray(doc["a"], dtype=float), float(doc["b"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad {kind} constraint: {exc}") from exc
-    raise SchemaError(f"unknown constraint type {kind!r}")
-
-
-def _cmd_solve(args, tol: float) -> int:
-    oracle = _parse_expression(args)
-    if oracle is None:
-        return EXIT_PARSE
-    if args.y0.shape[0] != args.dim:
-        print(f"error: --y0 has {args.y0.shape[0]} coordinates, expected {args.dim}", file=sys.stderr)
-        return EXIT_PARSE
-    constraint = None
-    if args.constraint:
-        try:
-            with open(args.constraint) as fh:
-                constraint = _constraint_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, SchemaError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        if constraint.dim != args.dim:
-            constraint = SetOracle(args.dim, constraint.member, constraint.contains_origin)
-    params = SolveParams(budget=args.budget, tol_grad=args.tol_grad, tol=tol)
-    try:
-        dual_solution, primal_solution = solve_via_dual(oracle, args.y0, params, constraint)
-    except RadialityRequiredError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RADIALITY
-    except OriginNotInSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfiniteValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+def _cmd_solve(args) -> int:
+    oracle = parse_function(args.f, args.dim)
+    _check_point("--y0", args.y0, args.dim)
+    constraint = constraint_from_json(_load_json(args.constraint), args.dim) if args.constraint else None
+    params = SolveParams(budget=args.budget, tol_grad=args.tol_grad, tol=args.tol)
+    dual_solution, primal_solution = solve_via_dual(oracle, args.y0, params, constraint)
     doc = {
         "schema": SCHEMA_VERSION,
         "y_star": [float(v) for v in dual_solution.y_star],
@@ -349,19 +309,28 @@ def build_parser() -> argparse.ArgumentParser:
         prog="radial",
         description="Evaluate projective transforms of functions and sets.",
     )
-    parser.add_argument("--tol", type=float, default=None, help="bisection tolerance (default: RADIAL_TOL env or 1e-10)")
+    parser.add_argument(
+        "--tol",
+        type=_tolerance,
+        # A string default goes through _tolerance too, so a bad RADIAL_TOL
+        # is a usage error like a bad --tol.
+        default=os.environ.get("RADIAL_TOL") or DEFAULT_TOL,
+        help="bisection tolerance (default: RADIAL_TOL env or 1e-10)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate the upper/lower transform at a point")
+    p_eval.set_defaults(run=_cmd_eval)
     p_eval.add_argument("--f", required=True, help="expression, e.g. 'pos(sqrt(1 - x0^2))'")
-    p_eval.add_argument("--dim", type=int, required=True)
+    p_eval.add_argument("--dim", type=_count, required=True)
     p_eval.add_argument("--sense", choices=("upper", "lower"), default="upper")
     p_eval.add_argument("--at", type=_vector, required=True, help="comma-separated coordinates")
     p_eval.add_argument("--global", dest="global_scan", action="store_true", help="scan a fixed height grid instead of assuming ray monotonicity")
 
     p_grid = sub.add_parser("grid", help="emit transform values over a grid")
+    p_grid.set_defaults(run=_cmd_grid)
     p_grid.add_argument("--f", required=True)
-    p_grid.add_argument("--dim", type=int, required=True)
+    p_grid.add_argument("--dim", type=_count, required=True)
     p_grid.add_argument("--grid", type=lambda s: [_axis(a) for a in s.split(",")], required=True, help="lo:hi:count per axis, comma separated")
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--emit", default="primal,dual,lower,bidual,residual", help=f"columns: {', '.join(_EMIT_TOKENS)}")
@@ -369,23 +338,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--global", dest="global_scan", action="store_true")
 
     p_set = sub.add_parser("set-transform", help="transform a halfspace/ellipsoid/polyhedron JSON document")
+    p_set.set_defaults(run=_cmd_set_transform)
     p_set.add_argument("--in", dest="infile", required=True)
     p_set.add_argument("--out", required=True)
 
     p_check = sub.add_parser("check", help="sample-based radiality check")
+    p_check.set_defaults(run=_cmd_check)
     p_check.add_argument("--f", required=True)
-    p_check.add_argument("--dim", type=int, required=True)
-    p_check.add_argument("--rays", type=int, default=64)
-    p_check.add_argument("--points", type=int, default=64)
+    p_check.add_argument("--dim", type=_count, required=True)
+    p_check.add_argument("--rays", type=_count, default=64)
+    p_check.add_argument("--points", type=_count, default=64)
     p_check.add_argument("--box", type=_box_arg, default=(-3.0, 3.0))
     p_check.add_argument("--seed", type=int, default=0)
 
     p_solve = sub.add_parser("solve", help="maximize f by minimizing its transform")
+    p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("--f", required=True)
-    p_solve.add_argument("--dim", type=int, required=True)
+    p_solve.add_argument("--dim", type=_count, required=True)
     p_solve.add_argument("--y0", type=_vector, required=True)
     p_solve.add_argument("--constraint", default=None, help="JSON file: ball/box/halfspace in decision space")
-    p_solve.add_argument("--budget", type=int, default=10_000)
+    p_solve.add_argument("--budget", type=_count, default=10_000)
     p_solve.add_argument("--tol-grad", dest="tol_grad", type=float, default=1e-8)
 
     return parser
@@ -393,29 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get("RADIAL_TOL")
-        try:
-            tol = float(env) if env else DEFAULT_TOL
-        except ValueError:
-            print(f"error: bad RADIAL_TOL value {env!r}", file=sys.stderr)
-            return EXIT_PARSE
-    if not tol > 0:
-        print("error: tolerance must be positive", file=sys.stderr)
-        return EXIT_PARSE
-
-    if args.command == "eval":
-        return _cmd_eval(args, tol)
-    if args.command == "grid":
-        return _cmd_grid(args, tol)
-    if args.command == "set-transform":
-        return _cmd_set_transform(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "solve":
-        return _cmd_solve(args, tol)
-    raise AssertionError(f"unhandled command {args.command}")
+    try:
+        return args.run(args)
+    except Exception as exc:
+        for kinds, code, hint in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                if hint:
+                    print(f"hint: {hint}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

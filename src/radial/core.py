@@ -54,14 +54,6 @@ class ExtPos:
     def finite(value: float) -> "ExtPos":
         return ExtPos(_FINITE_KIND, value)
 
-    @staticmethod
-    def zero() -> "ExtPos":
-        return ZERO
-
-    @staticmethod
-    def infinity() -> "ExtPos":
-        return INF
-
     @property
     def is_zero(self) -> bool:
         return self.kind == _ZERO_KIND
@@ -106,9 +98,9 @@ class ExtPos:
 
     def __repr__(self):
         if self.kind == _ZERO_KIND:
-            return "ExtPos.zero()"
+            return "ZERO"
         if self.kind == _INF_KIND:
-            return "ExtPos.infinity()"
+            return "INF"
         return f"ExtPos.finite({self.value!r})"
 
     def to_json(self):

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import INF, ZERO, ExtPos
 from .errors import ExpressionRangeError, ParseError
 from .oracle import UNKNOWN_META, FunctionOracle
+from .sets import SetOracle, ball_set, box_set, halfspace_set
 
 GRAMMAR_EBNF = """
 expr      = term { ("+" | "-") term } ;
@@ -110,6 +111,7 @@ class Call:
 class Indicator:
     kind: str
     params: tuple[float, ...]
+    region: SetOracle = field(compare=False, repr=False)
 
 
 class _Parser:
@@ -235,11 +237,16 @@ class _Parser:
             raise ParseError(
                 f"indicator({kind} ...) takes {expected} numeric arguments, got {len(params)}", tok.pos
             )
-        if kind == "ball" and not params[0] > 0:
-            raise ParseError("ball radius must be positive", tok.pos)
-        if kind == "box" and not params[0] < params[1]:
-            raise ParseError("box requires lo < hi", tok.pos)
-        return Indicator(kind, tuple(params))
+        try:
+            if kind == "ball":
+                region = ball_set(self.dim, params[0])
+            elif kind == "box":
+                region = box_set(np.full(self.dim, params[0]), np.full(self.dim, params[1]))
+            else:
+                region = halfspace_set(np.array(params[:-1]), params[-1])
+        except ValueError as exc:
+            raise ParseError(f"indicator({kind} ...): {exc}", tok.pos) from exc
+        return Indicator(kind, tuple(params), region)
 
     def signed_number(self) -> float:
         tok = self.peek()
@@ -338,15 +345,7 @@ def evaluate(node, x: np.ndarray) -> float:
             return math.hypot(*vals)
         raise AssertionError(f"unhandled call {f}")
     if isinstance(node, Indicator):
-        if node.kind == "ball":
-            inside = math.hypot(*x) <= node.params[0]
-        elif node.kind == "box":
-            lo, hi = node.params
-            inside = bool(np.all((x >= lo) & (x <= hi)))
-        else:
-            a = np.asarray(node.params[:-1])
-            inside = float(a @ x) <= node.params[-1]
-        return math.inf if inside else 0.0
+        return math.inf if node.region.member(x) else 0.0
     raise AssertionError(f"unhandled node {type(node).__name__}")
 
 

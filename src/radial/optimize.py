@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import SetOracle, dual_gradient, gauge
+from .calculus import dual_gradient, gauge
 from .core import ExtPos
 from .errors import (
     InfiniteValueError,
@@ -23,7 +23,8 @@ from .errors import (
     RadialityRequiredError,
     StrictnessViolatedError,
 )
-from .oracle import FunctionOracle, Trilean, gradient
+from .oracle import FunctionOracle, Trilean, _fd_step, gradient
+from .sets import SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial
 
 
@@ -108,9 +109,13 @@ class SolveParams:
 
 
 def _fd_grad(phi, y: np.ndarray, base: float) -> np.ndarray:
+    """Difference quotients of the float dual objective, with the step rule
+    of oracle.gradient.  Unlike oracle.gradient it returns a quotient at a
+    kink (an active gauge) instead of raising: descent still needs a
+    direction there."""
     out = np.empty(y.shape[0])
     for i in range(y.shape[0]):
-        h = max(1e-6, 1e-8 * abs(y[i]))
+        h = _fd_step(y[i])
         yp = y.copy()
         yp[i] += h
         ym = y.copy()

@@ -1,10 +1,15 @@
-"""Exact transformation of halfspaces, polyhedra, ellipsoids, and normals.
+"""Sets: exact transforms in the lifted space, and the decision-space
+vocabulary of constraints.
 
-All sets live in the lifted space (vectors paired with positive heights)
-and are closed under the projective point transform.  The transforms here
-are exact formulas, not sampling approximations; membership predicates use
-strict arithmetic with tolerance zero and serve as the sampling oracles in
-the test suite.
+Lifted sets (vectors paired with positive heights) are closed under the
+projective point transform.  The transforms here are exact formulas, not
+sampling approximations; membership predicates use strict arithmetic with
+tolerance zero and serve as the sampling oracles in the test suite.
+
+Decision-space sets (ball, box, halfspace) are membership handles: the
+grammar's indicator(...), constraint gauges and `solve --constraint` all
+build them through the constructors below.  Both halves of the radial/v1
+JSON schema are decoded here.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -268,7 +274,41 @@ def membership(p: LiftedPoint, s) -> bool:
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
-# --- JSON schemas (radial/v1) used by the CLI set-transform subcommand ---
+# --- decision-space sets ---
+
+
+@dataclass(frozen=True)
+class SetOracle:
+    """Membership handle for a set in decision space.  Gauge evaluation
+    requires contains_origin (the caller asserts convexity)."""
+
+    dim: int
+    member: Callable[[np.ndarray], bool]
+    contains_origin: bool
+
+
+def ball_set(dim: int, radius: float) -> SetOracle:
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    return SetOracle(dim, lambda x: float(x @ x) <= radius * radius, True)
+
+
+def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.shape != hi.shape or not np.all(lo < hi):
+        raise ValueError("box requires lo < hi componentwise")
+    contains_origin = bool(np.all((lo <= 0.0) & (0.0 <= hi)))
+    return SetOracle(lo.shape[0], lambda x: bool(np.all((x >= lo) & (x <= hi))), contains_origin)
+
+
+def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    return SetOracle(a.shape[0], lambda x: float(a @ x) <= b, 0.0 <= b)
+
+
+# --- JSON schemas (radial/v1): lifted sets for set-transform, decision-space
+# --- constraints for solve --constraint ---
 
 
 def _point_to_json(p: LiftedPoint) -> dict:
@@ -308,13 +348,18 @@ def set_to_json(s) -> dict:
     raise TypeError(f"unsupported set type {type(s).__name__}")
 
 
-def set_from_json(obj) -> Halfspace | Ellipsoid | Polyhedron:
-    """Decode a radial/v1 set document, raising SchemaError on violations."""
+def _document_type(obj, what: str):
+    """The "type" of a radial/v1 document, after checking its header."""
     if not isinstance(obj, dict):
-        raise SchemaError("set document must be a JSON object")
+        raise SchemaError(f"{what} document must be a JSON object")
     if obj.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f'missing or unsupported "schema" (expected "{SCHEMA_VERSION}")')
-    kind = obj.get("type")
+    return obj.get("type")
+
+
+def set_from_json(obj) -> Halfspace | Ellipsoid | Polyhedron:
+    """Decode a radial/v1 set document, raising SchemaError on violations."""
+    kind = _document_type(obj, "set")
     try:
         if kind == "halfspace":
             return Halfspace(
@@ -336,11 +381,38 @@ def set_from_json(obj) -> Halfspace | Ellipsoid | Polyhedron:
     raise SchemaError(f"unknown set type {kind!r}")
 
 
+def constraint_from_json(obj, dim: int) -> SetOracle:
+    """Decode a radial/v1 constraint document for decision space of
+    dimension dim.  A ball's "dim" defaults to dim; any other dimension
+    that differs from dim is a SchemaError."""
+    kind = _document_type(obj, "constraint")
+    try:
+        if kind == "ball":
+            s = ball_set(int(obj.get("dim", dim)), float(obj["radius"]))
+        elif kind == "box":
+            s = box_set(np.asarray(obj["lo"], dtype=float), np.asarray(obj["hi"], dtype=float))
+        elif kind == "halfspace":
+            s = halfspace_set(np.asarray(obj["a"], dtype=float), float(obj["b"]))
+        else:
+            raise SchemaError(f"unknown constraint type {kind!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad {kind} constraint: {exc}") from exc
+    if s.dim != dim:
+        raise SchemaError(f"{kind} constraint has dimension {s.dim}, expected {dim}")
+    return s
+
+
 def transform_set(s):
-    if isinstance(s, Halfspace):
-        return transform_halfspace(s)
-    if isinstance(s, Ellipsoid):
-        return transform_ellipsoid(s)
-    if isinstance(s, Polyhedron):
-        return transform_polyhedron(s)
+    """Image of a decoded set.  A set whose image fails validation lies
+    too close to the containment boundary to transform in floating point;
+    that is reported as a SchemaError against the document."""
+    try:
+        if isinstance(s, Halfspace):
+            return transform_halfspace(s)
+        if isinstance(s, Ellipsoid):
+            return transform_ellipsoid(s)
+        if isinstance(s, Polyhedron):
+            return transform_polyhedron(s)
+    except ValueError as exc:
+        raise SchemaError(f"cannot transform {type(s).__name__.lower()}: {exc}") from exc
     raise TypeError(f"unsupported set type {type(s).__name__}")

@@ -96,9 +96,6 @@ class DualHandle(FunctionOracle):
     def value_with_certificate(self, y) -> tuple[ExtPos, BracketCertificate]:
         return self._solve(np.asarray(y, dtype=float))
 
-    def with_global_scan(self, enabled: bool = True) -> "DualHandle":
-        return DualHandle(self.base, self.sense, self.tol, self.v_min, self.v_max, enabled)
-
     # -- search ---------------------------------------------------------
 
     def _solve(self, y) -> tuple[ExtPos, BracketCertificate]:
@@ -206,20 +203,6 @@ class DualHandle(FunctionOracle):
         if idx == 0:
             return ("tag", ZERO, float(vs[0]), ps[0])
         return ("bracket", float(vs[idx - 1]), ps[idx - 1], float(vs[idx]), ps[idx])
-
-
-def upper_value(h: DualHandle, y) -> ExtPos:
-    """sup{v > 0 : v f(y/v) <= 1} for the handle's base f."""
-    if h.sense is not Sense.UPPER:
-        raise ValueError("upper_value requires a handle with sense UPPER")
-    return h.value(y)
-
-
-def lower_value(h: DualHandle, y) -> ExtPos:
-    """inf{v > 0 : v f(y/v) >= 1} for the handle's base f."""
-    if h.sense is not Sense.LOWER:
-        raise ValueError("lower_value requires a handle with sense LOWER")
-    return h.value(y)
 
 
 # -- radiality checking ---------------------------------------------------

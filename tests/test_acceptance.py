@@ -10,6 +10,8 @@ import time
 import numpy as np
 
 from radial import (
+    INF,
+    ZERO,
     DualHandle,
     Ellipsoid,
     ExtPos,
@@ -40,7 +42,6 @@ from radial import (
     transform_ellipsoid,
     transform_halfspace,
     transform_polyhedron,
-    upper_value,
 )
 from radial.catalog import (
     absval,
@@ -70,7 +71,7 @@ def test_criterion_01_closed_form_dual():
     worst = 0.0
     for t in np.linspace(-3.0, 3.0, 601):
         y = np.array([t])
-        got = upper_value(handle, y).value
+        got = handle.value(y).value
         worst = max(worst, abs(got - math.sqrt(1.0 + t * t)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
@@ -225,8 +226,8 @@ def test_criterion_08_calculus_rules():
             chunk = s[:k] if kind == KthKind.KMINAVG else s[len(s) - k :]
             total = sum(v.as_float() for v in chunk)
             if math.isinf(total):
-                return ExtPos.infinity()
-            return ExtPos.finite(total / k) if total > 0 else ExtPos.zero()
+                return INF
+            return ExtPos.finite(total / k) if total > 0 else ZERO
 
         return combine
 

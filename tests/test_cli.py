@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial.cli import main
 
@@ -348,3 +352,89 @@ class TestEntryPointAndEnvironment:
             env=env,
         )
         assert proc.returncode == 2
+
+
+CAP = "pos(2 - (x0-1)^2)"
+BOX_2D = {"schema": "radial/v1", "type": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}
+# Parses (its containment margin is positive) but its image fails the
+# definiteness certificate, so transform_set raises on it.
+EDGE_ELLIPSOID = {
+    "schema": "radial/v1",
+    "type": "ellipsoid",
+    "center": {"x": [0.0], "u": 1.0},
+    "shape": [[1.0, 0.0], [0.0, 1.0000000000001]],
+}
+
+# argv -> exit code.  {dir} is a writable scratch directory, {missing} a
+# path that cannot be opened for reading or writing.
+CONTRACT = [
+    (["grid", "--f", "x0", "--dim", "1", "--grid=-1:1:3", "--out", "{dir}/o.csv"], 2),
+    (["check", "--f", "x0 - 1", "--dim", "1"], 2),
+    (["solve", "--f", "x0", "--dim", "1", "--y0", "1"], 2),
+    (["eval", "--f", "x0", "--dim", "1", "--at", "-1"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/box2.json"], 2),
+    (["eval", "--f", "x0", "--dim", "0", "--at", "1"], 2),
+    (["check", "--f", "abs(x0)", "--dim", "1", "--rays", "0"], 2),
+    (["check", "--f", "abs(x0)", "--dim", "1", "--points", "0"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--budget", "0"], 2),
+    (["set-transform", "--in", "{missing}", "--out", "{dir}/o.json"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{missing}"], 2),
+    (["grid", "--f", "abs(x0)", "--dim", "1", "--grid=0.5:2:4", "--out", "{missing}"], 1),
+    (["set-transform", "--in", "{dir}/edge.json", "--out", "{dir}/o.json"], 2),
+    (["eval", "--f", "x0", "--dim", "1", "--at", "1,2"], 2),
+    (["--tol", "0", "eval", "--f", "x0", "--dim", "1", "--at", "1"], 2),
+]
+
+
+def exit_code(argv):
+    """main's return value, or argparse's exit status for usage errors."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv,expected", CONTRACT, ids=[" ".join(a) for a, _ in CONTRACT])
+    def test_contract(self, argv, expected, tmp_path, capsys):
+        (tmp_path / "box2.json").write_text(json.dumps(BOX_2D))
+        (tmp_path / "edge.json").write_text(json.dumps(EDGE_ELLIPSOID))
+        missing = str(tmp_path / "no-such-dir" / "file.json")
+        argv = [a.format(dir=tmp_path, missing=missing) for a in argv]
+        assert exit_code(argv) == expected
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error:" in err
+
+
+_leaf = st.sampled_from(["x0", "0", "0.5", "1", "2", "1e-3", "1e3", "inf", "indicator(ball 1)", "indicator(box -1 2)", "indicator(halfspace 1 0.5)"])
+
+
+def _compose(children):
+    unary = st.tuples(st.sampled_from(["sqrt", "exp", "abs", "sin", "cos", "pos", "-"]), children).map(
+        lambda t: f"-({t[1]})" if t[0] == "-" else f"{t[0]}({t[1]})"
+    )
+    binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/", "^"]), children).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})")
+    variadic = st.tuples(st.sampled_from(["min", "max", "norm"]), children, children).map(lambda t: f"{t[0]}({t[1]}, {t[2]})")
+    return unary | binary | variadic
+
+
+expressions = st.recursive(_leaf, _compose, max_leaves=6)
+
+
+@given(expr=expressions, at=st.sampled_from(["-2", "-0.5", "0", "0.25", "3"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_generated_expressions_end_in_a_documented_code(expr, at):
+    """Any expression ends in an exit code with a one-line reason, never a
+    traceback: eval succeeds (0) or reports an error, and check reports a
+    verdict (0, 1, 4) or an error."""
+    runs = [
+        (["eval", f"--f={expr}", "--dim", "1", f"--at={at}"], {0}),
+        (["check", f"--f={expr}", "--dim", "1", "--rays", "4", "--points", "8"], {0, 1, 4}),
+    ]
+    for argv, verdicts in runs:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(6)
+        assert code in verdicts or "error:" in err.getvalue()

@@ -12,6 +12,7 @@ from radial import (
     NormalVector,
     Polyhedron,
     SchemaError,
+    constraint_from_json,
     dual_gradient,
     gamma_point,
     membership,
@@ -291,3 +292,49 @@ class TestJson:
             set_from_json({"schema": "radial/v1", "type": "torus"})
         with pytest.raises(SchemaError):
             set_from_json({"schema": "radial/v1", "type": "ellipsoid", "center": {"x": [0.0]}})
+
+
+class TestConstraintJson:
+    def doc(self, **fields):
+        return {"schema": "radial/v1", **fields}
+
+    def test_ball_dim_defaults_to_given_dim(self):
+        s = constraint_from_json(self.doc(type="ball", radius=0.5), 3)
+        assert s.dim == 3 and s.contains_origin
+        assert s.member(np.array([0.3, 0.0, -0.3]))
+        assert not s.member(np.array([0.4, 0.4, 0.0]))
+
+    def test_members(self):
+        box = constraint_from_json(self.doc(type="box", lo=[-1.0, 0.5], hi=[0.5, 1.0]), 2)
+        assert box.member(np.array([0.0, 0.75])) and not box.member(np.array([0.0, 0.0]))
+        assert not box.contains_origin
+        half = constraint_from_json(self.doc(type="halfspace", a=[1.0], b=1.0), 1)
+        assert half.member(np.array([1.0])) and not half.member(np.array([1.5]))
+        assert half.contains_origin
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"type": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]},
+            {"type": "halfspace", "a": [1.0, 2.0], "b": 1.0},
+            {"type": "ball", "dim": 2, "radius": 1.0},
+        ],
+        ids=["box", "halfspace", "ball"],
+    )
+    def test_dimension_mismatch(self, fields):
+        with pytest.raises(SchemaError, match="dimension 2, expected 1"):
+            constraint_from_json(self.doc(**fields), 1)
+
+    def test_unknown_type(self):
+        with pytest.raises(SchemaError, match="unknown constraint type"):
+            constraint_from_json(self.doc(type="cone"), 1)
+
+    def test_header_and_fields(self):
+        with pytest.raises(SchemaError, match="schema"):
+            constraint_from_json({"type": "ball", "radius": 1.0}, 1)
+        with pytest.raises(SchemaError, match="JSON object"):
+            constraint_from_json([1.0], 1)
+        with pytest.raises(SchemaError, match="bad ball"):
+            constraint_from_json(self.doc(type="ball", radius=-1.0), 1)
+        with pytest.raises(SchemaError, match="bad box"):
+            constraint_from_json(self.doc(type="box", lo=[1.0]), 1)

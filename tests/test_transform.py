@@ -15,10 +15,8 @@ from radial import (
     check_radial,
     duality_residual,
     extpos_gap,
-    lower_value,
     parse_function,
     perspective,
-    upper_value,
 )
 from radial.catalog import (
     absval,
@@ -50,11 +48,11 @@ def lower(f, **kw):
 
 class TestUpperValue:
     def test_cap_at_one(self):
-        v = upper_value(upper(sqrt_cap(1)), [1.0])
+        v = upper(sqrt_cap(1)).value([1.0])
         assert abs(v.value - math.sqrt(2.0)) <= TOL * 2
 
     def test_bump_at_zero(self):
-        v = upper_value(upper(exp_bump()), [0.0])
+        v = upper(exp_bump()).value([0.0])
         assert abs(v.value - 2.0 / 3.0) <= TOL * 2
 
     def test_absolute_value_step(self):
@@ -62,12 +60,6 @@ class TestUpperValue:
         assert h.value([0.5]) is INF
         assert h.value([1.0]) is INF  # closed at the boundary
         assert h.value([2.0]) is ZERO
-
-    def test_sense_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            upper_value(lower(sqrt_cap(1)), [0.0])
-        with pytest.raises(ValueError):
-            lower_value(upper(sqrt_cap(1)), [0.0])
 
 
 class TestLowerValue:
@@ -78,7 +70,7 @@ class TestLowerValue:
         assert h.value([2.0]) is ZERO
 
     def test_strictly_monotone_agrees_with_upper(self):
-        v = lower_value(lower(sqrt_cap(1)), [1.0])
+        v = lower(sqrt_cap(1)).value([1.0])
         assert abs(v.value - math.sqrt(2.0)) <= TOL * 2
 
     def test_constant(self):
