@@ -31,7 +31,9 @@ import sys
 
 import numpy as np
 
-from .core import ExtPos, LiftedPoint, gamma_point
+# gamma_point is not called here since grid lifts whole columns, but the name
+# stays importable from this module: perfbench/tracing.py binds cli.gamma_point.
+from .core import ExtPos, gamma_point, gamma_point_many  # noqa: F401
 from .errors import (
     ExpressionRangeError,
     NonMonotonePerspectiveError,
@@ -44,7 +46,7 @@ from .errors import (
 from .grammar import parse_function
 from .sets import SCHEMA_VERSION, constraint_from_json, set_from_json, set_to_json, transform_set
 from .optimize import SolveParams, solve_via_dual
-from .transform import DEFAULT_TOL, DualHandle, Sense, Verdict, check_radial, extpos_gap
+from .transform import DEFAULT_TOL, DualHandle, Sense, Verdict, check_radial, extpos_gap_many
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -80,19 +82,24 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _extpos_token(v: ExtPos) -> str:
-    if v.is_zero:
-        return "0"
-    if v.is_infinite:
-        return "inf"
-    return _fmt(v.value)
+def _tag_token(v: float) -> str:
+    """An extended positive value as a cell: the tags print as 0 and inf."""
+    return "0" if v == 0.0 else _fmt(v)
+
+
+def _finite(text: str, what: str) -> float:
+    """A float that is neither inf nor nan."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{what}: expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{what}: expected a finite number, got {text!r}")
+    return value
 
 
 def _vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(t) for t in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from exc
+    return np.array([_finite(t, "vector coordinate") for t in text.split(",")], dtype=float)
 
 
 def _count(text: str) -> int:
@@ -108,23 +115,31 @@ def _count(text: str) -> int:
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
-        if value > 0:
+        if 0 < value < math.inf:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"tolerance (--tol or RADIAL_TOL) must be a positive number, got {text!r}")
+    raise argparse.ArgumentTypeError(f"tolerance (--tol or RADIAL_TOL) must be a positive finite number, got {text!r}")
+
+
+def _interval(lo_text: str, hi_text: str, what: str) -> tuple[float, float]:
+    """Finite bounds lo < hi whose width is finite too."""
+    lo, hi = _finite(lo_text, what), _finite(hi_text, what)
+    if not lo < hi:
+        raise argparse.ArgumentTypeError(f"{what} requires lo < hi")
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"{what} is too wide: hi - lo overflows")
+    return lo, hi
 
 
 def _axis(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"axis spec must be lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    count = int(parts[2])
     if count < 2:
         raise argparse.ArgumentTypeError("axis count must be >= 2")
-    if not lo < hi:
-        raise argparse.ArgumentTypeError("axis requires lo < hi")
-    return lo, hi, count
+    return (*_interval(parts[0], parts[1], "axis"), count)
 
 
 def _check_point(flag: str, point: np.ndarray, dim: int) -> None:
@@ -149,7 +164,7 @@ def _cmd_eval(args) -> int:
     if value.is_finite:
         print(f"{value.value:.10f} ± {args.tol:g}")
     else:
-        print(_extpos_token(value))
+        print(_tag_token(value.as_float()))
     print(
         f"bracket [{_fmt(cert.v_lo)}, {_fmt(cert.v_hi)}] "
         f"perspective [{_fmt(cert.p_lo)}, {_fmt(cert.p_hi)}] "
@@ -180,58 +195,42 @@ def _cmd_grid(args) -> int:
     lower = DualHandle(oracle, Sense.LOWER, tol=tol, global_scan=args.global_scan)
     bidual = DualHandle(upper, Sense.UPPER, tol=tol)
 
-    columns = [f"x{i}" for i in range(args.dim)]
+    # Whole columns, each one batch.  A tagged column holds extended
+    # positive values (0 and inf are tags); the others print plain floats.
+    points = _grid_points(args.grid)
+    columns = [(f"x{i}", False, points[:, i]) for i in range(args.dim)]
+    fx = oracle.eval_many(points)
     if "primal" in emit:
-        columns.append("f")
+        columns.append(("f", True, fx))
     if "dual" in emit:
-        columns.append("upper")
+        columns.append(("upper", True, upper.values(points)))
     if "lower" in emit:
-        columns.append("lower")
+        columns.append(("lower", True, lower.values(points)))
+    if "bidual" in emit or "residual" in emit:
+        bi = bidual.values(points)
     if "bidual" in emit:
-        columns.append("bidual")
+        columns.append(("bidual", True, bi))
     if "residual" in emit:
-        columns.append("residual")
+        columns.append(("residual", False, extpos_gap_many(fx, bi)))
     if "gamma" in emit:
-        columns.extend([f"gamma_y{i}" for i in range(args.dim)] + ["gamma_v"])
+        image = np.full((points.shape[0], args.dim + 1), math.nan)
+        lifted = (0.0 < fx) & (fx < math.inf)
+        image[lifted, :-1], image[lifted, -1] = gamma_point_many(points[lifted], fx[lifted])
+        columns.extend((f"gamma_y{i}", False, image[:, i]) for i in range(args.dim))
+        columns.append(("gamma_v", False, image[:, -1]))
 
-    rows = []
-    for point in _grid_points(args.grid):
-        row = [float(c) for c in point]
-        fx = oracle.eval(point)
-        if "primal" in emit:
-            row.append(fx)
-        if "dual" in emit:
-            row.append(upper.value(point))
-        if "lower" in emit:
-            row.append(lower.value(point))
-        if "bidual" in emit or "residual" in emit:
-            bi = bidual.value(point)
-        if "bidual" in emit:
-            row.append(bi)
-        if "residual" in emit:
-            row.append(extpos_gap(fx, bi))
-        if "gamma" in emit:
-            if fx.is_finite:
-                image = gamma_point(LiftedPoint(point, fx.value))
-                row.extend([float(c) for c in image.x] + [image.u])
-            else:
-                row.extend([math.nan] * (args.dim + 1))
-        rows.append(row)
-
-    def cell(v) -> str:
-        if isinstance(v, ExtPos):
-            return _extpos_token(v)
-        return _fmt(float(v))
-
+    names = [name for name, _, _ in columns]
+    tagged = [is_tagged for _, is_tagged, _ in columns]
+    rows = list(zip(*(values.tolist() for _, _, values in columns)))
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(cell(v) for v in row) for row in rows)
+        lines = [",".join(names)]
+        lines.extend(",".join(_tag_token(v) if t else _fmt(v) for t, v in zip(tagged, row)) for row in rows)
         payload = "\n".join(lines) + "\n"
     else:
         doc = {
             "schema": SCHEMA_VERSION,
-            "columns": columns,
-            "rows": [[v.to_json() if isinstance(v, ExtPos) else float(v) for v in row] for row in rows],
+            "columns": names,
+            "rows": [[ExtPos.from_float(v).to_json() if t else v for t, v in zip(tagged, row)] for row in rows],
         }
         payload = json.dumps(doc, sort_keys=True) + "\n"
     with open(args.out, "w") as fh:
@@ -298,10 +297,7 @@ def _box_arg(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("box must be lo:hi")
-    lo, hi = float(parts[0]), float(parts[1])
-    if not lo < hi:
-        raise argparse.ArgumentTypeError("box requires lo < hi")
-    return lo, hi
+    return _interval(parts[0], parts[1], "box")
 
 
 def build_parser() -> argparse.ArgumentParser:

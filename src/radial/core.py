@@ -54,6 +54,16 @@ class ExtPos:
     def finite(value: float) -> "ExtPos":
         return ExtPos(_FINITE_KIND, value)
 
+    @staticmethod
+    def from_float(value: float) -> "ExtPos":
+        """Inverse of as_float: 0.0 is ZERO, inf is INF, anything else must
+        be a positive finite value."""
+        if value == 0.0:
+            return ZERO
+        if value == math.inf:
+            return INF
+        return ExtPos.finite(value)
+
     @property
     def is_zero(self) -> bool:
         return self.kind == _ZERO_KIND

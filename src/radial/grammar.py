@@ -1,7 +1,15 @@
 """Expression grammar for CLI-supplied functions.
 
-Evaluation happens over IEEE floats with nan/inf propagation; the final
-value is converted to an extended positive value.  A negative or undefined
+A parsed tree is compiled once into closures by one compiler with two op
+tables: the scalar table (math functions on Python floats) serves eval,
+the numpy table serves eval_many on an (m, n) array of points.  Both follow
+the same IEEE rules, with nan/inf propagation; where numpy's own result
+differs from the scalar rule (1/-0.0, 0^negative, nan^0, hypot(inf, nan))
+the numpy table masks it back, so the two agree except for ulp-level
+differences between libm and numpy in exp, pow and hypot.
+
+The final value is converted to an extended positive value (eval) or a
+float with 0.0 and inf as the tags (eval_many).  A negative or undefined
 (nan) full-expression value is an error: clamping to zero is only ever
 explicit, via the pos(...) node.  The indicator of a set takes the value
 +inf inside the set and 0 outside, matching the convention under which
@@ -10,13 +18,15 @@ constraint indicators transform into gauges.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import INF, ZERO, ExtPos
+from .core import ExtPos
 from .errors import ExpressionRangeError, ParseError
 from .oracle import UNKNOWN_META, FunctionOracle
 from .sets import SetOracle, ball_set, box_set, halfspace_set
@@ -284,69 +294,131 @@ def _safe_pow(a: float, b: float) -> float:
         return -math.inf if negative else math.inf
 
 
-def _safe_unary(func, a: float) -> float:
-    try:
-        return func(a)
-    except ValueError:
-        return math.nan
-    except OverflowError:
-        return math.inf
+def _safe_unary(func):
+    def apply(a: float) -> float:
+        try:
+            return func(a)
+        except ValueError:
+            return math.nan
+        except OverflowError:
+            return math.inf
+
+    return apply
+
+
+def _safe_div(a: float, b: float) -> float:
+    if b == 0.0:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.copysign(math.inf, a)
+    return a / b
+
+
+def _nan_if_any_nan(func):
+    def apply(*vals: float) -> float:
+        if any(math.isnan(v) for v in vals):
+            return math.nan
+        return func(*vals)
+
+    return apply
+
+
+#: Scalar rules over Python floats: math functions, with the IEEE value
+#: wherever math raises.  A point arrives as a list of floats.
+_MATH_OPS = {
+    "var": lambda i: lambda x: x[i],
+    "indicator": lambda region: lambda x: math.inf if region.member(np.array(x)) else 0.0,
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _safe_div,
+    "^": _safe_pow,
+    "sqrt": _safe_unary(math.sqrt),
+    "exp": _safe_unary(math.exp),
+    "abs": math.fabs,
+    "sin": _safe_unary(math.sin),
+    "cos": _safe_unary(math.cos),
+    "pos": lambda a: a if a > 0.0 else 0.0,
+    "min": _nan_if_any_nan(min),
+    "max": _nan_if_any_nan(max),
+    "norm": _nan_if_any_nan(math.hypot),
+}
+
+
+def _np_div(a, b):
+    undefined = (a == 0.0) | np.isnan(a)
+    return np.where(b == 0.0, np.where(undefined, np.nan, np.copysign(np.inf, a)), np.divide(a, b))
+
+
+def _np_pow(a, b):
+    value = np.where(np.isnan(a) | np.isnan(b), np.nan, np.power(a, b))
+    return np.where((a == 0.0) & (b < 0.0), np.inf, value)
+
+
+def _np_norm(*vals):
+    undefined = functools.reduce(np.logical_or, [np.isnan(v) for v in vals])
+    return np.where(undefined, np.nan, functools.reduce(np.hypot, vals, 0.0))
+
+
+#: The same rules column-wise over an (m, n) array, evaluated under
+#: np.errstate(all="ignore").  numpy's own results differ from the scalar
+#: rules at 1/-0.0, 0^negative, nan^0, 1^nan and hypot(inf, nan); those
+#: cases are masked back to the scalar values.  Finite results may differ
+#: from math's by an ulp (numpy's exp, pow and hypot are its own).
+_NUMPY_OPS = {
+    "var": lambda i: lambda x: x[:, i],
+    "indicator": lambda region: lambda x: np.where(
+        np.fromiter(map(region.member, x), dtype=bool, count=x.shape[0]), np.inf, 0.0
+    ),
+    "neg": operator.neg,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _np_div,
+    "^": _np_pow,
+    "sqrt": np.sqrt,
+    "exp": np.exp,
+    "abs": np.abs,
+    "sin": np.sin,
+    "cos": np.cos,
+    "pos": lambda a: np.fmax(a, 0.0),  # fmax drops nan; a zero's sign never matters
+    "min": lambda *vals: functools.reduce(np.minimum, vals),
+    "max": lambda *vals: functools.reduce(np.maximum, vals),
+    "norm": _np_norm,
+}
+
+
+def _compile(node, ops):
+    """Turn a syntax tree into a closure over one op table, so that an
+    evaluation no longer dispatches on node types."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda x: value
+    if isinstance(node, Const):
+        return lambda x: math.inf
+    if isinstance(node, Var):
+        return ops["var"](node.index)
+    if isinstance(node, Indicator):
+        return ops["indicator"](node.region)
+    if isinstance(node, Neg):
+        child, neg = _compile(node.child, ops), ops["neg"]
+        return lambda x: neg(child(x))
+    if isinstance(node, Bin):
+        left, right, op = _compile(node.left, ops), _compile(node.right, ops), ops[node.op]
+        return lambda x: op(left(x), right(x))
+    if isinstance(node, Call):
+        args, func = [_compile(arg, ops) for arg in node.args], ops[node.func]
+        if len(args) == 1:
+            (arg,) = args
+            return lambda x: func(arg(x))
+        return lambda x: func(*[arg(x) for arg in args])
+    raise AssertionError(f"unhandled node {type(node).__name__}")
 
 
 def evaluate(node, x: np.ndarray) -> float:
-    """Evaluate a syntax tree at x with IEEE float semantics."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(x[node.index])
-    if isinstance(node, Const):
-        return math.inf
-    if isinstance(node, Neg):
-        return -evaluate(node.child, x)
-    if isinstance(node, Bin):
-        a = evaluate(node.left, x)
-        b = evaluate(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if b == 0.0:
-                if a == 0.0 or math.isnan(a):
-                    return math.nan
-                return math.copysign(math.inf, a)
-            return a / b
-        return _safe_pow(a, b)
-    if isinstance(node, Call):
-        vals = [evaluate(arg, x) for arg in node.args]
-        f = node.func
-        if f == "sqrt":
-            return _safe_unary(math.sqrt, vals[0])
-        if f == "exp":
-            return _safe_unary(math.exp, vals[0])
-        if f == "abs":
-            return math.fabs(vals[0])
-        if f == "sin":
-            return _safe_unary(math.sin, vals[0])
-        if f == "cos":
-            return _safe_unary(math.cos, vals[0])
-        if f == "pos":
-            v = vals[0]
-            return 0.0 if (math.isnan(v) or v <= 0.0) else v
-        if any(math.isnan(v) for v in vals):
-            return math.nan
-        if f == "min":
-            return min(vals)
-        if f == "max":
-            return max(vals)
-        if f == "norm":
-            return math.hypot(*vals)
-        raise AssertionError(f"unhandled call {f}")
-    if isinstance(node, Indicator):
-        return math.inf if node.region.member(x) else 0.0
-    raise AssertionError(f"unhandled node {type(node).__name__}")
+    """Evaluate a syntax tree at one point x with the scalar IEEE rules."""
+    return _compile(node, _MATH_OPS)(np.asarray(x, dtype=float).tolist())
 
 
 def unparse(node) -> str:
@@ -373,25 +445,39 @@ def unparse(node) -> str:
 def parse_function(text: str, dim: int) -> FunctionOracle:
     """Build a FunctionOracle from expression source.
 
-    The oracle's gradient falls back to finite differences (no analytic
-    composition is attempted) and its radiality metadata starts unknown.
-    A top-level negative or nan value raises ExpressionRangeError pointing
-    at pos(...) rather than clamping implicitly.
+    The tree is compiled twice: with the scalar rules for eval and with the
+    numpy rules for eval_many, which returns floats with 0.0 and inf as the
+    tags.  The oracle's gradient falls back to finite differences (no
+    analytic composition is attempted) and its radiality metadata starts
+    unknown.  A top-level negative or nan value raises ExpressionRangeError
+    pointing at pos(...) rather than clamping implicitly; eval_many names
+    the first offending row.
     """
     tree = parse(text, dim)
     source = unparse(tree)
+    scalar = _compile(tree, _MATH_OPS)
+    batch = _compile(tree, _NUMPY_OPS)
+
+    def range_error(t: float, x: np.ndarray, where: str = "") -> ExpressionRangeError:
+        return ExpressionRangeError(
+            f"expression evaluated to {t!r} at {x.tolist()}{where}; wrap it in pos(...) "
+            "to clamp negative/undefined values to zero"
+        )
 
     def _eval(x: np.ndarray) -> ExtPos:
-        t = evaluate(tree, x)
-        if math.isnan(t) or t < 0.0:
-            raise ExpressionRangeError(
-                f"expression evaluated to {t!r} at {x.tolist()}; wrap it in pos(...) "
-                "to clamp negative/undefined values to zero"
-            )
-        if t == 0.0:
-            return ZERO
-        if math.isinf(t):
-            return INF
-        return ExtPos.finite(t)
+        t = scalar(x.tolist())
+        if not t >= 0.0:
+            raise range_error(t, x)
+        return ExtPos.from_float(t)
 
-    return FunctionOracle(dim, _eval, meta=UNKNOWN_META, name=source)
+    def _eval_many(x: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            # A constant expression compiles to a scalar; adding zeros also turns -0.0 into 0.0.
+            t = batch(x) + np.zeros(x.shape[0])
+        valid = t >= 0.0  # False for nan too
+        if np.count_nonzero(valid) != t.size:
+            i = int(np.argmin(valid))
+            raise range_error(float(t[i]), x[i], f" (row {i})")
+        return t
+
+    return FunctionOracle(dim, _eval, meta=UNKNOWN_META, name=source, many=_eval_many)

@@ -51,15 +51,19 @@ class FunctionOracle:
     """Evaluation handle for f: R^dim -> {0} | (0, inf) | {inf}.
 
     eval_fn must accept a 1-D float array of length dim and return ExtPos.
+    The optional batch callback many takes an (m, dim) float array and
+    returns a float array of m values in [0, inf], where 0.0 and inf are
+    the ZERO and INF tags; without it eval_many loops over eval.
     Oracles are immutable after construction and callbacks must be
     reentrant; concurrent evaluation over grids is permitted.
     """
 
-    def __init__(self, dim, eval_fn, grad=None, hess=None, meta=UNKNOWN_META, name=None):
+    def __init__(self, dim, eval_fn, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None):
         if int(dim) < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self._eval_fn = eval_fn
+        self._many_fn = many
         self.grad = grad
         self.hess = hess
         self.meta = meta
@@ -78,8 +82,18 @@ class FunctionOracle:
 
     __call__ = eval
 
+    def eval_many(self, xs) -> np.ndarray:
+        """Values at the rows of xs, an (m, dim) array, as floats with 0.0
+        and inf for the ZERO and INF tags."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != self.dim:
+            raise ValueError(f"expected an (m, {self.dim}) array, got shape {xs.shape}")
+        if self._many_fn is None:
+            return np.array([self.eval(x).as_float() for x in xs], dtype=float)
+        return self._many_fn(xs)
+
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
-        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name)
+        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn)
 
     def gradient(self, x) -> np.ndarray:
         return gradient(self, x)

@@ -7,6 +7,15 @@ expansion from v = 1 followed by bisection.  The caps V_MIN and V_MAX
 define numerical zero/infinity for the search only; returned values are
 always the extended-positive tags, never the caps.
 
+The search runs in two forms that take the same decisions.  A single query
+(value, value_with_certificate, eval) runs it on one point with
+perspective and ExtPos values and can return a bracket certificate.
+DualHandle.values (the handle's eval_many) runs it on many points in
+lockstep over floats, one base eval_many per step, so a nested handle
+hands its inner handle one batch per outer step.  duality_residual
+evaluates its whole grid in one batch, check_radial its sample in blocks
+of whole rays (CHECK_BLOCK_ROWS ray x height pairs each).
+
 Empty-search conventions: an upper search that is infeasible down to the
 floor returns zero (the supremum over an empty set), and a lower search
 that is infeasible up to the cap returns infinity.  The two conventions
@@ -22,13 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INF, ONE, ZERO, ExtPos
-from .errors import NonMonotonePerspectiveError
+from .errors import NonMonotonePerspectiveError, OverflowRiskError
 from .oracle import FunctionOracle, Provenance, RadialityMeta, Trilean, perspective
 
 DEFAULT_TOL = 1e-10
 DEFAULT_V_MIN = 1e-12
 DEFAULT_V_MAX = 1e12
 GLOBAL_SCAN_POINTS = 1024
+
+#: Ray x height pairs that check_radial evaluates in one eval_many call
+#: (whole rays, at least one), so that its memory does not grow with the
+#: number of rays.
+CHECK_BLOCK_ROWS = 1 << 16
 
 #: Observed perspective decrease (across an increasing height pair) above
 #: which the search aborts for functions not declared ray-monotone.
@@ -54,9 +68,25 @@ class BracketCertificate:
     mode: str  # "monotone" or "global"
 
 
+def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """perspective(f, ys[i], v[i]) for every row, as floats (0.0 and inf
+    are the tags), with the same OverflowRiskError when a finite product
+    leaves the finite range."""
+    value = f.eval_many(ys / v[:, None])
+    scaled = v * value
+    # v > 0, so only an underflow adds a zero and only an overflow an inf.
+    underflow = np.count_nonzero(scaled) != np.count_nonzero(value)
+    if underflow or np.count_nonzero(scaled == np.inf) != np.count_nonzero(value == np.inf):
+        lost = ((scaled == 0.0) != (value == 0.0)) | ((scaled == np.inf) != (value == np.inf))
+        i = int(lost.argmax())
+        raise OverflowRiskError(f"perspective product {v[i]!r} * {value[i]!r} left the finite range")
+    return scaled
+
+
 class DualHandle(FunctionOracle):
     """A FunctionOracle representing the upper or lower transform of a base
-    oracle, evaluated on demand by bisection.
+    oracle, evaluated on demand by bisection: one point at a time through
+    value/eval, or many points in lockstep through values/eval_many.
 
     Handles compose: a DualHandle can be the base of another DualHandle.
     The perspective profile of a transformed function is nondecreasing in
@@ -73,8 +103,8 @@ class DualHandle(FunctionOracle):
         v_max: float = DEFAULT_V_MAX,
         global_scan: bool = False,
     ):
-        if not (tol > 0.0):
-            raise ValueError("tol must be positive")
+        if not (0.0 < tol < math.inf):
+            raise ValueError("tol must be positive and finite")
         if not (0.0 < v_min < 1.0 < v_max < math.inf):
             raise ValueError("need 0 < v_min < 1 < v_max")
         self.base = base
@@ -88,6 +118,7 @@ class DualHandle(FunctionOracle):
             lambda y: self._solve(y)[0],
             meta=RadialityMeta(Trilean.YES, Trilean.UNKNOWN, Provenance.DECLARED),
             name=f"{sense.value}-transform({base.name or 'f'})",
+            many=None if global_scan else self._lockstep,
         )
 
     def value(self, y) -> ExtPos:
@@ -95,6 +126,18 @@ class DualHandle(FunctionOracle):
 
     def value_with_certificate(self, y) -> tuple[ExtPos, BracketCertificate]:
         return self._solve(np.asarray(y, dtype=float))
+
+    def values(self, ys) -> np.ndarray:
+        """The transform at every row of ys, an (m, dim) array, as floats
+        with 0.0 and inf for the ZERO and INF tags.  Row i equals
+        value(ys[i]); the rows are searched in lockstep, so each step costs
+        one eval_many of the base.
+
+        values is the batch form of value for callers that hold a handle;
+        it is the same call as eval_many, the name under which code that
+        takes any FunctionOracle (a nested handle's search included)
+        reaches it."""
+        return self.eval_many(ys)
 
     # -- search ---------------------------------------------------------
 
@@ -140,6 +183,70 @@ class DualHandle(FunctionOracle):
         result = ExtPos.finite(lo) if upper else ExtPos.finite(hi)
         return result, cert
 
+    def _lockstep(self, ys: np.ndarray) -> np.ndarray:
+        """The monotone search of _solve run on all rows at once.
+
+        Each active row is expanding upward (hi = inf), expanding downward
+        (lo = -inf) or bisecting; every step probes one height per row,
+        takes the same decisions as _solve on it and retires the rows that
+        reach a tag or the tol rule.  A global-scan handle has no lockstep:
+        its eval_many maps eval over the rows.
+        """
+        upper = self.sense is Sense.UPPER
+        guarded = self.base.meta.upper_radial is not Trilean.YES
+        v_min, v_max, tol = self.v_min, self.v_max, self.tol
+        out = np.empty(ys.shape[0])
+        rows = np.arange(ys.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.ones(ys.shape[0])
+            p = _perspective_many(self.base, ys, v)
+            low = p <= 1.0 if upper else p < 1.0
+            lo = np.where(low, v, -np.inf)
+            hi = np.where(low, np.inf, v)
+            # False once every row brackets its crossing.  The cap test, the
+            # expansion step and the guard cannot fire after that; skipping
+            # them makes a nested search's cheap bisection steps cheaper.
+            expanding = True
+            while True:
+                width = hi - lo  # inf while a row expands
+                done = width <= tol * np.maximum(lo, 1.0)
+                if expanding:
+                    done |= (lo >= v_max) | (hi <= v_min)
+                if np.count_nonzero(done):
+                    found = lo[done] if upper else hi[done]
+                    out[rows[done]] = np.where(hi[done] == np.inf, np.inf, np.where(lo[done] == -np.inf, 0.0, found))
+                    keep = ~done
+                    rows, ys, lo, hi, p, width = rows[keep], ys[keep], lo[keep], hi[keep], p[keep], width[keep]
+                if not rows.size:
+                    return out
+                expanding = expanding and np.count_nonzero(np.isinf(width)) > 0
+                if expanding:
+                    up, down = hi == np.inf, lo == -np.inf
+                    v = np.where(up, np.minimum(2.0 * lo, v_max), np.where(down, np.maximum(0.5 * hi, v_min), 0.5 * (lo + hi)))
+                else:
+                    v = 0.5 * (lo + hi)
+                p_edge, p = p, _perspective_many(self.base, ys, v)
+                if expanding and guarded:
+                    drop = np.where(up, p_edge - p, p - p_edge)
+                    tripped = (up | down) & (drop > MONOTONE_GUARD)
+                    if np.count_nonzero(tripped):
+                        i = int(tripped.argmax())
+                        small, big = (lo[i], v[i]) if up[i] else (v[i], hi[i])
+                        p_small, p_big = (p_edge[i], p[i]) if up[i] else (p[i], p_edge[i])
+                        raise self._nonmonotone(ys[i], small, ExtPos.from_float(p_small), big, ExtPos.from_float(p_big))
+                low = p <= 1.0 if upper else p < 1.0
+                lo = np.where(low, v, lo)
+                hi = np.where(low, hi, v)
+
+    def _nonmonotone(self, y, v_small, p_small: ExtPos, v_big, p_big: ExtPos) -> NonMonotonePerspectiveError:
+        return NonMonotonePerspectiveError(
+            "perspective profile decreased from "
+            f"{p_small.as_float():g} at v={v_small:g} to {p_big.as_float():g} at v={v_big:g}; "
+            "the base function is not declared ray-monotone "
+            "(retry with global_scan for a scanned approximation)",
+            witness=(np.array(y), float(v_small), float(v_big), p_small, p_big),
+        )
+
     def _mode(self) -> str:
         return "global" if self.global_scan else "monotone"
 
@@ -151,13 +258,7 @@ class DualHandle(FunctionOracle):
                 return
             drop = p_small.as_float() - p_big.as_float()
             if not math.isnan(drop) and drop > MONOTONE_GUARD:
-                raise NonMonotonePerspectiveError(
-                    "perspective profile decreased from "
-                    f"{p_small.as_float():g} at v={v_small:g} to {p_big.as_float():g} at v={v_big:g}; "
-                    "the base function is not declared ray-monotone "
-                    "(retry with global_scan for a scanned approximation)",
-                    witness=(np.array(y), v_small, v_big, p_small, p_big),
-                )
+                raise self._nonmonotone(y, v_small, p_small, v_big, p_big)
 
         p1 = profile(1.0)
         if low_ok(p1):
@@ -271,24 +372,28 @@ def check_radial(
         raise ValueError("box must satisfy lo < hi")
     rng = np.random.default_rng(seed)
     vgrid = np.geomspace(v_min, v_max, points_per_ray)
+    if not np.all((vgrid > 0.0) & (vgrid < math.inf)):
+        raise ValueError("heights must be finite and > 0")
     witnesses: list[MonotoneWitness] = []
+
+    # The rays are drawn from the same stream, in the same order, as one
+    # draw per ray would take them, and evaluated in blocks of whole rays.
+    ys = rng.uniform(lo, hi, size=(rays, f.dim))
+    block = max(1, CHECK_BLOCK_ROWS // points_per_ray)
     informative = 0
     strict_ok = True
-
-    for _ in range(rays):
-        y = rng.uniform(lo, hi, size=f.dim)
-        values = [perspective(f, y, float(v)).as_float() for v in vgrid]
-        for i in range(len(values) - 1):
-            a, b = values[i], values[i + 1]
-            if 0.0 < a < math.inf:
-                informative += 1
-            drop = a - b
-            if not math.isnan(drop) and drop > tol:
-                witnesses.append(MonotoneWitness(y, float(vgrid[i]), float(vgrid[i + 1]), a, b))
-            if 0.0 < a < math.inf and 0.0 < b < math.inf and not b > a * (1.0 + 1e-12):
-                strict_ok = False
-        if 0.0 < values[-1] < math.inf:
-            informative += 1
+    for start in range(0, rays, block):
+        ray_ys = ys[start : start + block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _perspective_many(f, np.repeat(ray_ys, points_per_ray, axis=0), np.tile(vgrid, len(ray_ys)))
+            values = values.reshape(len(ray_ys), points_per_ray)
+            before, after = values[:, :-1], values[:, 1:]
+            drops = before - after > tol
+        informative += int(np.count_nonzero((0.0 < values) & (values < math.inf)))
+        for r, i in zip(*np.nonzero(drops)):
+            witnesses.append(MonotoneWitness(ray_ys[r], float(vgrid[i]), float(vgrid[i + 1]), float(before[r, i]), float(after[r, i])))
+        both_finite = (0.0 < before) & (before < math.inf) & (0.0 < after) & (after < math.inf)
+        strict_ok = strict_ok and not np.any(both_finite & ~(after > before * (1.0 + 1e-12)))
 
     if f.grad is not None:
         for x in rng.uniform(lo, hi, size=(4 * rays, f.dim)):
@@ -330,9 +435,17 @@ def extpos_gap(a: ExtPos, b: ExtPos) -> float:
     """Distance on the extended positive reals: zero between two infinities,
     infinite between an infinity and anything finite, |a - b| otherwise
     (the zero tag measures as 0.0)."""
-    if a.is_infinite or b.is_infinite:
-        return 0.0 if (a.is_infinite and b.is_infinite) else math.inf
-    return abs(a.as_float() - b.as_float())
+    return float(extpos_gap_many(a.as_float(), b.as_float()))
+
+
+def extpos_gap_many(a, b) -> np.ndarray:
+    """extpos_gap elementwise on float arrays in which 0.0 and inf are the
+    tags."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a_inf, b_inf = a == math.inf, b == math.inf
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(a - b)
+    return np.where(a_inf | b_inf, np.where(a_inf & b_inf, 0.0, math.inf), gap)
 
 
 def duality_residual(
@@ -346,13 +459,11 @@ def duality_residual(
     upper-semicontinuous functions; the gap is the non-duality witness
     otherwise.  global_scan is forwarded to the inner transform so that
     non-monotone examples can be explored; the outer transform is always
-    monotone-searchable.
+    monotone-searchable.  The whole grid is one lockstep search.
     """
+    points = np.asarray(grid, dtype=float)
+    if points.ndim == 1 and f.dim == 1:
+        points = points[:, None]
     inner = DualHandle(f, Sense.UPPER, tol=tol, global_scan=global_scan)
     outer = DualHandle(inner, Sense.UPPER, tol=tol)
-    worst = 0.0
-    for x in grid:
-        gap = extpos_gap(f.eval(x), outer.value(x))
-        if gap > worst:
-            worst = gap
-    return worst
+    return float(extpos_gap_many(f.eval_many(points), outer.values(points)).max(initial=0.0))

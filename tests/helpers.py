@@ -3,11 +3,13 @@
 These deliberately avoid the library's own search machinery: extremes come
 from dense grids plus windowed refinement, derivatives from explicit
 difference quotients.  They stay independent of the code paths they check.
+The expression strategy generates grammar sources in one variable, x0.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 
 def refine_min_1d(fn, lo: float, hi: float, n: int = 201, rounds: int = 7):
@@ -92,3 +94,18 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     want = np.atleast_1d(np.asarray(want, dtype=float))
     scale = max(1.0, float(np.max(np.abs(want))))
     return float(np.max(np.abs(got - want))) / scale
+
+
+_leaf = st.sampled_from(["x0", "0", "0.5", "1", "2", "1e-3", "1e3", "inf", "indicator(ball 1)", "indicator(box -1 2)", "indicator(halfspace 1 0.5)"])
+
+
+def _compose(children):
+    unary = st.tuples(st.sampled_from(["sqrt", "exp", "abs", "sin", "cos", "pos", "-"]), children).map(
+        lambda t: f"-({t[1]})" if t[0] == "-" else f"{t[0]}({t[1]})"
+    )
+    binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/", "^"]), children).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})")
+    variadic = st.tuples(st.sampled_from(["min", "max", "norm"]), children, children).map(lambda t: f"{t[0]}({t[1]}, {t[2]})")
+    return unary | binary | variadic
+
+
+expressions = st.recursive(_leaf, _compose, max_leaves=6)

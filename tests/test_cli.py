@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radial.cli import main
+from helpers import expressions
+
+from radial import DualHandle, LiftedPoint, Sense, extpos_gap, gamma_point, parse_function
+from radial.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -383,6 +386,15 @@ CONTRACT = [
     (["set-transform", "--in", "{dir}/edge.json", "--out", "{dir}/o.json"], 2),
     (["eval", "--f", "x0", "--dim", "1", "--at", "1,2"], 2),
     (["--tol", "0", "eval", "--f", "x0", "--dim", "1", "--at", "1"], 2),
+    # Non-finite numbers are usage errors, not NaN rows or tracebacks.
+    (["--tol", "inf", "eval", "--f", "x0", "--dim", "1", "--at", "1"], 2),
+    (["grid", "--f", "pos(x0)", "--dim", "1", "--grid=-inf:1:3", "--out", "{dir}/o.csv"], 2),
+    (["grid", "--f", "pos(x0)", "--dim", "1", "--grid=0:1e400:3", "--out", "{dir}/o.csv"], 2),
+    (["grid", "--f", "pos(x0)", "--dim", "1", "--grid=-1e308:1e308:3", "--out", "{dir}/o.csv"], 2),
+    (["check", "--f", "abs(x0)", "--dim", "1", "--box=-inf:1"], 2),
+    (["check", "--f", "abs(x0)", "--dim", "1", "--box=-1e308:1e308"], 2),
+    (["eval", "--f", "pos(x0)", "--dim", "1", "--at", "nan"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "inf"], 2),
 ]
 
 
@@ -407,21 +419,6 @@ class TestExitCodes:
         assert "error:" in err
 
 
-_leaf = st.sampled_from(["x0", "0", "0.5", "1", "2", "1e-3", "1e3", "inf", "indicator(ball 1)", "indicator(box -1 2)", "indicator(halfspace 1 0.5)"])
-
-
-def _compose(children):
-    unary = st.tuples(st.sampled_from(["sqrt", "exp", "abs", "sin", "cos", "pos", "-"]), children).map(
-        lambda t: f"-({t[1]})" if t[0] == "-" else f"{t[0]}({t[1]})"
-    )
-    binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/", "^"]), children).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})")
-    variadic = st.tuples(st.sampled_from(["min", "max", "norm"]), children, children).map(lambda t: f"{t[0]}({t[1]}, {t[2]})")
-    return unary | binary | variadic
-
-
-expressions = st.recursive(_leaf, _compose, max_leaves=6)
-
-
 @given(expr=expressions, at=st.sampled_from(["-2", "-0.5", "0", "0.25", "3"]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_generated_expressions_end_in_a_documented_code(expr, at):
@@ -438,3 +435,107 @@ def test_generated_expressions_end_in_a_documented_code(expr, at):
             code = main(argv)
         assert code in range(6)
         assert code in verdicts or "error:" in err.getvalue()
+
+
+# -- grid columns against a per-point scalar reference ---------------------
+
+GRID_CASES = [
+    (["grid", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--grid=-3:3:61", "--emit", "primal,dual,lower,bidual,residual,gamma"], "csv"),
+    (["grid", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--grid=-3:3:61", "--emit", "primal,dual,lower,bidual,residual,gamma"], "json"),
+    (["grid", "--f", "abs(x0)", "--dim", "1", "--grid=-2:2:9", "--emit", "primal,dual,lower,bidual,residual,gamma"], "json"),
+    (["grid", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--grid=-3:1:9", "--emit", "primal,dual,lower,bidual,residual,gamma", "--global"], "csv"),
+    (["grid", "--f", "pos(1 - norm(x0, x1))", "--dim", "2", "--grid=-1:1:5,-0.5:0.5:3", "--emit", "primal,dual,lower,bidual,residual,gamma"], "json"),
+]
+
+
+def _scalar_grid(argv):
+    """The grid table computed one point and one scalar search at a time:
+    column names and rows of (tagged, value) cells."""
+    args = build_parser().parse_args(argv + ["--out", "unused"])
+    dim = args.dim
+    f = parse_function(args.f, dim)
+    upper = DualHandle(f, Sense.UPPER, global_scan=args.global_scan)
+    lower = DualHandle(f, Sense.LOWER, global_scan=args.global_scan)
+    bidual = DualHandle(upper, Sense.UPPER)
+    axes = [np.linspace(lo, hi, n) for lo, hi, n in args.grid]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    names = [f"x{i}" for i in range(dim)] + ["f", "upper", "lower", "bidual", "residual"]
+    names += [f"gamma_y{i}" for i in range(dim)] + ["gamma_v"]
+    rows = []
+    for x in points:
+        fx, bi = f.eval(x), bidual.value(x)
+        row = [(False, float(c)) for c in x]
+        row += [(True, v.as_float()) for v in (fx, upper.value(x), lower.value(x), bi)]
+        row.append((False, extpos_gap(fx, bi)))
+        if fx.is_finite:
+            image = gamma_point(LiftedPoint(x, fx.value))
+            row += [(False, float(c)) for c in image.x] + [(False, image.u)]
+        else:
+            row += [(False, math.nan)] * (dim + 1)
+        rows.append(row)
+    return names, rows
+
+
+def _read_grid(path, fmt):
+    text = path.read_text()
+    if fmt == "json":
+        doc = json.loads(text)
+        return doc["columns"], doc["rows"]
+    lines = text.splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _same_cell(got, tagged, want, fmt) -> bool:
+    if tagged and want in (0.0, math.inf):
+        # The tags keep their tokens: 0 (an int in JSON, never 0.0) and inf.
+        return (got == "0" if fmt == "csv" else got == 0 and type(got) is int) if want == 0.0 else got == "inf"
+    got = float(got)
+    if math.isnan(want) or math.isinf(want):
+        return math.isnan(got) if math.isnan(want) else got == want
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestGridColumns:
+    @pytest.mark.parametrize("argv,fmt", GRID_CASES, ids=[f"{' '.join(a[2:7])} {f}" for a, f in GRID_CASES])
+    def test_matches_scalar_reference(self, argv, fmt, tmp_path):
+        paths = [tmp_path / f"{k}.{fmt}" for k in range(2)]
+        for path in paths:
+            assert exit_code(argv + ["--format", fmt, "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()  # byte-identical reruns
+        names, rows = _read_grid(paths[0], fmt)
+        want_names, want_rows = _scalar_grid(argv)
+        assert names == want_names and len(rows) == len(want_rows)
+        for row, want_row in zip(rows, want_rows):
+            for name, got, (tagged, want) in zip(names, row, want_row):
+                assert _same_cell(got, tagged, want, fmt), (name, got, want)
+
+    def test_expression_range_error_is_one_line(self, tmp_path, capsys):
+        argv = ["grid", "--f", "x0 - 1", "--dim", "1", "--grid=-1:1:3", "--out", str(tmp_path / "o.csv")]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: expression evaluated to")
+
+    def test_nonmonotone_error_is_one_line_plus_hint(self, tmp_path, capsys):
+        argv = ["grid", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--grid=-3:1:5", "--out", str(tmp_path / "o.csv")]
+        assert exit_code(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("error: perspective profile decreased") and err[1] == "hint: retry with --global"
+
+
+# The README's check of a function that is not ray-monotone, as printed
+# when every ray was sampled and searched one height at a time.
+README_CHECK = [
+    "not radial: 2011 witness(es)",
+    "witness: y=(0.82177012392872584) v=9.9999999999999998e-13 v'=2.4040991835099741e-12 perspective 675306136583.47693 -> 280897785423.24567",
+    "witness: y=(0.82177012392872584) v=2.4040991835099741e-12 v'=5.779692884153325e-12 perspective 280897785423.24567 -> 116841179994.68047",
+    "witness: y=(0.82177012392872584) v=5.779692884153325e-12 v'=1.3894954943731359e-11 perspective 116841179994.68047 -> 48600815140.414078",
+    "witness: y=(0.82177012392872584) v=1.3894954943731359e-11 v'=3.3404849835132445e-11 perspective 48600815140.414078 -> 20215811176.211452",
+    "witness: y=(0.82177012392872584) v=3.3404849835132445e-11 v'=8.0308572213915209e-11 perspective 20215811176.211452 -> 8408892327.3973036",
+]
+
+
+def test_readme_check_output_is_unchanged(capsys):
+    code, out, err = run_cli(["check", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--rays", "64", "--points", "64"], capsys)
+    assert code == 1
+    assert out.splitlines() == README_CHECK
+    assert err == "checked 64 rays x 64 points\n"

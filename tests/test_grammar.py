@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import expressions
 from radial import INF, ZERO, ExpressionRangeError, ExtPos, ParseError, parse_function
 from radial.grammar import evaluate, parse, unparse
 
@@ -124,3 +127,84 @@ class TestRoundTrip:
             x = rng.uniform(-3.0, 3.0, size=dim)
             a, b = evaluate(tree, x), evaluate(tree2, x)
             assert (a == b) or (math.isnan(a) and math.isnan(b))
+
+
+# Points where numpy's own result differs from the scalar rule, with the
+# value both tables must give: the numpy table masks these back.
+PINNED = [
+    ("1/x0", -0.0, math.inf),  # numpy: -inf; the rule takes the sign of the numerator
+    ("(-x0)^-1", 0.0, math.inf),  # numpy: -inf for (-0.0)^-1
+    ("pos(norm(inf, x0))", math.nan, 0.0),  # np.hypot(inf, nan) is inf, the rule gives nan
+    ("pos(x0)", math.nan, 0.0),
+    ("-((-x0)^3)", 1e200, math.inf),  # an odd power of a negative overflows to -inf
+    ("pos((-x0)^3)", 1e200, 0.0),
+    ("pos(x0^0) + 2", math.nan, 2.0),  # numpy: nan^0 = 1; the rule gives nan
+    ("pos(1^x0) + 2", math.nan, 2.0),  # numpy: 1^nan = 1
+]
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("source,x,want", PINNED)
+    def test_pinned_defaults(self, source, x, want):
+        f = parse_function(source, 1)
+        assert f.eval(np.array([x])).as_float() == want
+        (got,) = f.eval_many(np.array([[x]]))
+        assert got == want and not np.signbit(got)
+
+    def test_range_error_names_first_offending_row(self):
+        f = parse_function("1 - x0", 1)
+        with pytest.raises(ExpressionRangeError, match=r"at \[3.0\] \(row 2\)"):
+            f.eval_many(np.array([[0.5], [1.0], [3.0], [4.0]]))
+
+    def test_constant_and_empty_batches(self):
+        f = parse_function("2", 1)
+        assert f.eval_many(np.zeros((3, 1))).tolist() == [2.0, 2.0, 2.0]
+        assert f.eval_many(np.zeros((0, 1))).shape == (0,)
+        with pytest.raises(ValueError, match="array"):
+            f.eval_many(np.zeros(3))
+
+    def test_indicator_rows(self):
+        f = parse_function("indicator(ball 1)", 2)
+        got = f.eval_many(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]))
+        assert got.tolist() == [math.inf, math.inf, 0.0]
+
+    def test_with_meta_keeps_batch_callback(self):
+        f = parse_function("pos(1 - x0)", 1)
+        g = f.with_meta(f.meta)
+        assert g._many_fn is f._many_fn
+
+
+_SPECIAL_POINTS = [0.0, -0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5, -2.0, 3.0]
+_points = st.lists(st.one_of(st.sampled_from(_SPECIAL_POINTS), st.floats(-1e3, 1e3)), min_size=1, max_size=6)
+
+
+def _scalar_or_error(f, x):
+    try:
+        return f.eval(np.array([x])).as_float()
+    except ExpressionRangeError:
+        return None
+
+
+@given(expr=expressions, xs=_points)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_eval_many_rows_match_eval(expr, xs):
+    """Row i of eval_many is scalar eval at row i: the same tag class, a
+    finite value within 4 ulp, and ExpressionRangeError on the same rows
+    (the whole batch names the first of them)."""
+    f = parse_function(expr, 1)
+    xs = np.array(xs)[:, None]
+    want = [_scalar_or_error(f, x[0]) for x in xs]
+    for x, w in zip(xs, want):
+        if w is None:
+            with pytest.raises(ExpressionRangeError):
+                f.eval_many(x[None])
+    bad = [i for i, w in enumerate(want) if w is None]
+    if bad:
+        with pytest.raises(ExpressionRangeError, match=rf"\(row {bad[0]}\)"):
+            f.eval_many(xs)
+        return
+    got = f.eval_many(xs)
+    for w, g in zip(want, got.tolist()):
+        assert (w == 0.0) == (g == 0.0) and (w == math.inf) == (g == math.inf), (expr, xs, want, got)
+        if 0.0 < w < math.inf:
+            assert abs(g - w) <= 4 * math.ulp(w), (expr, xs, want, got)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial import (
     INF,
     ZERO,
     DualHandle,
     ExtPos,
+    FunctionOracle,
     NonMonotonePerspectiveError,
+    OverflowRiskError,
     Sense,
     Trilean,
     Verdict,
@@ -18,6 +22,9 @@ from radial import (
     parse_function,
     perspective,
 )
+from radial import transform
+from radial.oracle import DECLARED_UPPER
+from radial.transform import extpos_gap_many
 from radial.catalog import (
     absval,
     absval_lower_dual,
@@ -232,6 +239,34 @@ class TestRadialityChecker:
         report = check_radial(probe, rays=4, points_per_ray=16, seed=0)
         assert report.verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("expr", ["(x0+1)^2 + 0.5", "abs(x0)", "abs(x0) + 1"])
+    def test_blocks_match_one_ray_at_a_time(self, expr, monkeypatch):
+        """A check larger than one block evaluates at most CHECK_BLOCK_ROWS
+        pairs per batch and reports what a check run one ray at a time
+        reports."""
+        f = parse_function(expr, 1)
+        batches = []
+
+        def recording(xs):
+            batches.append(len(xs))
+            return f.eval_many(xs)
+
+        probe = FunctionOracle(1, f.eval, meta=f.meta, many=recording)
+        rays, points = 70, 1000
+        assert rays * points > transform.CHECK_BLOCK_ROWS
+        report = check_radial(probe, rays=rays, points_per_ray=points, seed=3)
+        assert len(batches) > 1 and max(batches) <= transform.CHECK_BLOCK_ROWS
+
+        monkeypatch.setattr(transform, "CHECK_BLOCK_ROWS", 1)
+        batches.clear()
+        want = check_radial(probe, rays=rays, points_per_ray=points, seed=3)
+        assert batches == [points] * rays
+        assert (report.verdict, report.strict) == (want.verdict, want.strict)
+        assert len(report.witnesses) == len(want.witnesses)
+        for got, ref in zip(report.witnesses, want.witnesses):
+            assert got.y.tolist() == ref.y.tolist()
+            assert (got.v_lo, got.v_hi, got.p_lo, got.p_hi) == (ref.v_lo, ref.v_hi, ref.p_lo, ref.p_hi)
+
     def test_to_meta(self):
         meta = check_radial(sqrt_cap(1), rays=8, points_per_ray=32, seed=1).to_meta()
         assert meta.upper_radial is Trilean.YES and meta.strictly_radial is Trilean.YES
@@ -276,3 +311,125 @@ class TestDualityResidual:
             y = np.array([t])
             assert upper(f).value(y) == absval_upper_dual(y)
             assert lower(f).value(y) == absval_lower_dual(y)
+
+
+# -- lockstep search against the scalar search -----------------------------
+
+_CATALOG = {entry.name: entry.oracle for entry in strict_entries()}
+_PARSED = {
+    source: parse_function(source, dim)
+    for source, dim in [
+        ("pos(sqrt(1 - x0^2))", 1),
+        ("pos(2 - (x0 - 1)^2)", 1),
+        ("pos(2 - abs(x0))", 1),
+        ("exp(-abs(x0)) + 0.5", 1),
+        ("abs(x0)", 1),
+        ("indicator(ball 1)", 1),
+        ("pos(1 - norm(x0, x1))", 2),
+    ]
+}
+_RAY_MONOTONE = {**_CATALOG, **_PARSED, "absval": absval()}
+_NOT_MONOTONE = {"(x0+1)^2 + 0.5": parse_function("(x0+1)^2 + 0.5", 1), "shifted_quadratic": shifted_quadratic()}
+
+_coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 3.0]), st.floats(-3.0, 3.0))
+
+
+def _rows(dim):
+    return st.lists(st.tuples(*[_coordinate] * dim), min_size=1, max_size=4).map(lambda r: np.array(r, dtype=float))
+
+
+@st.composite
+def _searches(draw, families):
+    name = draw(st.sampled_from(sorted(families)))
+    f = families[name]
+    return name, f, draw(_rows(f.dim)), draw(st.sampled_from([Sense.UPPER, Sense.LOWER])), draw(st.booleans()), draw(st.sampled_from([1e-10, 1e-6]))
+
+
+def _scalar_values(h, ys):
+    return np.array([h.value(y).as_float() for y in ys])
+
+
+def _assert_same(got, want, tol):
+    assert np.array_equal(got == 0.0, want == 0.0) and np.array_equal(got == math.inf, want == math.inf), (got, want)
+    finite = (0.0 < want) & (want < math.inf)
+    assert np.all(np.abs(got[finite] - want[finite]) <= tol * np.maximum(1.0, np.abs(want[finite]))), (got, want)
+
+
+@given(case=_searches(_RAY_MONOTONE))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_values_match_value_on_ray_monotone_inputs(case):
+    """values(Y) is [value(y) for y in Y]: identical tags, finite values
+    within tol * max(1, |v|); for a bidual handle too.  And lower <= upper
+    up to the two brackets' widths."""
+    name, f, ys, sense, nested, tol = case
+    h = DualHandle(f, sense, tol=tol)
+    if nested:
+        h = DualHandle(h, Sense.UPPER, tol=tol)
+    _assert_same(h.values(ys), _scalar_values(h, ys), tol)
+    up, lo = DualHandle(f, Sense.UPPER, tol=tol).values(ys), DualHandle(f, Sense.LOWER, tol=tol).values(ys)
+    with np.errstate(invalid="ignore"):
+        assert np.all((lo <= up) | (lo - up <= 2 * tol * np.maximum(1.0, up))), (name, ys, lo, up)
+
+
+@given(case=_searches(_NOT_MONOTONE))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_values_raise_where_value_raises(case):
+    """On a function not declared ray-monotone the lockstep search raises
+    NonMonotonePerspectiveError exactly when some row's scalar search does."""
+    name, f, ys, sense, _, tol = case
+    h = DualHandle(f, sense, tol=tol)
+    try:
+        want = _scalar_values(h, ys)
+    except NonMonotonePerspectiveError:
+        with pytest.raises(NonMonotonePerspectiveError):
+            h.values(ys)
+    else:
+        _assert_same(h.values(ys), want, tol)
+
+
+class TestLockstep:
+    def test_global_scan_rows(self):
+        f = shifted_quadratic()
+        h = DualHandle(f, Sense.UPPER, global_scan=True)
+        ys = np.array([[-1.0], [0.0], [0.3]])
+        assert h.values(ys).tolist() == _scalar_values(h, ys).tolist()
+
+    def test_guard_witness_matches_scalar(self):
+        h = DualHandle(shifted_quadratic(), Sense.UPPER)
+        with pytest.raises(NonMonotonePerspectiveError) as scalar:
+            h.value(np.array([-3.0]))
+        with pytest.raises(NonMonotonePerspectiveError) as batch:
+            h.values(np.array([[0.0], [-3.0]]))
+        assert str(batch.value) == str(scalar.value)
+        assert batch.value.witness[1:] == scalar.value.witness[1:]
+
+    def test_eval_many_is_values_and_checks_shape(self):
+        h = DualHandle(sqrt_cap(1), Sense.UPPER)
+        ys = np.array([[0.5], [2.0]])
+        assert h.eval_many(ys).tolist() == h.values(ys).tolist()
+        assert h.values(np.zeros((0, 1))).shape == (0,)
+        with pytest.raises(ValueError):
+            h.values(np.array([1.0, 2.0]))
+
+    def test_overflowing_product_raises_like_scalar(self):
+        # Finite values whose perspective product overflows at v = 128.
+        def ev(x):
+            return ExtPos.finite(1e307 if abs(x[0]) < 0.01 else 1e-3)
+
+        h = DualHandle(FunctionOracle(1, ev, meta=DECLARED_UPPER), Sense.UPPER)
+        with pytest.raises(OverflowRiskError):
+            h.value(np.array([1.0]))
+        with pytest.raises(OverflowRiskError):
+            h.values(np.array([[0.0], [1.0]]))
+
+    def test_non_finite_tol_rejected(self):
+        for tol in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="tol"):
+                DualHandle(sqrt_cap(1), Sense.UPPER, tol=tol)
+
+    def test_gap_many_matches_gap(self):
+        values = [ZERO, ExtPos.finite(0.5), ExtPos.finite(2.0), INF]
+        for a in values:
+            for b in values:
+                got = float(extpos_gap_many(np.array([a.as_float()]), np.array([b.as_float()]))[0])
+                assert got == extpos_gap(a, b)
