@@ -186,13 +186,7 @@ def indicator_oracle(s: SetOracle) -> FunctionOracle:
     return FunctionOracle(s.dim, ev, meta=DECLARED_UPPER, name="indicator")
 
 
-def gauge(
-    s: SetOracle,
-    y,
-    tol: float = DEFAULT_TOL,
-    v_min: float = 1e-12,
-    v_max: float = 1e12,
-) -> ExtPos:
+def gauge(s: SetOracle, y, tol: float = DEFAULT_TOL) -> ExtPos:
     """inf{lam > 0 : y in lam S}, evaluated by the same bracketing as the
     upper transform applied to the indicator oracle.
 
@@ -202,7 +196,7 @@ def gauge(
     """
     if not s.contains_origin:
         raise OriginNotInSetError("gauge requires a set containing the origin")
-    handle = DualHandle(indicator_oracle(s), Sense.UPPER, tol=tol, v_min=v_min, v_max=v_max)
+    handle = DualHandle(indicator_oracle(s), Sense.UPPER, tol=tol)
     return handle.value(y)
 
 

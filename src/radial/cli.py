@@ -102,24 +102,29 @@ def _vector(text: str) -> np.ndarray:
     return np.array([_finite(t, "vector coordinate") for t in text.split(",")], dtype=float)
 
 
-def _count(text: str) -> int:
+def _count(text: str, least: int = 1) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
 
 
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-        if 0 < value < math.inf:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"tolerance (--tol or RADIAL_TOL) must be a positive finite number, got {text!r}")
+def _positive(what: str):
+    """An argparse type: a positive finite number, named what in errors."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            if 0 < value < math.inf:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{what} must be a positive finite number, got {text!r}")
+
+    return parse
 
 
 def _interval(lo_text: str, hi_text: str, what: str) -> tuple[float, float]:
@@ -254,12 +259,12 @@ def _cmd_check(args) -> int:
         print("strictly radial (sampled)" if report.strict else "radial (sampled; not strict)")
         code = EXIT_OK
     elif report.verdict is Verdict.NOT_RADIAL:
-        print(f"not radial: {len(report.witnesses)} witness(es)")
+        print(f"not radial: {report.witness_count} witness(es)")
         code = EXIT_FAILURE
     else:
         print("inconclusive: no informative samples")
         code = EXIT_INCONCLUSIVE
-    for w in report.witnesses[:5]:
+    for w in report.witnesses:
         ys = ",".join(_fmt(c) for c in w.y)
         print(
             f"witness: y=({ys}) v={_fmt(w.v_lo)} v'={_fmt(w.v_hi)} "
@@ -307,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tol",
-        type=_tolerance,
-        # A string default goes through _tolerance too, so a bad RADIAL_TOL
+        type=_positive("tolerance (--tol or RADIAL_TOL)"),
+        # A string default goes through the type too, so a bad RADIAL_TOL
         # is a usage error like a bad --tol.
         default=os.environ.get("RADIAL_TOL") or DEFAULT_TOL,
         help="bisection tolerance (default: RADIAL_TOL env or 1e-10)",
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--rays", type=_count, default=64)
     p_check.add_argument("--points", type=_count, default=64)
     p_check.add_argument("--box", type=_box_arg, default=(-3.0, 3.0))
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=lambda text: _count(text, least=0), default=0)
 
     p_solve = sub.add_parser("solve", help="maximize f by minimizing its transform")
     p_solve.set_defaults(run=_cmd_solve)
@@ -354,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--y0", type=_vector, required=True)
     p_solve.add_argument("--constraint", default=None, help="JSON file: ball/box/halfspace in decision space")
     p_solve.add_argument("--budget", type=_count, default=10_000)
-    p_solve.add_argument("--tol-grad", dest="tol_grad", type=float, default=1e-8)
+    p_solve.add_argument("--tol-grad", dest="tol_grad", type=_positive("gradient tolerance"), default=1e-8)
 
     return parser
 

@@ -94,13 +94,17 @@ def map_stationary(x, f: FunctionOracle) -> tuple[np.ndarray, np.ndarray]:
     return y, witness
 
 
+#: Backtracking line search: sufficient-decrease constant, first step and
+#: the step below which the search gives up (status "step").
+ARMIJO = 1e-4
+STEP_INIT = 1.0
+STEP_MIN = 1e-13
+
+
 @dataclass(frozen=True)
 class SolveParams:
     budget: int = 10_000
     tol_grad: float = 1e-8
-    armijo: float = 1e-4
-    step_init: float = 1.0
-    step_min: float = 1e-13
     tol: float = DEFAULT_TOL  # bisection tolerance for transform values
 
     def __post_init__(self):
@@ -162,7 +166,7 @@ def solve_via_dual(
         if report.verdict.value != "radial":
             raise RadialityRequiredError(
                 f"radiality check verdict: {report.verdict.value} "
-                f"({len(report.witnesses)} witnesses)"
+                f"({report.witness_count} witnesses)"
             )
         f = f.with_meta(report.to_meta())
 
@@ -201,12 +205,12 @@ def solve_via_dual(
             status = "gradient"
             break
         noise = 2.0 * params.tol * max(1.0, abs(fy))
-        step = params.step_init
+        step = STEP_INIT
         accepted = False
-        while step >= params.step_min:
+        while step >= STEP_MIN:
             cand = y - step * g
             fc = phi(cand)
-            decrease = params.armijo * step * grad_norm**2
+            decrease = ARMIJO * step * grad_norm**2
             if math.isfinite(fc):
                 if analytic and decrease <= noise:
                     # Value comparisons are below the bisection resolution;

@@ -290,7 +290,14 @@ class SetOracle:
 def ball_set(dim: int, radius: float) -> SetOracle:
     if not radius > 0:
         raise ValueError("radius must be positive")
-    return SetOracle(dim, lambda x: float(x @ x) <= radius * radius, True)
+    r2 = radius * radius
+
+    def member(x: np.ndarray) -> bool:
+        # A far point's x.x overflows to inf, outside any finite radius.
+        with np.errstate(over="ignore"):
+            return float(x.dot(x)) <= r2
+
+    return SetOracle(dim, member, True)
 
 
 def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:

@@ -2,19 +2,26 @@
 
 The upper transform of f at y is sup{v > 0 : v f(y/v) <= 1}; the lower
 transform is inf{v > 0 : v f(y/v) >= 1}.  For ray-monotone functions the
-level-1 crossing of the perspective profile is found by geometric
-expansion from v = 1 followed by bisection.  The caps V_MIN and V_MAX
-define numerical zero/infinity for the search only; returned values are
-always the extended-positive tags, never the caps.
+level-1 crossing of the perspective profile is found by one bracketing
+search.  It holds a bracket (lo, hi) of the crossing, with lo = -inf or
+hi = inf on a side not found yet.  From v = 1 it doubles lo (expanding
+upward) or halves hi (expanding downward), guarding each expansion probe
+against a falling profile, then bisects until hi - lo <= tol * max(lo, 1).
+Expansion stops at the caps V_MIN and V_MAX, and a side still open there
+is a tag: hi = inf gives INF, lo = -inf gives ZERO.  Otherwise the upper
+value is lo and the lower value hi.  The caps are search bounds, so a
+crossing beyond one is reported as the tag (an upper value above V_MAX
+as INF).
 
 The search runs in two forms that take the same decisions.  A single query
-(value, value_with_certificate, eval) runs it on one point with
-perspective and ExtPos values and can return a bracket certificate.
-DualHandle.values (the handle's eval_many) runs it on many points in
-lockstep over floats, one base eval_many per step, so a nested handle
-hands its inner handle one batch per outer step.  duality_residual
-evaluates its whole grid in one batch, check_radial its sample in blocks
-of whole rays (CHECK_BLOCK_ROWS ray x height pairs each).
+(value, value_with_certificate, eval) runs it on one point over floats,
+one perspective call per evaluation, and can return a bracket
+certificate; a global-scan handle starts it from the extreme feasible cell
+of a fixed height grid.  DualHandle.values (the handle's eval_many) runs
+it on many points in lockstep over float arrays, one base eval_many per
+step, so a nested handle hands its inner handle one batch per outer step.
+duality_residual evaluates its whole grid in one batch, check_radial its
+sample in blocks of whole rays (CHECK_BLOCK_ROWS ray x height pairs each).
 
 Empty-search conventions: an upper search that is infeasible down to the
 floor returns zero (the supremum over an empty set), and a lower search
@@ -30,19 +37,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, ONE, ZERO, ExtPos
+from .core import INF, ZERO, ExtPos
 from .errors import NonMonotonePerspectiveError, OverflowRiskError
 from .oracle import FunctionOracle, Provenance, RadialityMeta, Trilean, perspective
 
 DEFAULT_TOL = 1e-10
-DEFAULT_V_MIN = 1e-12
-DEFAULT_V_MAX = 1e12
+#: Search caps: the heights at which an expansion stops and returns a tag.
+V_MIN = 1e-12
+V_MAX = 1e12
 GLOBAL_SCAN_POINTS = 1024
 
 #: Ray x height pairs that check_radial evaluates in one eval_many call
 #: (whole rays, at least one), so that its memory does not grow with the
 #: number of rays.
 CHECK_BLOCK_ROWS = 1 << 16
+
+#: Violations that check_radial keeps as witnesses; it counts them all.
+KEPT_WITNESSES = 5
 
 #: Observed perspective decrease (across an increasing height pair) above
 #: which the search aborts for functions not declared ray-monotone.
@@ -99,19 +110,13 @@ class DualHandle(FunctionOracle):
         base: FunctionOracle,
         sense: Sense = Sense.UPPER,
         tol: float = DEFAULT_TOL,
-        v_min: float = DEFAULT_V_MIN,
-        v_max: float = DEFAULT_V_MAX,
         global_scan: bool = False,
     ):
         if not (0.0 < tol < math.inf):
             raise ValueError("tol must be positive and finite")
-        if not (0.0 < v_min < 1.0 < v_max < math.inf):
-            raise ValueError("need 0 < v_min < 1 < v_max")
         self.base = base
         self.sense = sense
         self.tol = float(tol)
-        self.v_min = float(v_min)
-        self.v_max = float(v_max)
         self.global_scan = bool(global_scan)
         super().__init__(
             base.dim,
@@ -142,59 +147,62 @@ class DualHandle(FunctionOracle):
     # -- search ---------------------------------------------------------
 
     def _solve(self, y) -> tuple[ExtPos, BracketCertificate]:
+        """The search on one point, over floats: one perspective call per
+        evaluation, and a bracket certificate."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         upper = self.sense is Sense.UPPER
+        guarded = self.base.meta.upper_radial is not Trilean.YES
         evals = 0
 
-        def profile(v: float) -> ExtPos:
+        def profile(v: float) -> float:
             nonlocal evals
             evals += 1
-            return perspective(self.base, y, v)
-
-        def feasible(p: ExtPos) -> bool:
-            return p <= ONE if upper else p >= ONE
-
-        # The low side of the crossing: for the upper transform feasible
-        # heights sit below the crossing, for the lower transform above it.
-        def low_ok(p: ExtPos) -> bool:
-            return feasible(p) if upper else not feasible(p)
+            return perspective(self.base, y, v).as_float()
 
         if self.global_scan:
-            found = self._global_bracket(profile, feasible, upper)
+            # The scanned cell is bisected by the loop below; an open side
+            # sits at a cap, so the loop exits at once on a tag.
+            lo, p_lo, hi, p_hi = self._global_bracket(profile, upper)
         else:
-            found = self._monotone_bracket(y, profile, low_ok)
-
-        if found[0] == "tag":
-            _, tag, v_edge, p_edge = found
-            cert = BracketCertificate(
-                v_edge, v_edge, p_edge.as_float(), p_edge.as_float(), evals, self._mode()
-            )
-            return tag, cert
-
-        _, lo, p_lo, hi, p_hi = found
-        while hi - lo > self.tol * max(1.0, lo):
-            mid = 0.5 * (lo + hi)
-            p = profile(mid)
-            if low_ok(p):
-                lo, p_lo = mid, p
+            p = profile(1.0)
+            low = p <= 1.0 if upper else p < 1.0
+            lo, p_lo, hi, p_hi = (1.0, p, math.inf, p) if low else (-math.inf, p, 1.0, p)
+        while hi - lo > self.tol * max(lo, 1.0) and lo < V_MAX and hi > V_MIN:
+            if hi == math.inf:
+                v = min(2.0 * lo, V_MAX)
+            elif lo == -math.inf:
+                v = max(0.5 * hi, V_MIN)
             else:
-                hi, p_hi = mid, p
-        cert = BracketCertificate(lo, hi, p_lo.as_float(), p_hi.as_float(), evals, self._mode())
+                v = 0.5 * (lo + hi)
+            p = profile(v)
+            if guarded and hi == math.inf and p_lo - p > MONOTONE_GUARD:
+                raise self._nonmonotone(y, lo, p_lo, v, p)
+            if guarded and lo == -math.inf and p - p_hi > MONOTONE_GUARD:
+                raise self._nonmonotone(y, v, p, hi, p_hi)
+            if p <= 1.0 if upper else p < 1.0:
+                lo, p_lo = v, p
+            else:
+                hi, p_hi = v, p
+
+        mode = "global" if self.global_scan else "monotone"
+        if hi == math.inf:
+            return INF, BracketCertificate(lo, lo, p_lo, p_lo, evals, mode)
+        if lo == -math.inf:
+            return ZERO, BracketCertificate(hi, hi, p_hi, p_hi, evals, mode)
         result = ExtPos.finite(lo) if upper else ExtPos.finite(hi)
-        return result, cert
+        return result, BracketCertificate(lo, hi, p_lo, p_hi, evals, mode)
 
     def _lockstep(self, ys: np.ndarray) -> np.ndarray:
-        """The monotone search of _solve run on all rows at once.
+        """The search of _solve run on all rows at once, over float arrays.
 
-        Each active row is expanding upward (hi = inf), expanding downward
-        (lo = -inf) or bisecting; every step probes one height per row,
-        takes the same decisions as _solve on it and retires the rows that
-        reach a tag or the tol rule.  A global-scan handle has no lockstep:
-        its eval_many maps eval over the rows.
+        Every step probes one height per active row, takes the same
+        decisions as _solve on it and retires the rows that reach a cap or
+        the tol rule.  A global-scan handle has no lockstep: its eval_many
+        maps eval over the rows.
         """
         upper = self.sense is Sense.UPPER
         guarded = self.base.meta.upper_radial is not Trilean.YES
-        v_min, v_max, tol = self.v_min, self.v_max, self.tol
+        tol = self.tol
         out = np.empty(ys.shape[0])
         rows = np.arange(ys.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -211,7 +219,7 @@ class DualHandle(FunctionOracle):
                 width = hi - lo  # inf while a row expands
                 done = width <= tol * np.maximum(lo, 1.0)
                 if expanding:
-                    done |= (lo >= v_max) | (hi <= v_min)
+                    done |= (lo >= V_MAX) | (hi <= V_MIN)
                 if np.count_nonzero(done):
                     found = lo[done] if upper else hi[done]
                     out[rows[done]] = np.where(hi[done] == np.inf, np.inf, np.where(lo[done] == -np.inf, 0.0, found))
@@ -222,7 +230,7 @@ class DualHandle(FunctionOracle):
                 expanding = expanding and np.count_nonzero(np.isinf(width)) > 0
                 if expanding:
                     up, down = hi == np.inf, lo == -np.inf
-                    v = np.where(up, np.minimum(2.0 * lo, v_max), np.where(down, np.maximum(0.5 * hi, v_min), 0.5 * (lo + hi)))
+                    v = np.where(up, np.minimum(2.0 * lo, V_MAX), np.where(down, np.maximum(0.5 * hi, V_MIN), 0.5 * (lo + hi)))
                 else:
                     v = 0.5 * (lo + hi)
                 p_edge, p = p, _perspective_many(self.base, ys, v)
@@ -233,77 +241,37 @@ class DualHandle(FunctionOracle):
                         i = int(tripped.argmax())
                         small, big = (lo[i], v[i]) if up[i] else (v[i], hi[i])
                         p_small, p_big = (p_edge[i], p[i]) if up[i] else (p[i], p_edge[i])
-                        raise self._nonmonotone(ys[i], small, ExtPos.from_float(p_small), big, ExtPos.from_float(p_big))
+                        raise self._nonmonotone(ys[i], small, p_small, big, p_big)
                 low = p <= 1.0 if upper else p < 1.0
                 lo = np.where(low, v, lo)
                 hi = np.where(low, hi, v)
 
-    def _nonmonotone(self, y, v_small, p_small: ExtPos, v_big, p_big: ExtPos) -> NonMonotonePerspectiveError:
+    def _nonmonotone(self, y, v_small, p_small, v_big, p_big) -> NonMonotonePerspectiveError:
         return NonMonotonePerspectiveError(
             "perspective profile decreased from "
-            f"{p_small.as_float():g} at v={v_small:g} to {p_big.as_float():g} at v={v_big:g}; "
+            f"{p_small:g} at v={v_small:g} to {p_big:g} at v={v_big:g}; "
             "the base function is not declared ray-monotone "
             "(retry with global_scan for a scanned approximation)",
-            witness=(np.array(y), float(v_small), float(v_big), p_small, p_big),
+            witness=(np.array(y), float(v_small), float(v_big), ExtPos.from_float(p_small), ExtPos.from_float(p_big)),
         )
 
-    def _mode(self) -> str:
-        return "global" if self.global_scan else "monotone"
-
-    def _monotone_bracket(self, y, profile, low_ok):
-        trusted = self.base.meta.upper_radial is Trilean.YES
-
-        def guard(v_small, p_small, v_big, p_big):
-            if trusted:
-                return
-            drop = p_small.as_float() - p_big.as_float()
-            if not math.isnan(drop) and drop > MONOTONE_GUARD:
-                raise self._nonmonotone(y, v_small, p_small, v_big, p_big)
-
-        p1 = profile(1.0)
-        if low_ok(p1):
-            lo, p_lo = 1.0, p1
-            while True:
-                if lo >= self.v_max:
-                    return ("tag", INF, lo, p_lo)
-                v = min(2.0 * lo, self.v_max)
-                p = profile(v)
-                guard(lo, p_lo, v, p)
-                if not low_ok(p):
-                    return ("bracket", lo, p_lo, v, p)
-                lo, p_lo = v, p
-        hi, p_hi = 1.0, p1
-        while True:
-            if hi <= self.v_min:
-                return ("tag", ZERO, hi, p_hi)
-            v = max(0.5 * hi, self.v_min)
-            p = profile(v)
-            guard(v, p, hi, p_hi)
-            if low_ok(p):
-                return ("bracket", v, p, hi, p_hi)
-            hi, p_hi = v, p
-
-    def _global_bracket(self, profile, feasible, upper):
-        """Scan a fixed geometric grid, take the extreme feasible cell and
-        bisect inside it.  An approximation: the exact sup/inf is only
-        computable under ray monotonicity, and feasible slivers narrower
-        than a grid cell are missed."""
-        vs = np.geomspace(self.v_min, self.v_max, GLOBAL_SCAN_POINTS)
+    def _global_bracket(self, profile, upper):
+        """Scan a fixed geometric grid and return the extreme feasible cell
+        as (lo, p_lo, hi, p_hi), with an open side at a cap when the
+        feasible heights reach it.  An approximation: the exact sup/inf is
+        only computable under ray monotonicity, and feasible slivers
+        narrower than a grid cell are missed."""
+        vs = np.geomspace(V_MIN, V_MAX, GLOBAL_SCAN_POINTS)
         ps = [profile(float(v)) for v in vs]
-        flags = [feasible(p) for p in ps]
         if upper:
-            idx = max((i for i, ok in enumerate(flags) if ok), default=None)
-            if idx is None:
-                return ("tag", ZERO, float(vs[0]), ps[0])
-            if idx == len(vs) - 1:
-                return ("tag", INF, float(vs[-1]), ps[-1])
-            return ("bracket", float(vs[idx]), ps[idx], float(vs[idx + 1]), ps[idx + 1])
-        idx = next((i for i, ok in enumerate(flags) if ok), None)
-        if idx is None:
-            return ("tag", INF, float(vs[-1]), ps[-1])
-        if idx == 0:
-            return ("tag", ZERO, float(vs[0]), ps[0])
-        return ("bracket", float(vs[idx - 1]), ps[idx - 1], float(vs[idx]), ps[idx])
+            i = max((k for k, p in enumerate(ps) if p <= 1.0), default=-1)
+        else:
+            i = next((k for k, p in enumerate(ps) if p >= 1.0), len(ps)) - 1
+        # Cell i lies between heights i and i + 1; for i = -1 and the last
+        # i one side is open, which the padding marks with -inf or inf.
+        vs = [-math.inf, *vs.tolist(), math.inf]
+        ps = [ps[0], *ps, ps[-1]]
+        return vs[i + 1], ps[i + 1], vs[i + 2], ps[i + 2]
 
 
 # -- radiality checking ---------------------------------------------------
@@ -329,9 +297,13 @@ class MonotoneWitness:
 
 @dataclass(frozen=True)
 class RadialityReport:
+    """witness_count counts every sampled violation; witnesses keeps the
+    first KEPT_WITNESSES of them."""
+
     verdict: Verdict
     strict: bool
     witnesses: tuple[MonotoneWitness, ...]
+    witness_count: int
     checked_rays: int
     checked_points_per_ray: int
 
@@ -350,20 +322,18 @@ def check_radial(
     points_per_ray: int,
     box: tuple[float, float] = (-3.0, 3.0),
     seed: int = 0,
-    v_min: float = DEFAULT_V_MIN,
-    v_max: float = DEFAULT_V_MAX,
-    tol: float = MONOTONE_GUARD,
 ) -> RadialityReport:
     """Sample-based radiality check.
 
     Random directions y are drawn uniformly from box^dim and the profile
-    v f(y/v) is evaluated on a geometric height grid; any decrease beyond
-    tol across increasing heights is a NOT_RADIAL witness.  When a gradient
-    callback is available the sign of grad f(x).x - f(x) is additionally
-    tested at random domain points: a positive value is a violation and a
-    (near-)zero value rules out strictness.  A RADIAL verdict means no
-    violation was found in the sample, never a proof; if no sampled point
-    produced a finite profile or gradient test the verdict is INCONCLUSIVE.
+    v f(y/v) is evaluated on a geometric grid of heights from V_MIN to
+    V_MAX; any decrease beyond MONOTONE_GUARD across increasing heights is
+    a NOT_RADIAL witness.  When a gradient callback is available the sign
+    of grad f(x).x - f(x) is additionally tested at random domain points: a
+    positive value is a violation and a (near-)zero value rules out
+    strictness.  A RADIAL verdict means no violation was found in the
+    sample, never a proof; if no sampled point produced a finite profile or
+    gradient test the verdict is INCONCLUSIVE.
     """
     if rays < 1 or points_per_ray < 1:
         raise ValueError("rays and points_per_ray must be >= 1")
@@ -371,10 +341,9 @@ def check_radial(
     if not lo < hi:
         raise ValueError("box must satisfy lo < hi")
     rng = np.random.default_rng(seed)
-    vgrid = np.geomspace(v_min, v_max, points_per_ray)
-    if not np.all((vgrid > 0.0) & (vgrid < math.inf)):
-        raise ValueError("heights must be finite and > 0")
+    vgrid = np.geomspace(V_MIN, V_MAX, points_per_ray)
     witnesses: list[MonotoneWitness] = []
+    witness_count = 0
 
     # The rays are drawn from the same stream, in the same order, as one
     # draw per ray would take them, and evaluated in blocks of whole rays.
@@ -388,9 +357,11 @@ def check_radial(
             values = _perspective_many(f, np.repeat(ray_ys, points_per_ray, axis=0), np.tile(vgrid, len(ray_ys)))
             values = values.reshape(len(ray_ys), points_per_ray)
             before, after = values[:, :-1], values[:, 1:]
-            drops = before - after > tol
+            drops = before - after > MONOTONE_GUARD
         informative += int(np.count_nonzero((0.0 < values) & (values < math.inf)))
-        for r, i in zip(*np.nonzero(drops)):
+        drop_rays, drop_heights = np.nonzero(drops)
+        witness_count += drop_rays.size
+        for r, i in zip(drop_rays[: KEPT_WITNESSES - len(witnesses)], drop_heights):
             witnesses.append(MonotoneWitness(ray_ys[r], float(vgrid[i]), float(vgrid[i + 1]), float(before[r, i]), float(after[r, i])))
         both_finite = (0.0 < before) & (before < math.inf) & (0.0 < after) & (after < math.inf)
         strict_ok = strict_ok and not np.any(both_finite & ~(after > before * (1.0 + 1e-12)))
@@ -406,18 +377,20 @@ def check_radial(
                 continue
             informative += 1
             t = float(g @ x) - fx.value
-            if t > tol:
+            if t > MONOTONE_GUARD:
                 # The profile along the ray through x falls at first order;
                 # confirm with an explicit pair before recording.
                 step = 1e-4
                 a = perspective(f, x, 1.0).as_float()
                 b = perspective(f, x, 1.0 + step).as_float()
-                if a - b > tol:
-                    witnesses.append(MonotoneWitness(np.array(x), 1.0, 1.0 + step, a, b))
-            elif t > -tol:
+                if a - b > MONOTONE_GUARD:
+                    witness_count += 1
+                    if len(witnesses) < KEPT_WITNESSES:
+                        witnesses.append(MonotoneWitness(np.array(x), 1.0, 1.0 + step, a, b))
+            elif t > -MONOTONE_GUARD:
                 strict_ok = False
 
-    if witnesses:
+    if witness_count:
         verdict = Verdict.NOT_RADIAL
         strict_ok = False
     elif informative == 0:
@@ -425,7 +398,7 @@ def check_radial(
         strict_ok = False
     else:
         verdict = Verdict.RADIAL
-    return RadialityReport(verdict, strict_ok, tuple(witnesses), rays, points_per_ray)
+    return RadialityReport(verdict, strict_ok, tuple(witnesses), witness_count, rays, points_per_ray)
 
 
 # -- duality residual ------------------------------------------------------

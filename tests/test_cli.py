@@ -74,6 +74,72 @@ class TestEval:
         assert out.splitlines()[0].endswith("± 1e-06")
 
 
+# Exact eval output of the scalar search: exit code, value line and
+# certificate (bracket, perspective at its ends, evaluation count, mode),
+# or the guard's error and hint.
+GOLDEN_EVAL = [
+    (
+        ["eval", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--at", "1"],
+        0,
+        "1.4142135623 ± 1e-10\n"
+        "bracket [1.4142135622678325, 1.4142135623842478] perspective [0.99999999985113619, 1.0000000000157723] evaluations 35 mode monotone\n",
+        "",
+    ),
+    (
+        ["eval", "--f", "abs(x0)", "--dim", "1", "--at", "2"],
+        0,
+        "0\nbracket [9.9999999999999998e-13, 9.9999999999999998e-13] perspective [2, 2] evaluations 41 mode monotone\n",
+        "",
+    ),
+    (
+        ["eval", "--f", "abs(x0)", "--dim", "1", "--at", "0.5"],
+        0,
+        "inf\nbracket [1000000000000, 1000000000000] perspective [0.5, 0.5] evaluations 41 mode monotone\n",
+        "",
+    ),
+    (
+        ["eval", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--at", "1", "--sense", "lower"],
+        0,
+        "1.4142135624 ± 1e-10\n"
+        "bracket [1.4142135622678325, 1.4142135623842478] perspective [0.99999999985113619, 1.0000000000157723] evaluations 35 mode monotone\n",
+        "",
+    ),
+    (
+        ["eval", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--at", "-1", "--global"],
+        0,
+        "1.5773502691 ± 1e-10\n"
+        "bracket [1.5773502691106498, 1.5773502692656802] perspective [0.99999999991327826, 1.0000000000835136] evaluations 1053 mode global\n",
+        "",
+    ),
+    (
+        ["eval", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--at", "-1", "--global", "--sense", "lower"],
+        0,
+        "0\nbracket [9.9999999999999998e-13, 9.9999999999999998e-13] perspective [999999999998, 999999999998] evaluations 1024 mode global\n",
+        "",
+    ),
+    (
+        ["eval", "--f", "indicator(ball 1)", "--dim", "2", "--at", "0.3,0.4", "--global"],
+        0,
+        "0.5000000000 ± 1e-10\n"
+        "bracket [0.49999999995035155, 0.50000000005007073] perspective [0, inf] evaluations 1052 mode global\n",
+        "",
+    ),
+    (
+        ["eval", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--at", "-3"],
+        3,
+        "",
+        "error: perspective profile decreased from 12.75 at v=0.5 to 4.5 at v=1; "
+        "the base function is not declared ray-monotone (retry with global_scan for a scanned approximation)\n"
+        "hint: retry with --global\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", GOLDEN_EVAL, ids=[" ".join(a) for a, *_ in GOLDEN_EVAL])
+def test_eval_output_is_unchanged(argv, code, out, err, capsys):
+    assert run_cli(argv, capsys) == (code, out, err)
+
+
 class TestGrid:
     def test_deterministic_and_residual_small_inside_cap(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -395,6 +461,11 @@ CONTRACT = [
     (["check", "--f", "abs(x0)", "--dim", "1", "--box=-1e308:1e308"], 2),
     (["eval", "--f", "pos(x0)", "--dim", "1", "--at", "nan"], 2),
     (["solve", "--f", CAP, "--dim", "1", "--y0", "inf"], 2),
+    # A gradient tolerance follows --tol's rule; a seed is a non-negative integer.
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--tol-grad", "nan"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--tol-grad", "inf"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--tol-grad", "-1"], 2),
+    (["check", "--f", "abs(x0)", "--dim", "1", "--seed", "-1"], 2),
 ]
 
 

@@ -12,6 +12,7 @@ from radial import (
     NormalVector,
     Polyhedron,
     SchemaError,
+    ball_set,
     constraint_from_json,
     dual_gradient,
     gamma_point,
@@ -303,6 +304,18 @@ class TestConstraintJson:
         assert s.dim == 3 and s.contains_origin
         assert s.member(np.array([0.3, 0.0, -0.3]))
         assert not s.member(np.array([0.4, 0.4, 0.0]))
+
+    def test_ball_membership_is_dot_product_test(self):
+        """Verdicts are x.x <= r^2, boundary rounding included; far points,
+        whose x.x overflows, are outside without an overflow warning."""
+        ball = ball_set(2, 1.0)
+        rng = np.random.default_rng(0)
+        for x in rng.standard_normal((500, 2)) * 0.7:
+            assert ball.member(x) == (float(x @ x) <= 1.0)
+        assert ball.member(np.array([0.6, 0.8]))
+        for far in ([1e200, 0.0], [-1e200, 1.0], [1e154, 1e154], [3e150, -3e150]):
+            assert not ball.member(np.array(far))
+        assert ball_set(1, 1e200).member(np.array([1e200]))
 
     def test_members(self):
         box = constraint_from_json(self.doc(type="box", lo=[-1.0, 0.5], hi=[0.5, 1.0]), 2)

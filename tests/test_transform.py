@@ -262,10 +262,30 @@ class TestRadialityChecker:
         want = check_radial(probe, rays=rays, points_per_ray=points, seed=3)
         assert batches == [points] * rays
         assert (report.verdict, report.strict) == (want.verdict, want.strict)
+        assert report.witness_count == want.witness_count
         assert len(report.witnesses) == len(want.witnesses)
         for got, ref in zip(report.witnesses, want.witnesses):
             assert got.y.tolist() == ref.y.tolist()
             assert (got.v_lo, got.v_hi, got.p_lo, got.p_hi) == (ref.v_lo, ref.v_hi, ref.p_lo, ref.p_hi)
+
+    def test_keeps_the_first_witnesses_and_counts_all(self):
+        """A check with many violations keeps KEPT_WITNESSES of them, the
+        first in ray and height order, and counts every decrease."""
+        # Without a gradient callback every witness is a sampled drop.
+        probe = FunctionOracle(1, shifted_quadratic().eval, meta=shifted_quadratic().meta)
+        rays, points = 40, 200
+        report = check_radial(probe, rays=rays, points_per_ray=points, seed=2)
+        ys = np.random.default_rng(2).uniform(-3.0, 3.0, size=(rays, 1))
+        heights = np.geomspace(transform.V_MIN, transform.V_MAX, points)
+        drops = []
+        for y in ys:
+            profile = [perspective(probe, y, v).as_float() for v in heights]
+            drops += [(y[0], i) for i in range(points - 1) if profile[i] - profile[i + 1] > transform.MONOTONE_GUARD]
+        assert report.verdict is Verdict.NOT_RADIAL
+        assert report.witness_count == len(drops) > transform.KEPT_WITNESSES
+        assert [(w.y[0], w.v_lo, w.v_hi) for w in report.witnesses] == [
+            (y, heights[i], heights[i + 1]) for y, i in drops[: transform.KEPT_WITNESSES]
+        ]
 
     def test_to_meta(self):
         meta = check_radial(sqrt_cap(1), rays=8, points_per_ray=32, seed=1).to_meta()
