@@ -110,6 +110,10 @@ class SolveParams:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if not (0.0 < self.tol_grad < math.inf):
+            raise ValueError("tol_grad must be positive and finite")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError("tol must be positive and finite")
 
 
 def _fd_grad(phi, y: np.ndarray, base: float) -> np.ndarray:

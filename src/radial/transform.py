@@ -16,12 +16,15 @@ as INF).
 The search runs in two forms that take the same decisions.  A single query
 (value, value_with_certificate, eval) runs it on one point over floats,
 one perspective call per evaluation, and can return a bracket
-certificate; a global-scan handle starts it from the extreme feasible cell
-of a fixed height grid.  DualHandle.values (the handle's eval_many) runs
-it on many points in lockstep over float arrays, one base eval_many per
-step, so a nested handle hands its inner handle one batch per outer step.
-duality_residual evaluates its whole grid in one batch, check_radial its
-sample in blocks of whole rays (CHECK_BLOCK_ROWS ray x height pairs each).
+certificate.  DualHandle.values (the handle's eval_many) runs it on many
+points in lockstep over float arrays, one base eval_many per step, so a
+nested handle hands its inner handle one batch per outer step.  A
+global-scan handle starts both forms from the extreme feasible cell of a
+fixed height grid, picked by one cell rule (_scan_cells); its lockstep
+form scans all rows at once.  Row x height profiles (the global scan's
+and check_radial's) are evaluated in blocks of whole rows, at most
+CHECK_BLOCK_ROWS pairs each (_profile_blocks); duality_residual evaluates
+its whole grid in one batch.
 
 Empty-search conventions: an upper search that is infeasible down to the
 floor returns zero (the supremum over an empty set), and a lower search
@@ -46,10 +49,12 @@ DEFAULT_TOL = 1e-10
 V_MIN = 1e-12
 V_MAX = 1e12
 GLOBAL_SCAN_POINTS = 1024
+_SCAN_HEIGHTS = np.geomspace(V_MIN, V_MAX, GLOBAL_SCAN_POINTS)
 
-#: Ray x height pairs that check_radial evaluates in one eval_many call
-#: (whole rays, at least one), so that its memory does not grow with the
-#: number of rays.
+#: Row x height pairs evaluated in one eval_many call (whole rows, at least
+#: one) by check_radial (rays x sampled heights) and by a global-scan
+#: handle's values (rows x scan heights), so that their memory does not
+#: grow with the number of rows.
 CHECK_BLOCK_ROWS = 1 << 16
 
 #: Violations that check_radial keeps as witnesses; it counts them all.
@@ -94,6 +99,43 @@ def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray) -> np.nd
     return scaled
 
 
+def _profile_blocks(f: FunctionOracle, ys: np.ndarray, heights: np.ndarray):
+    """Yield (rows, profiles) for consecutive blocks of whole rows of ys:
+    profiles[r, k] is perspective(f, rows[r], heights[k]) as a float.  Each
+    block is one eval_many of at most CHECK_BLOCK_ROWS pairs (one row at
+    least), so memory does not grow with the number of rows."""
+    n = len(heights)
+    block = max(1, CHECK_BLOCK_ROWS // n)
+    for start in range(0, len(ys), block):
+        rows = ys[start : start + block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            profiles = _perspective_many(f, np.repeat(rows, n, axis=0), np.tile(heights, len(rows)))
+        yield rows, profiles.reshape(len(rows), n)
+
+
+def _scan_cells(profiles: np.ndarray, upper: bool) -> np.ndarray:
+    """The global scan's cell rule.  profiles holds one row of profile
+    values per point, on the GLOBAL_SCAN_POINTS scan heights; the result
+    is the (4, rows) array of each row's extreme feasible cell as (lo, p_lo,
+    hi, p_hi), with an open side (-inf or inf) at a cap when the feasible
+    heights reach it.  An approximation: the exact sup/inf is only
+    computable under ray monotonicity, and feasible slivers narrower than a
+    grid cell are missed."""
+    n = profiles.shape[1]
+    if upper:
+        feasible = profiles <= 1.0
+        i = np.where(feasible.any(axis=1), n - 1 - feasible[:, ::-1].argmax(axis=1), -1)
+    else:
+        reached = profiles >= 1.0
+        i = np.where(reached.any(axis=1), reached.argmax(axis=1), n) - 1
+    # Cell i lies between heights i and i + 1; for i = -1 and the last i
+    # one side is open, which the padding marks with -inf or inf.
+    heights = np.concatenate(([-math.inf], _SCAN_HEIGHTS, [math.inf]))
+    padded = np.concatenate((profiles[:, :1], profiles, profiles[:, -1:]), axis=1)
+    rows = np.arange(len(profiles))
+    return np.stack((heights[i + 1], padded[rows, i + 1], heights[i + 2], padded[rows, i + 2]))
+
+
 class DualHandle(FunctionOracle):
     """A FunctionOracle representing the upper or lower transform of a base
     oracle, evaluated on demand by bisection: one point at a time through
@@ -123,7 +165,7 @@ class DualHandle(FunctionOracle):
             lambda y: self._solve(y)[0],
             meta=RadialityMeta(Trilean.YES, Trilean.UNKNOWN, Provenance.DECLARED),
             name=f"{sense.value}-transform({base.name or 'f'})",
-            many=None if global_scan else self._lockstep,
+            many=self._lockstep,
         )
 
     def value(self, y) -> ExtPos:
@@ -136,7 +178,9 @@ class DualHandle(FunctionOracle):
         """The transform at every row of ys, an (m, dim) array, as floats
         with 0.0 and inf for the ZERO and INF tags.  Row i equals
         value(ys[i]); the rows are searched in lockstep, so each step costs
-        one eval_many of the base.
+        one eval_many of the base.  A global-scan handle first scans every
+        row's heights, in blocks of whole rows (at most CHECK_BLOCK_ROWS
+        pairs per base eval_many).
 
         values is the batch form of value for callers that hold a handle;
         it is the same call as eval_many, the name under which code that
@@ -162,7 +206,8 @@ class DualHandle(FunctionOracle):
         if self.global_scan:
             # The scanned cell is bisected by the loop below; an open side
             # sits at a cap, so the loop exits at once on a tag.
-            lo, p_lo, hi, p_hi = self._global_bracket(profile, upper)
+            profiles = np.array([[profile(v) for v in _SCAN_HEIGHTS.tolist()]])
+            lo, p_lo, hi, p_hi = _scan_cells(profiles, upper)[:, 0].tolist()
         else:
             p = profile(1.0)
             low = p <= 1.0 if upper else p < 1.0
@@ -197,8 +242,9 @@ class DualHandle(FunctionOracle):
 
         Every step probes one height per active row, takes the same
         decisions as _solve on it and retires the rows that reach a cap or
-        the tol rule.  A global-scan handle has no lockstep: its eval_many
-        maps eval over the rows.
+        the tol rule.  A global-scan handle starts every row from its
+        scanned cell, as _solve does; a row with an open side sits at a cap
+        and retires at the first cap test, so the guard cannot fire.
         """
         upper = self.sense is Sense.UPPER
         guarded = self.base.meta.upper_radial is not Trilean.YES
@@ -206,11 +252,16 @@ class DualHandle(FunctionOracle):
         out = np.empty(ys.shape[0])
         rows = np.arange(ys.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            v = np.ones(ys.shape[0])
-            p = _perspective_many(self.base, ys, v)
-            low = p <= 1.0 if upper else p < 1.0
-            lo = np.where(low, v, -np.inf)
-            hi = np.where(low, np.inf, v)
+            if self.global_scan:
+                cells = [_scan_cells(profiles, upper) for _, profiles in _profile_blocks(self.base, ys, _SCAN_HEIGHTS)]
+                lo, p_lo, hi, p_hi = np.concatenate([np.empty((4, 0)), *cells], axis=1)
+                p = np.where(lo == -np.inf, p_hi, p_lo)  # the probe at an open side
+            else:
+                v = np.ones(ys.shape[0])
+                p = _perspective_many(self.base, ys, v)
+                low = p <= 1.0 if upper else p < 1.0
+                lo = np.where(low, v, -np.inf)
+                hi = np.where(low, np.inf, v)
             # False once every row brackets its crossing.  The cap test, the
             # expansion step and the guard cannot fire after that; skipping
             # them makes a nested search's cheap bisection steps cheaper.
@@ -254,24 +305,6 @@ class DualHandle(FunctionOracle):
             "(retry with global_scan for a scanned approximation)",
             witness=(np.array(y), float(v_small), float(v_big), ExtPos.from_float(p_small), ExtPos.from_float(p_big)),
         )
-
-    def _global_bracket(self, profile, upper):
-        """Scan a fixed geometric grid and return the extreme feasible cell
-        as (lo, p_lo, hi, p_hi), with an open side at a cap when the
-        feasible heights reach it.  An approximation: the exact sup/inf is
-        only computable under ray monotonicity, and feasible slivers
-        narrower than a grid cell are missed."""
-        vs = np.geomspace(V_MIN, V_MAX, GLOBAL_SCAN_POINTS)
-        ps = [profile(float(v)) for v in vs]
-        if upper:
-            i = max((k for k, p in enumerate(ps) if p <= 1.0), default=-1)
-        else:
-            i = next((k for k, p in enumerate(ps) if p >= 1.0), len(ps)) - 1
-        # Cell i lies between heights i and i + 1; for i = -1 and the last
-        # i one side is open, which the padding marks with -inf or inf.
-        vs = [-math.inf, *vs.tolist(), math.inf]
-        ps = [ps[0], *ps, ps[-1]]
-        return vs[i + 1], ps[i + 1], vs[i + 2], ps[i + 2]
 
 
 # -- radiality checking ---------------------------------------------------
@@ -348,14 +381,10 @@ def check_radial(
     # The rays are drawn from the same stream, in the same order, as one
     # draw per ray would take them, and evaluated in blocks of whole rays.
     ys = rng.uniform(lo, hi, size=(rays, f.dim))
-    block = max(1, CHECK_BLOCK_ROWS // points_per_ray)
     informative = 0
     strict_ok = True
-    for start in range(0, rays, block):
-        ray_ys = ys[start : start + block]
+    for ray_ys, values in _profile_blocks(f, ys, vgrid):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _perspective_many(f, np.repeat(ray_ys, points_per_ray, axis=0), np.tile(vgrid, len(ray_ys)))
-            values = values.reshape(len(ray_ys), points_per_ray)
             before, after = values[:, :-1], values[:, 1:]
             drops = before - after > MONOTONE_GUARD
         informative += int(np.count_nonzero((0.0 < values) & (values < math.inf)))

@@ -515,35 +515,46 @@ GRID_CASES = [
     (["grid", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--grid=-3:3:61", "--emit", "primal,dual,lower,bidual,residual,gamma"], "json"),
     (["grid", "--f", "abs(x0)", "--dim", "1", "--grid=-2:2:9", "--emit", "primal,dual,lower,bidual,residual,gamma"], "json"),
     (["grid", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--grid=-3:1:9", "--emit", "primal,dual,lower,bidual,residual,gamma", "--global"], "csv"),
+    (["grid", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--grid=-3:1:61", "--emit", "primal,dual,lower", "--global"], "csv"),
     (["grid", "--f", "pos(1 - norm(x0, x1))", "--dim", "2", "--grid=-1:1:5,-0.5:0.5:3", "--emit", "primal,dual,lower,bidual,residual,gamma"], "json"),
 ]
 
 
 def _scalar_grid(argv):
     """The grid table computed one point and one scalar search at a time:
-    column names and rows of (tagged, value) cells."""
+    column names and rows of (tagged, value) cells, for the emitted
+    columns."""
     args = build_parser().parse_args(argv + ["--out", "unused"])
     dim = args.dim
+    emit = args.emit.split(",")
     f = parse_function(args.f, dim)
     upper = DualHandle(f, Sense.UPPER, global_scan=args.global_scan)
     lower = DualHandle(f, Sense.LOWER, global_scan=args.global_scan)
     bidual = DualHandle(upper, Sense.UPPER)
     axes = [np.linspace(lo, hi, n) for lo, hi, n in args.grid]
     points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    names = [f"x{i}" for i in range(dim)] + ["f", "upper", "lower", "bidual", "residual"]
-    names += [f"gamma_y{i}" for i in range(dim)] + ["gamma_v"]
+    tokens = {"primal": ["f"], "dual": ["upper"], "lower": ["lower"], "bidual": ["bidual"], "residual": ["residual"]}
+    tokens["gamma"] = [f"gamma_y{i}" for i in range(dim)] + ["gamma_v"]
+    names = [f"x{i}" for i in range(dim)] + [name for token, columns in tokens.items() if token in emit for name in columns]
     rows = []
     for x in points:
-        fx, bi = f.eval(x), bidual.value(x)
-        row = [(False, float(c)) for c in x]
-        row += [(True, v.as_float()) for v in (fx, upper.value(x), lower.value(x), bi)]
-        row.append((False, extpos_gap(fx, bi)))
+        fx = f.eval(x)
+        cells = {f"x{i}": (False, float(c)) for i, c in enumerate(x)}
+        cells["f"] = (True, fx.as_float())
+        if "dual" in emit:
+            cells["upper"] = (True, upper.value(x).as_float())
+        if "lower" in emit:
+            cells["lower"] = (True, lower.value(x).as_float())
+        if "bidual" in emit or "residual" in emit:
+            bi = bidual.value(x)
+            cells["bidual"] = (True, bi.as_float())
+            cells["residual"] = (False, extpos_gap(fx, bi))
         if fx.is_finite:
             image = gamma_point(LiftedPoint(x, fx.value))
-            row += [(False, float(c)) for c in image.x] + [(False, image.u)]
+            cells.update(zip(tokens["gamma"], [(False, float(c)) for c in image.x] + [(False, image.u)]))
         else:
-            row += [(False, math.nan)] * (dim + 1)
-        rows.append(row)
+            cells.update((name, (False, math.nan)) for name in tokens["gamma"])
+        rows.append([cells[name] for name in names])
     return names, rows
 
 

@@ -144,6 +144,14 @@ class TestSolveViaDual:
         assert not ds.converged and ds.status == "budget"
         assert ps.certificate is SolutionCertificate.MAPPED
 
+    @pytest.mark.parametrize("name", ["tol_grad", "tol"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerances_must_be_positive_and_finite(self, name, bad):
+        # A nan tol_grad never stops the descent and an infinite one stops
+        # it at y0; both are refused up front, as the CLI refuses them.
+        with pytest.raises(ValueError, match=name):
+            SolveParams(**{name: bad})
+
     def test_kink_maximizer_exits_by_step_collapse(self):
         ds, ps = solve_via_dual(exp_bump(), np.array([3.0]))
         assert ds.converged and ds.status == "step"

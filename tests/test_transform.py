@@ -362,7 +362,8 @@ def _rows(dim):
 def _searches(draw, families):
     name = draw(st.sampled_from(sorted(families)))
     f = families[name]
-    return name, f, draw(_rows(f.dim)), draw(st.sampled_from([Sense.UPPER, Sense.LOWER])), draw(st.booleans()), draw(st.sampled_from([1e-10, 1e-6]))
+    sense, nested, tol = draw(st.sampled_from([Sense.UPPER, Sense.LOWER])), draw(st.booleans()), draw(st.sampled_from([1e-10, 1e-6]))
+    return name, f, draw(_rows(f.dim)), sense, nested, tol, draw(st.booleans())
 
 
 def _scalar_values(h, ys):
@@ -379,10 +380,10 @@ def _assert_same(got, want, tol):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_values_match_value_on_ray_monotone_inputs(case):
     """values(Y) is [value(y) for y in Y]: identical tags, finite values
-    within tol * max(1, |v|); for a bidual handle too.  And lower <= upper
-    up to the two brackets' widths."""
-    name, f, ys, sense, nested, tol = case
-    h = DualHandle(f, sense, tol=tol)
+    within tol * max(1, |v|); for a global-scan handle and a bidual handle
+    too.  And lower <= upper up to the two brackets' widths."""
+    name, f, ys, sense, nested, tol, global_scan = case
+    h = DualHandle(f, sense, tol=tol, global_scan=global_scan)
     if nested:
         h = DualHandle(h, Sense.UPPER, tol=tol)
     _assert_same(h.values(ys), _scalar_values(h, ys), tol)
@@ -395,9 +396,23 @@ def test_values_match_value_on_ray_monotone_inputs(case):
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_values_raise_where_value_raises(case):
     """On a function not declared ray-monotone the lockstep search raises
-    NonMonotonePerspectiveError exactly when some row's scalar search does."""
-    name, f, ys, sense, _, tol = case
-    h = DualHandle(f, sense, tol=tol)
+    NonMonotonePerspectiveError exactly when some row's scalar search does.
+    A global-scan handle never raises and its values are the scalar ones,
+    as are those of a bidual handle over it (grid --global's bidual column)
+    and duality_residual(global_scan=True)."""
+    name, f, ys, sense, nested, tol, global_scan = case
+    h = DualHandle(f, sense, tol=tol, global_scan=global_scan)
+    if global_scan:
+        _assert_same(h.values(ys), _scalar_values(h, ys), tol)
+        if nested:
+            bidual = DualHandle(h, Sense.UPPER, tol=tol)
+            want = _scalar_values(bidual, ys)
+            _assert_same(bidual.values(ys), want, tol)
+            if sense is Sense.UPPER:
+                gap = max(extpos_gap(f.eval(y), ExtPos.from_float(w)) for y, w in zip(ys, want))
+                got = duality_residual(f, ys, tol=tol, global_scan=True)
+                assert got == gap or abs(got - gap) <= tol * max(1.0, want[want < math.inf].max(initial=0.0)), (got, gap)
+        return
     try:
         want = _scalar_values(h, ys)
     except NonMonotonePerspectiveError:
@@ -413,6 +428,26 @@ class TestLockstep:
         h = DualHandle(f, Sense.UPPER, global_scan=True)
         ys = np.array([[-1.0], [0.0], [0.3]])
         assert h.values(ys).tolist() == _scalar_values(h, ys).tolist()
+
+    @pytest.mark.parametrize("sense", [Sense.UPPER, Sense.LOWER])
+    def test_global_scan_blocks_match_one_row_at_a_time(self, sense):
+        """A global scan over more rows than one block evaluates at most
+        CHECK_BLOCK_ROWS pairs per batch and returns what the rows return
+        one at a time."""
+        f = parse_function("(x0+1)^2 + 0.5", 1)
+        batches = []
+
+        def recording(xs):
+            batches.append(len(xs))
+            return f.eval_many(xs)
+
+        h = DualHandle(FunctionOracle(1, f.eval, meta=f.meta, many=recording), sense, global_scan=True)
+        ys = np.linspace(-3.0, 1.0, 150)[:, None]
+        assert len(ys) * transform.GLOBAL_SCAN_POINTS > transform.CHECK_BLOCK_ROWS
+        got = h.values(ys)
+        scans = [n for n in batches if n > len(ys)]
+        assert len(scans) > 1 and max(batches) <= transform.CHECK_BLOCK_ROWS
+        assert got.tolist() == [h.values(y[None])[0] for y in ys]
 
     def test_guard_witness_matches_scalar(self):
         h = DualHandle(shifted_quadratic(), Sense.UPPER)
