@@ -25,7 +25,6 @@ from .calculus import (
 )
 from .core import (
     INF,
-    ONE,
     ZERO,
     ExtPos,
     LiftedPoint,

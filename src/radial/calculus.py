@@ -11,6 +11,7 @@ record: kind plus operand handles.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 import numpy as np
@@ -88,7 +89,7 @@ def _dual_operands(handles, op_name: str, gate: bool):
     return handles
 
 
-class KthKind:
+class KthKind(enum.Enum):
     KMIN = "kmin"
     KMAX = "kmax"
     KMINAVG = "kminavg"
@@ -118,7 +119,7 @@ def _avg_oracle(bases, idxs) -> FunctionOracle:
     return FunctionOracle(chosen[0].dim, ev, meta=meta, name=f"avg{tuple(idxs)}")
 
 
-def rule_kth(kind: str, k: int, duals, tol: float = DEFAULT_TOL) -> FunctionOracle:
+def rule_kth(kind: KthKind | str, k: int, duals, tol: float = DEFAULT_TOL) -> FunctionOracle:
     """Transform of a k-th order statistic of n functions.
 
     The k-th smallest of the primals transforms into the k-th largest of
@@ -129,34 +130,33 @@ def rule_kth(kind: str, k: int, duals, tol: float = DEFAULT_TOL) -> FunctionOrac
     operands' base functions.  Variants whose expansion passes through a
     pointwise max require ray-monotone operands.
     """
-    if kind not in (KthKind.KMIN, KthKind.KMAX, KthKind.KMINAVG, KthKind.KMAXAVG):
-        raise ValueError(f"unknown k-th rule kind {kind!r}")
-    gate = kind in (KthKind.KMAX, KthKind.KMAXAVG) or (kind == KthKind.KMIN and k >= 2)
-    handles = _dual_operands(duals, f"rule_kth({kind})", gate=gate)
+    kind = KthKind(kind)  # a member or its value; ValueError otherwise
+    gate = kind in (KthKind.KMAX, KthKind.KMAXAVG) or (kind is KthKind.KMIN and k >= 2)
+    handles = _dual_operands(duals, f"rule_kth({kind.value})", gate=gate)
     n = len(handles)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
 
     if kind in (KthKind.KMIN, KthKind.KMAX):
-        pick = n - k if kind == KthKind.KMIN else k - 1
+        pick = n - k if kind is KthKind.KMIN else k - 1
 
         def ev(y):
             values = sorted(h.value(y) for h in handles)
             return values[pick]
 
-        return FunctionOracle(handles[0].dim, ev, meta=DECLARED_UPPER, name=f"{kind}[{k}/{n}]")
+        return FunctionOracle(handles[0].dim, ev, meta=DECLARED_UPPER, name=f"{kind.value}[{k}/{n}]")
 
     bases = [h.base for h in handles]
     subset_handles = [
         DualHandle(_avg_oracle(bases, idxs), Sense.UPPER, tol=tol)
         for idxs in itertools.combinations(range(n), k)
     ]
-    outer = max if kind == KthKind.KMINAVG else min
+    outer = max if kind is KthKind.KMINAVG else min
 
     def ev(y):
         return outer(h.value(y) for h in subset_handles)
 
-    return FunctionOracle(handles[0].dim, ev, meta=DECLARED_UPPER, name=f"{kind}[{k}/{n}]")
+    return FunctionOracle(handles[0].dim, ev, meta=DECLARED_UPPER, name=f"{kind.value}[{k}/{n}]")
 
 
 def rule_min(dual1: DualHandle, dual2: DualHandle) -> FunctionOracle:

@@ -2,7 +2,9 @@
 
 Each entry pairs an oracle with its hand-derived closed-form upper
 transform (where one exists), its classification, and sampling regions
-used by the verification suite.  The closed forms:
+used by the verification suite.  Every value is a parsed expression, so
+eval_many is the grammar's numpy batch; the analytic gradients and
+Hessians and the declared radiality are attached to it.  The closed forms:
 
   sqrt(1 - |x|^2) (0 outside)   ->  sqrt(1 + |y|^2)
   constant c                    ->  constant 1/c
@@ -25,6 +27,7 @@ import numpy as np
 
 from .core import INF, ZERO, ExtPos
 from .errors import NotDifferentiableError
+from .grammar import parse_function
 from .oracle import FunctionOracle, Provenance, RadialityMeta, Trilean
 
 _STRICT = RadialityMeta(Trilean.YES, Trilean.YES, Provenance.DECLARED)
@@ -44,10 +47,6 @@ class CatalogEntry:
     smooth_box: tuple[float, float]
 
 
-def _finite_or_zero(s: float) -> ExtPos:
-    return ExtPos.finite(s) if s > 0.0 else ZERO
-
-
 def _grid1(lo: float, hi: float, n: int) -> tuple:
     return tuple(np.array([t]) for t in np.linspace(lo, hi, n))
 
@@ -59,9 +58,7 @@ def _grid2(lo: float, hi: float, n: int) -> tuple:
 
 def sqrt_cap(dim: int = 1) -> FunctionOracle:
     """sqrt(1 - |x|^2) on the open unit ball, zero outside."""
-
-    def ev(x):
-        return _finite_or_zero(math.sqrt(max(0.0, 1.0 - float(x @ x))))
+    squares = " - ".join(f"x{i}^2" for i in range(dim))
 
     def gr(x):
         s = math.sqrt(1.0 - float(x @ x))
@@ -71,7 +68,7 @@ def sqrt_cap(dim: int = 1) -> FunctionOracle:
         s = math.sqrt(1.0 - float(x @ x))
         return -(np.eye(dim) / s + np.outer(x, x) / s**3)
 
-    return FunctionOracle(dim, ev, gr, he, _STRICT, name=f"sqrt_cap[{dim}d]")
+    return parse_function(f"sqrt(pos(1 - {squares}))", dim, gr, he, _STRICT, f"sqrt_cap[{dim}d]")
 
 
 def sqrt_cap_dual(y: np.ndarray) -> ExtPos:
@@ -81,9 +78,6 @@ def sqrt_cap_dual(y: np.ndarray) -> ExtPos:
 def exp_bump() -> FunctionOracle:
     """exp(-|x|) + 1/2: neither concave nor convex, but quasiconcave and
     strictly ray-monotone.  Kink at the origin."""
-
-    def ev(x):
-        return ExtPos.finite(math.exp(-abs(float(x[0]))) + 0.5)
 
     def gr(x):
         t = float(x[0])
@@ -97,15 +91,12 @@ def exp_bump() -> FunctionOracle:
             raise NotDifferentiableError("kink at the origin")
         return np.array([[math.exp(-abs(t))]])
 
-    return FunctionOracle(1, ev, gr, he, _STRICT, name="exp_bump")
+    return parse_function("exp(-abs(x0)) + 0.5", 1, gr, he, _STRICT, "exp_bump")
 
 
 def shifted_parabola() -> FunctionOracle:
     """2 - (x-1)^2 where positive, zero outside: a concave cap whose
     maximizer sits away from the origin."""
-
-    def ev(x):
-        return _finite_or_zero(2.0 - (float(x[0]) - 1.0) ** 2)
 
     def gr(x):
         return np.array([-2.0 * (float(x[0]) - 1.0)])
@@ -113,7 +104,7 @@ def shifted_parabola() -> FunctionOracle:
     def he(x):
         return np.array([[-2.0]])
 
-    return FunctionOracle(1, ev, gr, he, _STRICT, name="shifted_parabola")
+    return parse_function("pos(2 - (x0-1)^2)", 1, gr, he, _STRICT, "shifted_parabola")
 
 
 def shifted_parabola_dual(y: np.ndarray) -> ExtPos:
@@ -122,8 +113,8 @@ def shifted_parabola_dual(y: np.ndarray) -> ExtPos:
 
 
 def constant(c: float = 2.0) -> FunctionOracle:
-    def ev(x):
-        return ExtPos.finite(c)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"constant requires 0 < c < inf, got {c!r}")
 
     def gr(x):
         return np.zeros_like(x)
@@ -131,16 +122,12 @@ def constant(c: float = 2.0) -> FunctionOracle:
     def he(x):
         return np.zeros((x.shape[0], x.shape[0]))
 
-    return FunctionOracle(1, ev, gr, he, _STRICT, name=f"constant({c:g})")
+    return parse_function(repr(float(c)), 1, gr, he, _STRICT, f"constant({c:g})")
 
 
 def absval() -> FunctionOracle:
     """|x|: ray-monotone in both senses but not strictly, so its upper and
     lower transforms differ (closed vs open step)."""
-
-    def ev(x):
-        t = abs(float(x[0]))
-        return _finite_or_zero(t)
 
     def gr(x):
         t = float(x[0])
@@ -148,7 +135,7 @@ def absval() -> FunctionOracle:
             raise NotDifferentiableError("kink at the origin")
         return np.array([math.copysign(1.0, t)])
 
-    return FunctionOracle(1, ev, gr, None, _UPPER_NOT_STRICT, name="absval")
+    return parse_function("abs(x0)", 1, gr, None, _UPPER_NOT_STRICT, "absval")
 
 
 def absval_upper_dual(y: np.ndarray) -> ExtPos:
@@ -162,16 +149,13 @@ def absval_lower_dual(y: np.ndarray) -> ExtPos:
 def tent() -> FunctionOracle:
     """min(2 - x, 2 + x) where positive: concave polyhedral."""
 
-    def ev(x):
-        return _finite_or_zero(2.0 - abs(float(x[0])))
-
     def gr(x):
         t = float(x[0])
         if t == 0.0:
             raise NotDifferentiableError("kink at the origin")
         return np.array([-math.copysign(1.0, t)])
 
-    return FunctionOracle(1, ev, gr, None, _STRICT, name="tent")
+    return parse_function("pos(2 - abs(x0))", 1, gr, None, _STRICT, "tent")
 
 
 def tent_dual(y: np.ndarray) -> ExtPos:
@@ -182,14 +166,7 @@ def lifted_cap() -> FunctionOracle:
     """1 + sqrt(1 - x^2) on [-1, 1], zero outside: not differentiable at
     the domain edges, yet its transform is differentiable everywhere
     ((y^2 + 1)/2 inside [-1, 1], |y| outside, matching slopes at 1)."""
-
-    def ev(x):
-        t = float(x[0])
-        if abs(t) > 1.0:
-            return ZERO
-        return ExtPos.finite(1.0 + math.sqrt(max(0.0, 1.0 - t * t)))
-
-    return FunctionOracle(1, ev, meta=_STRICT, name="lifted_cap")
+    return parse_function("min(indicator(box -1 1), 1 + sqrt(pos(1 - x0^2)))", 1, meta=_STRICT, name="lifted_cap")
 
 
 def lifted_cap_dual(y: np.ndarray) -> ExtPos:
@@ -201,16 +178,13 @@ def shifted_quadratic() -> FunctionOracle:
     """(x+1)^2 + 1/2: not ray-monotone; its twice-transformed function
     differs from the original away from the origin."""
 
-    def ev(x):
-        return ExtPos.finite((float(x[0]) + 1.0) ** 2 + 0.5)
-
     def gr(x):
         return np.array([2.0 * (float(x[0]) + 1.0)])
 
     def he(x):
         return np.array([[2.0]])
 
-    return FunctionOracle(1, ev, gr, he, _NOT_RADIAL, name="shifted_quadratic")
+    return parse_function("(x0+1)^2 + 0.5", 1, gr, he, _NOT_RADIAL, "shifted_quadratic")
 
 
 def shifted_quadratic_upper_dual(y: np.ndarray) -> ExtPos:
@@ -218,7 +192,8 @@ def shifted_quadratic_upper_dual(y: np.ndarray) -> ExtPos:
     disc = 1.0 - 4.0 * t - 2.0 * t * t
     if disc < 0.0:
         return ZERO
-    return _finite_or_zero(((1.0 - 2.0 * t) + math.sqrt(disc)) / 3.0)
+    s = ((1.0 - 2.0 * t) + math.sqrt(disc)) / 3.0
+    return ExtPos.finite(s) if s > 0.0 else ZERO
 
 
 def strict_entries() -> tuple[CatalogEntry, ...]:

@@ -133,7 +133,6 @@ class ExtPos:
 
 ZERO = ExtPos(_ZERO_KIND)
 INF = ExtPos(_INF_KIND)
-ONE = ExtPos.finite(1.0)
 
 
 def optimality_product(a: ExtPos, b: ExtPos) -> float:

@@ -21,7 +21,21 @@ class ParseError(RadialError):
 
 class ExpressionRangeError(RadialError):
     """A parsed expression produced a negative or undefined value at the top
-    level.  Wrap the expression in pos(...) to clamp to zero explicitly."""
+    level.  Wrap the expression in pos(...) to clamp to zero explicitly.
+    In a batch, row is the offending row in the caller's numbering (None
+    for one point); a layer that batches for its own caller renumbers it
+    with at_row."""
+
+    def __init__(self, value: float, point: list, row=None):
+        self.value, self.point, self.row = value, point, row
+        where = "" if row is None else f" (row {row})"
+        super().__init__(
+            f"expression evaluated to {value!r} at {point}{where}; wrap it in pos(...) "
+            "to clamp negative/undefined values to zero"
+        )
+
+    def at_row(self, row: int) -> "ExpressionRangeError":
+        return ExpressionRangeError(self.value, self.point, row)
 
 
 class NotDifferentiableError(RadialError):

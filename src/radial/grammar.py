@@ -442,32 +442,28 @@ def unparse(node) -> str:
     raise AssertionError(f"unhandled node {type(node).__name__}")
 
 
-def parse_function(text: str, dim: int) -> FunctionOracle:
+def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META, name=None) -> FunctionOracle:
     """Build a FunctionOracle from expression source.
 
     The tree is compiled twice: with the scalar rules for eval and with the
     numpy rules for eval_many, which returns floats with 0.0 and inf as the
-    tags.  The oracle's gradient falls back to finite differences (no
-    analytic composition is attempted) and its radiality metadata starts
-    unknown.  A top-level negative or nan value raises ExpressionRangeError
-    pointing at pos(...) rather than clamping implicitly; eval_many names
-    the first offending row.
+    tags.  Without grad the oracle's gradient falls back to finite
+    differences (no analytic composition is attempted); grad, hess, meta
+    and name (default: the unparsed source) are attached as given, so a
+    caller that knows the derivatives or the radiality of an expression
+    declares them here.  A top-level negative or nan value raises
+    ExpressionRangeError pointing at pos(...) rather than clamping
+    implicitly; eval_many names the first offending row.
     """
     tree = parse(text, dim)
     source = unparse(tree)
     scalar = _compile(tree, _MATH_OPS)
     batch = _compile(tree, _NUMPY_OPS)
 
-    def range_error(t: float, x: np.ndarray, where: str = "") -> ExpressionRangeError:
-        return ExpressionRangeError(
-            f"expression evaluated to {t!r} at {x.tolist()}{where}; wrap it in pos(...) "
-            "to clamp negative/undefined values to zero"
-        )
-
     def _eval(x: np.ndarray) -> ExtPos:
         t = scalar(x.tolist())
         if not t >= 0.0:
-            raise range_error(t, x)
+            raise ExpressionRangeError(t, x.tolist())
         return ExtPos.from_float(t)
 
     def _eval_many(x: np.ndarray) -> np.ndarray:
@@ -477,7 +473,7 @@ def parse_function(text: str, dim: int) -> FunctionOracle:
         valid = t >= 0.0  # False for nan too
         if np.count_nonzero(valid) != t.size:
             i = int(np.argmin(valid))
-            raise range_error(float(t[i]), x[i], f" (row {i})")
+            raise ExpressionRangeError(float(t[i]), x[i].tolist(), i)
         return t
 
-    return FunctionOracle(dim, _eval, meta=UNKNOWN_META, name=source, many=_eval_many)
+    return FunctionOracle(dim, _eval, grad, hess, meta, name or source, _eval_many)

@@ -26,6 +26,16 @@ and check_radial's) are evaluated in blocks of whole rows, at most
 CHECK_BLOCK_ROWS pairs each (_profile_blocks); duality_residual evaluates
 its whole grid in one batch.
 
+Speculative bisection: the heights of a search's next k steps are fixed
+by its bracket (lo, hi); only the branches taken depend on the profile.
+A nested handle over a batch-native lockstep (a leaf built with a batch
+callback, no global scan below) evaluates each row's tree of 2^k - 1
+heights in one base call and walks it with the loop's own next-height
+rule, stop rule and cap exits: bit-identical values from about a quarter
+of the inner searches.  k is at most SPECULATIVE_LEVELS, one call holds at
+most SPECULATIVE_PAIRS pairs, and a speculative call that raises is
+discarded for the plain step.
+
 Empty-search conventions: an upper search that is infeasible down to the
 floor returns zero (the supremum over an empty set), and a lower search
 that is infeasible up to the cap returns infinity.  The two conventions
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import INF, ZERO, ExtPos
-from .errors import NonMonotonePerspectiveError, OverflowRiskError
+from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowRiskError
 from .oracle import FunctionOracle, Provenance, RadialityMeta, Trilean, perspective
 
 DEFAULT_TOL = 1e-10
@@ -56,6 +66,13 @@ _SCAN_HEIGHTS = np.geomspace(V_MIN, V_MAX, GLOBAL_SCAN_POINTS)
 #: handle's values (rows x scan heights), so that their memory does not
 #: grow with the number of rows.
 CHECK_BLOCK_ROWS = 1 << 16
+
+#: Speculative bisection (DualHandle._speculate, nested handles only): at
+#: most SPECULATIVE_LEVELS search steps per base call, and at most
+#: SPECULATIVE_PAIRS row x height pairs in that call (fewer levels on wider
+#: batches, none from SPECULATIVE_PAIRS rows on).
+SPECULATIVE_LEVELS = 4
+SPECULATIVE_PAIRS = 512
 
 #: Violations that check_radial keeps as witnesses; it counts them all.
 KEPT_WITNESSES = 5
@@ -84,11 +101,17 @@ class BracketCertificate:
     mode: str  # "monotone" or "global"
 
 
-def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """perspective(f, ys[i], v[i]) for every row, as floats (0.0 and inf
     are the tags), with the same OverflowRiskError when a finite product
-    leaves the finite range."""
-    value = f.eval_many(ys / v[:, None])
+    leaves the finite range.  rows[i] is the caller's row of pair i; an
+    ExpressionRangeError from f names that row."""
+    try:
+        value = f.eval_many(ys / v[:, None])
+    except ExpressionRangeError as exc:
+        if exc.row is None:
+            raise
+        raise exc.at_row(int(rows[exc.row])) from exc
     scaled = v * value
     # v > 0, so only an underflow adds a zero and only an overflow an inf.
     underflow = np.count_nonzero(scaled) != np.count_nonzero(value)
@@ -97,6 +120,13 @@ def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray) -> np.nd
         i = int(lost.argmax())
         raise OverflowRiskError(f"perspective product {v[i]!r} * {value[i]!r} left the finite range")
     return scaled
+
+
+def _next_height(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The search's next height for each bracket (lo, hi): double lo while
+    hi is open, halve hi while lo is open, else bisect; the caps bound the
+    expansion."""
+    return np.where(hi == np.inf, np.minimum(2.0 * lo, V_MAX), np.where(lo == -np.inf, np.maximum(0.5 * hi, V_MIN), 0.5 * (lo + hi)))
 
 
 def _profile_blocks(f: FunctionOracle, ys: np.ndarray, heights: np.ndarray):
@@ -108,8 +138,9 @@ def _profile_blocks(f: FunctionOracle, ys: np.ndarray, heights: np.ndarray):
     block = max(1, CHECK_BLOCK_ROWS // n)
     for start in range(0, len(ys), block):
         rows = ys[start : start + block]
+        owners = np.repeat(np.arange(start, start + len(rows)), n)
         with np.errstate(over="ignore", invalid="ignore"):
-            profiles = _perspective_many(f, np.repeat(rows, n, axis=0), np.tile(heights, len(rows)))
+            profiles = _perspective_many(f, np.repeat(rows, n, axis=0), np.tile(heights, len(rows)), owners)
         yield rows, profiles.reshape(len(rows), n)
 
 
@@ -160,6 +191,12 @@ class DualHandle(FunctionOracle):
         self.sense = sense
         self.tol = float(tol)
         self.global_scan = bool(global_scan)
+        # A lockstep is batch-native when its cost per step does not grow
+        # with its rows: over a leaf built with a batch callback, and with
+        # no global scan on the way down.  Speculative bisection pays only
+        # where each probe of the base is such a lockstep.
+        native = base._native if isinstance(base, DualHandle) else base._many_fn is not None
+        self._native = native and not self.global_scan
         super().__init__(
             base.dim,
             lambda y: self._solve(y)[0],
@@ -244,10 +281,16 @@ class DualHandle(FunctionOracle):
         decisions as _solve on it and retires the rows that reach a cap or
         the tol rule.  A global-scan handle starts every row from its
         scanned cell, as _solve does; a row with an open side sits at a cap
-        and retires at the first cap test, so the guard cannot fire.
+        and retires at the first cap test, so the guard cannot fire.  A
+        nested handle over a batch-native base takes up to
+        SPECULATIVE_LEVELS steps per base call (_speculate).
         """
         upper = self.sense is Sense.UPPER
         guarded = self.base.meta.upper_radial is not Trilean.YES
+        # The guard is the one decision that needs the previous probe, so a
+        # speculative walk cannot take it; a nested search (a handle's
+        # profile is declared monotone) has none.
+        speculate = not guarded and isinstance(self.base, DualHandle) and self.base._native
         tol = self.tol
         out = np.empty(ys.shape[0])
         rows = np.arange(ys.shape[0])
@@ -258,7 +301,7 @@ class DualHandle(FunctionOracle):
                 p = np.where(lo == -np.inf, p_hi, p_lo)  # the probe at an open side
             else:
                 v = np.ones(ys.shape[0])
-                p = _perspective_many(self.base, ys, v)
+                p = _perspective_many(self.base, ys, v, rows)
                 low = p <= 1.0 if upper else p < 1.0
                 lo = np.where(low, v, -np.inf)
                 hi = np.where(low, np.inf, v)
@@ -279,12 +322,22 @@ class DualHandle(FunctionOracle):
                 if not rows.size:
                     return out
                 expanding = expanding and np.count_nonzero(np.isinf(width)) > 0
+                levels = min(SPECULATIVE_LEVELS, (SPECULATIVE_PAIRS // rows.size + 1).bit_length() - 1) if speculate else 1
+                if levels > 1:
+                    try:
+                        lo, hi = self._speculate(ys, rows, lo, hi, levels)
+                        continue
+                    except Exception:
+                        # A speculative probe may lie where the plain search
+                        # never goes.  The plain step below raises whatever
+                        # the plain search raises.
+                        speculate = False
                 if expanding:
                     up, down = hi == np.inf, lo == -np.inf
-                    v = np.where(up, np.minimum(2.0 * lo, V_MAX), np.where(down, np.maximum(0.5 * hi, V_MIN), 0.5 * (lo + hi)))
+                    v = _next_height(lo, hi)
                 else:
                     v = 0.5 * (lo + hi)
-                p_edge, p = p, _perspective_many(self.base, ys, v)
+                p_edge, p = p, _perspective_many(self.base, ys, v, rows)
                 if expanding and guarded:
                     drop = np.where(up, p_edge - p, p - p_edge)
                     tripped = (up | down) & (drop > MONOTONE_GUARD)
@@ -296,6 +349,39 @@ class DualHandle(FunctionOracle):
                 low = p <= 1.0 if upper else p < 1.0
                 lo = np.where(low, v, lo)
                 hi = np.where(low, hi, v)
+
+    def _speculate(self, ys, rows, lo, hi, levels):
+        """The lockstep's next `levels` steps from one base call, for a
+        search with no guard.  The heights those steps can probe are fixed
+        by (lo, hi): each row's tree of 2^levels - 1 heights is built level
+        by level with the loop's next-height rule, and the walk down it
+        takes the loop's decisions, its stop rule and cap exits included.
+        The brackets returned are the loop's, bit for bit."""
+        n, m = (1 << levels) - 1, len(lo)
+        node_lo, node_hi, tree = lo[:, None], hi[:, None], []
+        for _ in range(levels):
+            # Node b of a level has children 2b (profile high: hi = v) and
+            # 2b + 1 (profile low: lo = v).
+            v = _next_height(node_lo, node_hi)
+            tree.append(v)
+            node_lo = np.stack((node_lo, v), axis=2).reshape(m, -1)
+            node_hi = np.stack((v, node_hi), axis=2).reshape(m, -1)
+        heights = np.concatenate(tree, axis=1)  # level j in columns 2^j - 1 ... 2^(j+1) - 2
+        profiles = _perspective_many(self.base, np.repeat(ys, n, axis=0), heights.ravel(), np.repeat(rows, n)).reshape(m, n)
+        upper = self.sense is Sense.UPPER
+        at, node = np.arange(m), np.zeros(m, dtype=np.intp)
+        walking = np.ones(m, dtype=bool)
+        for level in range(levels):
+            if level:
+                # The loop's exits; a cap exit cannot fire on a bracketed row.
+                walking &= ~((hi - lo <= self.tol * np.maximum(lo, 1.0)) | (lo >= V_MAX) | (hi <= V_MIN))
+            column = (1 << level) - 1 + node
+            v, p = heights[at, column], profiles[at, column]
+            low = p <= 1.0 if upper else p < 1.0
+            lo = np.where(walking & low, v, lo)
+            hi = np.where(walking & ~low, v, hi)
+            node = 2 * node + low
+        return lo, hi
 
     def _nonmonotone(self, y, v_small, p_small, v_big, p_big) -> NonMonotonePerspectiveError:
         return NonMonotonePerspectiveError(

@@ -204,7 +204,7 @@ class TestKthRules:
             y = np.array([t])
             assert extpos_gap(a.eval(y), b.eval(y)) <= 4 * TOL
 
-    @pytest.mark.parametrize("kind", [KthKind.KMIN, KthKind.KMAX, KthKind.KMINAVG, KthKind.KMAXAVG])
+    @pytest.mark.parametrize("kind", list(KthKind), ids=lambda kind: kind.value)
     def test_agrees_with_direct_bisection(self, kind):
         fs = [sqrt_cap(1), constant(2.0), tent()]
         duals = [upper(f, tol=1e-11) for f in fs]
@@ -220,6 +220,13 @@ class TestKthRules:
             with pytest.raises(RadialityRequiredError):
                 rule_kth(kind, k, duals)
         assert rule_kth(KthKind.KMIN, 1, [upper(sqrt_cap(1), global_scan=True), upper(shifted_quadratic(), global_scan=True)])
+
+    def test_kinds_are_an_enum(self):
+        assert getattr(KthKind, "KMIN") is KthKind.KMIN and KthKind("kmaxavg") is KthKind.KMAXAVG
+        duals = [upper(sqrt_cap(1)), upper(constant(0.5))]
+        assert rule_kth(KthKind.KMAX, 1, duals).name == "kmax[1/2]"
+        with pytest.raises(ValueError):
+            rule_kth("median", 1, duals)
 
     def test_k_range_validated(self):
         with pytest.raises(ValueError):

@@ -597,6 +597,14 @@ class TestGridColumns:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: expression evaluated to")
 
+    def test_range_error_names_the_grid_row(self, tmp_path, capsys):
+        # The global scan evaluates each grid point at 1,024 heights in one
+        # batch; the message names the grid point's row, not the pair's.
+        argv = ["grid", "--f", "1 - x0^2", "--dim", "1", "--grid=0:0.5:2", "--global", "--out", str(tmp_path / "x.csv")]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "(row 1);" in err[0]
+
     def test_nonmonotone_error_is_one_line_plus_hint(self, tmp_path, capsys):
         argv = ["grid", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--grid=-3:1:5", "--out", str(tmp_path / "o.csv")]
         assert exit_code(argv) == 3

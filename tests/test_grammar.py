@@ -156,6 +156,17 @@ class TestBatchEvaluation:
         with pytest.raises(ExpressionRangeError, match=r"at \[3.0\] \(row 2\)"):
             f.eval_many(np.array([[0.5], [1.0], [3.0], [4.0]]))
 
+    def test_range_error_row_is_structured(self):
+        f = parse_function("1 - x0", 1)
+        with pytest.raises(ExpressionRangeError) as raised:
+            f.eval_many(np.array([[0.5], [3.0]]))
+        assert (raised.value.value, raised.value.point, raised.value.row) == (-2.0, [3.0], 1)
+        moved = raised.value.at_row(7)
+        assert moved.row == 7 and str(moved) == str(raised.value).replace("(row 1)", "(row 7)")
+        with pytest.raises(ExpressionRangeError) as scalar:
+            f.eval(np.array([3.0]))
+        assert scalar.value.row is None and "(row" not in str(scalar.value)
+
     def test_constant_and_empty_batches(self):
         f = parse_function("2", 1)
         assert f.eval_many(np.zeros((3, 1))).tolist() == [2.0, 2.0, 2.0]

@@ -15,6 +15,7 @@ from radial import (
     gradient,
     perspective,
 )
+from radial import catalog
 from radial.catalog import absval, constant, exp_bump, shifted_parabola, sqrt_cap, strict_entries
 
 
@@ -110,6 +111,38 @@ class TestMeta:
         assert f.eval(np.array([5.0])) is ZERO  # outside the cap, no exception
         assert f.eval(np.array([1.0])) == ExtPos.finite(2.0)
         assert constant(2.0).eval(np.array([123.0])) == ExtPos.finite(2.0)
+
+    @pytest.mark.parametrize(
+        "make, grad, hess",
+        [
+            (lambda: sqrt_cap(1), True, True),
+            (lambda: sqrt_cap(2), True, True),
+            (exp_bump, True, True),
+            (shifted_parabola, True, True),
+            (constant, True, True),
+            (absval, True, False),
+            (catalog.tent, True, False),
+            (catalog.lifted_cap, False, False),
+            (catalog.shifted_quadratic, True, True),
+        ],
+    )
+    def test_catalog_oracles_batch_natively(self, make, grad, hess):
+        """Every catalog value is a parsed expression: eval_many is the
+        numpy batch (no loop over eval), row i equals eval up to 4 ulp,
+        and the analytic derivatives stay attached."""
+        f = make()
+        assert f._many_fn is not None and (f.grad is not None, f.hess is not None) == (grad, hess)
+        xs = np.random.default_rng(0).uniform(-2.5, 2.5, size=(200, f.dim))
+        want = [f.eval(x).as_float() for x in xs]
+        for w, g in zip(want, f.eval_many(xs).tolist()):
+            assert (w == 0.0) == (g == 0.0) and (w == math.inf) == (g == math.inf)
+            assert w in (0.0, math.inf) or abs(g - w) <= 4 * math.ulp(w)
+
+    def test_catalog_names_survive(self):
+        names = [sqrt_cap(2).name, exp_bump().name, constant(0.5).name, catalog.lifted_cap().name]
+        assert names == ["sqrt_cap[2d]", "exp_bump", "constant(0.5)", "lifted_cap"]
+        with pytest.raises(ValueError):
+            constant(0.0)
 
     def test_eval_validates_shape(self):
         with pytest.raises(ValueError):

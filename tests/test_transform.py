@@ -1,18 +1,23 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import expressions
+
 from radial import (
     INF,
     ZERO,
     DualHandle,
+    ExpressionRangeError,
     ExtPos,
     FunctionOracle,
     NonMonotonePerspectiveError,
     OverflowRiskError,
+    RadialError,
     Sense,
     Trilean,
     Verdict,
@@ -488,3 +493,185 @@ class TestLockstep:
             for b in values:
                 got = float(extpos_gap_many(np.array([a.as_float()]), np.array([b.as_float()]))[0])
                 assert got == extpos_gap(a, b)
+
+
+# -- speculative bisection in nested handles -------------------------------
+
+
+def _bidual(f, sense=Sense.UPPER, tol=TOL, global_scan=False):
+    return DualHandle(DualHandle(f, sense, tol=tol, global_scan=global_scan), Sense.UPPER, tol=tol)
+
+
+def _outcome(h, ys):
+    try:
+        return h.values(ys)
+    except RadialError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _speculation(levels):
+    """Patches the speculation budget to at most `levels` levels (1 is
+    off) and counts the speculative calls on the returned spy."""
+    budget = mock.patch.object(transform, "SPECULATIVE_LEVELS", levels)
+    spy = mock.patch.object(DualHandle, "_speculate", autospec=True, side_effect=DualHandle._speculate)
+    return budget, spy
+
+
+@st.composite
+def _bidual_cases(draw):
+    """A catalog or parsed family (one draw in eight a generated
+    expression) on up to 11 rows, all of them inside the unit box in three
+    draws of four (mostly finite values, few tags); a global-scan inner
+    handle on at most 3 rows."""
+    if draw(st.integers(0, 7)):
+        f = _RAY_MONOTONE[draw(st.sampled_from(sorted(_RAY_MONOTONE)))]
+    else:
+        f = parse_function(draw(expressions), 1)
+    inside = st.floats(-0.95, 0.95)
+    coordinate = draw(st.sampled_from([inside, inside, inside, _coordinate]))
+    ys = draw(st.lists(st.tuples(*[coordinate] * f.dim), min_size=1, max_size=11).map(lambda r: np.array(r, dtype=float)))
+    sense, tol, global_scan = draw(st.sampled_from([Sense.UPPER, Sense.LOWER])), draw(st.sampled_from([1e-10, 1e-6])), draw(st.booleans())
+    return f, ys[:3] if global_scan else ys, sense, tol, global_scan, draw(st.sampled_from([2, 3, 4]))
+
+
+@given(case=_bidual_cases())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_speculation_is_invisible(case):
+    """A bidual handle's values are bit-identical with speculation off and
+    on (2-4 levels), or raise the same message; over a global-scan inner
+    handle nothing speculates."""
+    f, ys, sense, tol, global_scan, levels = case
+    h = _bidual(f, sense, tol, global_scan)
+    with mock.patch.object(transform, "SPECULATIVE_LEVELS", 1):
+        plain = _outcome(h, ys)
+    budget, spy = _speculation(levels)
+    with budget, spy as calls:
+        fast = _outcome(h, ys)
+    if isinstance(plain, str):
+        assert fast == plain
+    else:
+        assert np.array_equal(fast, plain), (ys, fast, plain)
+    if global_scan:
+        assert not calls.called
+
+
+class TestSpeculation:
+    #: Finite values and one ZERO tag (1.7) for the sqrt cap's bidual.
+    YS = np.array([[0.3], [-0.5], [0.8], [1.7], [-0.05]])
+
+    @pytest.mark.parametrize("entry", strict_entries(), ids=lambda entry: entry.name)
+    @pytest.mark.parametrize("sense", [Sense.UPPER, Sense.LOWER])
+    def test_runs_on_batch_native_bases_with_fewer_base_calls(self, entry, sense):
+        f, ys = entry.oracle, np.array(entry.residual_grid[::20] + (np.full(entry.oracle.dim, 40.0),))
+        base_calls = []
+
+        def counting(xs):
+            base_calls.append(len(xs))
+            return f.eval_many(xs)
+
+        h = _bidual(FunctionOracle(f.dim, f.eval, meta=f.meta, many=counting), sense)
+        with mock.patch.object(transform, "SPECULATIVE_LEVELS", 1):
+            plain = h.values(ys)
+        plain_calls, base_calls[:] = len(base_calls), []
+        budget, spy = _speculation(transform.SPECULATIVE_LEVELS)
+        with budget, spy as calls:
+            assert np.array_equal(h.values(ys), plain)
+        assert calls.called and len(base_calls) < plain_calls / 2
+
+    def test_not_over_a_python_loop_base_or_a_single_level(self):
+        f = sqrt_cap(1)
+        loop = _bidual(FunctionOracle(1, f.eval, meta=f.meta))
+        budget, spy = _speculation(transform.SPECULATIVE_LEVELS)
+        with budget, spy as calls:
+            loop.values(self.YS[:2])
+            upper(f).values(self.YS)
+        assert not calls.called
+
+    def test_pairs_per_call_stay_within_the_budget(self):
+        f = parse_function("pos(sqrt(1 - x0^2))", 1)
+        widths = []
+
+        def recording(h, ys, rows, lo, hi, levels):
+            widths.append(len(ys) * ((1 << levels) - 1))
+            return DualHandle._speculate(h, ys, rows, lo, hi, levels)
+
+        ys = np.linspace(-0.9, 0.9, 40)[:, None]
+        with mock.patch.object(DualHandle, "_speculate", autospec=True, side_effect=recording):
+            _bidual(f).values(ys)
+        assert widths and max(widths) <= transform.SPECULATIVE_PAIRS
+
+    def _recorded_plain_run(self, f, ys):
+        """The plain result and every point the plain lockstep passes to
+        the leaf, in order."""
+        seen = []
+
+        def recording(xs):
+            seen.extend(map(tuple, xs.tolist()))
+            return f.eval_many(xs)
+
+        with mock.patch.object(transform, "SPECULATIVE_LEVELS", 1):
+            plain = _bidual(FunctionOracle(1, f.eval, meta=f.meta, many=recording)).values(ys)
+        return plain, seen
+
+    @staticmethod
+    def _raising_on(f, bad):
+        def many(xs):
+            for i, x in enumerate(xs.tolist()):
+                if bad(tuple(x)):
+                    raise ExpressionRangeError(-1.0, x, i)
+            return f.eval_many(xs)
+
+        return FunctionOracle(1, f.eval, meta=f.meta, many=many)
+
+    def test_a_failed_speculation_takes_the_plain_step(self):
+        """A leaf that raises on every point the plain search never visits
+        fails each speculative call; values still returns the plain
+        result."""
+        f = sqrt_cap(1)
+        plain, seen = self._recorded_plain_run(f, self.YS)
+        visited = set(seen)
+        budget, spy = _speculation(transform.SPECULATIVE_LEVELS)
+        with budget, spy as calls:
+            got = _bidual(self._raising_on(f, lambda x: x not in visited)).values(self.YS)
+        assert calls.called and np.array_equal(got, plain)
+
+    def test_an_error_on_a_visited_point_is_the_plain_error(self):
+        f = sqrt_cap(1)
+        _, seen = self._recorded_plain_run(f, self.YS)
+        point = seen[len(seen) * 3 // 4]  # late in the plain search
+        leaf = self._raising_on(f, lambda x: x == point)
+        with mock.patch.object(transform, "SPECULATIVE_LEVELS", 1), pytest.raises(ExpressionRangeError) as plain:
+            _bidual(leaf).values(self.YS)
+        budget, spy = _speculation(transform.SPECULATIVE_LEVELS)
+        with budget, spy as calls, pytest.raises(ExpressionRangeError) as fast:
+            _bidual(leaf).values(self.YS)
+        assert calls.called and str(fast.value) == str(plain.value) and fast.value.row is not None
+
+
+class TestErrorRows:
+    def test_compacted_rows_are_named_as_the_caller_numbers_them(self):
+        """Row 0 retires after a few steps; the leaf then sees row 1 as its
+        row 0, and the error names row 1."""
+        f = parse_function("abs(x0) + 1", 1)
+
+        def many(xs):
+            if len(xs) == 1:
+                raise ExpressionRangeError(-1.0, xs[0].tolist(), 0)
+            return f.eval_many(xs)
+
+        h = DualHandle(FunctionOracle(1, f.eval, meta=DECLARED_UPPER, many=many), Sense.UPPER, tol=0.5)
+        with pytest.raises(ExpressionRangeError, match=r"\(row 1\)") as raised:
+            h.values(np.array([[0.0], [2.0]]))
+        assert raised.value.row == 1
+
+    def test_scan_pairs_are_named_by_their_row(self):
+        f = parse_function("1 - x0^2", 1)
+        h = DualHandle(f, Sense.UPPER, global_scan=True)
+        with pytest.raises(ExpressionRangeError, match=r"\(row 2\)"):
+            h.values(np.array([[0.0], [0.0], [0.5]]))
+
+    def test_nested_rows_are_named_by_the_outer_row(self):
+        f = parse_function("1 - x0^2", 1)
+        h = _bidual(f, global_scan=True)
+        with pytest.raises(ExpressionRangeError, match=r"\(row 1\)"):
+            h.values(np.array([[0.0], [0.5]]))
