@@ -203,7 +203,11 @@ def gauge(s: SetOracle, y, tol: float = DEFAULT_TOL) -> ExtPos:
 # -- dual derivatives ------------------------------------------------------
 
 
-def _mapped_point(f: FunctionOracle, y, f_dual_y: float):
+def _dual_preamble(f: FunctionOracle, y, f_dual_y: float):
+    """What both dual derivatives start from: the mapped point x = y /
+    dual(y), f(x), grad f(x) (the analytic callback, else gradient's
+    differences) and the strictness denominator grad f(x).x - f(x), which
+    must be strictly negative."""
     f_dual_y = float(f_dual_y)
     if not (f_dual_y > 0.0) or not math.isfinite(f_dual_y):
         raise ValueError("dual value must be finite and > 0")
@@ -212,7 +216,11 @@ def _mapped_point(f: FunctionOracle, y, f_dual_y: float):
     fx = f.eval(x)
     if not fx.is_finite:
         raise ValueError("mapped point y / dual(y) lies outside the effective domain")
-    return x, fx.value
+    g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else gradient(f, x)
+    denom = float(g @ x) - fx.value
+    if denom >= STRICTNESS_FLOOR:
+        raise StrictnessViolatedError(f"strictness denominator {denom:g} is not strictly negative")
+    return x, fx.value, g, denom
 
 
 def dual_gradient(f: FunctionOracle, y, f_dual_y: float) -> np.ndarray:
@@ -225,24 +233,16 @@ def dual_gradient(f: FunctionOracle, y, f_dual_y: float) -> np.ndarray:
     the bisection tolerance once; the mapping amplifies its error when the
     dual value is small.
     """
-    x, fx = _mapped_point(f, y, f_dual_y)
-    g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else gradient(f, x)
-    denom = float(g @ x) - fx
-    if denom >= STRICTNESS_FLOOR:
-        raise StrictnessViolatedError(f"strictness denominator {denom:g} is not strictly negative")
+    _, _, g, denom = _dual_preamble(f, y, f_dual_y)
     return g / denom
 
 
 def dual_hessian(f: FunctionOracle, y, f_dual_y: float) -> np.ndarray:
     """Hessian of the transform at y:
     (f(x) / denom) * J hess(x) J^T with J = I - grad(x) x^T / denom."""
-    x, fx = _mapped_point(f, y, f_dual_y)
     if f.hess is None:
         raise ValueError("dual_hessian requires an analytic Hessian callback")
-    g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else gradient(f, x)
-    denom = float(g @ x) - fx
-    if denom >= STRICTNESS_FLOOR:
-        raise StrictnessViolatedError(f"strictness denominator {denom:g} is not strictly negative")
+    x, fx, g, denom = _dual_preamble(f, y, f_dual_y)
     h = np.asarray(f.hess(x), dtype=float)
     j = np.eye(f.dim) - np.outer(g, x) / denom
     out = (fx / denom) * (j @ h @ j.T)
@@ -289,8 +289,8 @@ def general_point_map(a: np.ndarray, alpha: np.ndarray, d: float, x: np.ndarray,
     """Apply the point map G(x, u) = (A x + alpha u, 1/d) / u paired with
     general_transform: it carries the epigraph of the base function into
     the hypograph of the transformed value function."""
-    if not u > 0:
-        raise ValueError("height must be positive")
+    if not (0.0 < u < math.inf):
+        raise ValueError(f"height must be finite and > 0, got {u!r}")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))

@@ -28,9 +28,8 @@ import numpy as np
 from .core import INF, ZERO, ExtPos
 from .errors import NotDifferentiableError
 from .grammar import parse_function
-from .oracle import FunctionOracle, Provenance, RadialityMeta, Trilean
+from .oracle import DECLARED_STRICT, FunctionOracle, Provenance, RadialityMeta, Trilean
 
-_STRICT = RadialityMeta(Trilean.YES, Trilean.YES, Provenance.DECLARED)
 _UPPER_NOT_STRICT = RadialityMeta(Trilean.YES, Trilean.NO, Provenance.DECLARED)
 _NOT_RADIAL = RadialityMeta(Trilean.NO, Trilean.NO, Provenance.DECLARED)
 
@@ -68,7 +67,7 @@ def sqrt_cap(dim: int = 1) -> FunctionOracle:
         s = math.sqrt(1.0 - float(x @ x))
         return -(np.eye(dim) / s + np.outer(x, x) / s**3)
 
-    return parse_function(f"sqrt(pos(1 - {squares}))", dim, gr, he, _STRICT, f"sqrt_cap[{dim}d]")
+    return parse_function(f"sqrt(pos(1 - {squares}))", dim, gr, he, DECLARED_STRICT, f"sqrt_cap[{dim}d]")
 
 
 def sqrt_cap_dual(y: np.ndarray) -> ExtPos:
@@ -91,7 +90,7 @@ def exp_bump() -> FunctionOracle:
             raise NotDifferentiableError("kink at the origin")
         return np.array([[math.exp(-abs(t))]])
 
-    return parse_function("exp(-abs(x0)) + 0.5", 1, gr, he, _STRICT, "exp_bump")
+    return parse_function("exp(-abs(x0)) + 0.5", 1, gr, he, DECLARED_STRICT, "exp_bump")
 
 
 def shifted_parabola() -> FunctionOracle:
@@ -104,7 +103,7 @@ def shifted_parabola() -> FunctionOracle:
     def he(x):
         return np.array([[-2.0]])
 
-    return parse_function("pos(2 - (x0-1)^2)", 1, gr, he, _STRICT, "shifted_parabola")
+    return parse_function("pos(2 - (x0-1)^2)", 1, gr, he, DECLARED_STRICT, "shifted_parabola")
 
 
 def shifted_parabola_dual(y: np.ndarray) -> ExtPos:
@@ -122,7 +121,7 @@ def constant(c: float = 2.0) -> FunctionOracle:
     def he(x):
         return np.zeros((x.shape[0], x.shape[0]))
 
-    return parse_function(repr(float(c)), 1, gr, he, _STRICT, f"constant({c:g})")
+    return parse_function(repr(float(c)), 1, gr, he, DECLARED_STRICT, f"constant({c:g})")
 
 
 def absval() -> FunctionOracle:
@@ -155,7 +154,7 @@ def tent() -> FunctionOracle:
             raise NotDifferentiableError("kink at the origin")
         return np.array([-math.copysign(1.0, t)])
 
-    return parse_function("pos(2 - abs(x0))", 1, gr, None, _STRICT, "tent")
+    return parse_function("pos(2 - abs(x0))", 1, gr, None, DECLARED_STRICT, "tent")
 
 
 def tent_dual(y: np.ndarray) -> ExtPos:
@@ -166,7 +165,7 @@ def lifted_cap() -> FunctionOracle:
     """1 + sqrt(1 - x^2) on [-1, 1], zero outside: not differentiable at
     the domain edges, yet its transform is differentiable everywhere
     ((y^2 + 1)/2 inside [-1, 1], |y| outside, matching slopes at 1)."""
-    return parse_function("min(indicator(box -1 1), 1 + sqrt(pos(1 - x0^2)))", 1, meta=_STRICT, name="lifted_cap")
+    return parse_function("min(indicator(box -1 1), 1 + sqrt(pos(1 - x0^2)))", 1, meta=DECLARED_STRICT, name="lifted_cap")
 
 
 def lifted_cap_dual(y: np.ndarray) -> ExtPos:

@@ -9,16 +9,18 @@ Exit codes:
   0  success (check: sampled radial)
   1  runtime failure, including an unwritable output file (check: not radial)
   2  expression/usage/schema error: parse errors, a negative or nan
-     expression value, a count below 1, an unreadable input file, a JSON
-     document that breaks its schema (constraint dimensions must match
-     --dim; a ball's "dim" defaults to it)
+     expression value, a count below 1 (check --points below 2), an
+     unreadable input file, a JSON document that breaks its schema
+     (constraint dimensions must match --dim; a ball's "dim" defaults to it)
   3  eval/grid: non-monotone perspective (retry with --global);
      solve: objective not ray-monotone
   4  check: inconclusive sample
   5  solve: iteration budget exhausted (partial result still printed)
 
-Expression errors exit 2 in every subcommand.  Handlers raise; main maps
-every exception through _EXIT_CODES and prints one "error:" line.
+Expression errors exit 2 in every subcommand; eval, grid, check and solve
+share one declaration of --f and --dim.  Handlers raise; main maps every
+exception through _EXIT_CODES and prints one "error:" line.  grid's JSON
+output has no NaN or Infinity: such cells are the strings "nan", "inf", "-inf".
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def _fmt(x: float) -> str:
 def _tag_token(v: float) -> str:
     """An extended positive value as a cell: the tags print as 0 and inf."""
     return "0" if v == 0.0 else _fmt(v)
+
+
+def _json_cell(v: float, tagged: bool):
+    """A grid cell in JSON: the tags as 0 and "inf", finite floats as
+    numbers, and other floats as their CSV token in a string."""
+    if tagged:
+        return ExtPos.from_float(v).to_json()
+    return v if math.isfinite(v) else _fmt(v)
 
 
 def _finite(text: str, what: str) -> float:
@@ -235,9 +245,9 @@ def _cmd_grid(args) -> int:
         doc = {
             "schema": SCHEMA_VERSION,
             "columns": names,
-            "rows": [[ExtPos.from_float(v).to_json() if t else v for t, v in zip(tagged, row)] for row in rows],
+            "rows": [[_json_cell(v, t) for t, v in zip(tagged, row)] for row in rows],
         }
-        payload = json.dumps(doc, sort_keys=True) + "\n"
+        payload = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     with open(args.out, "w") as fh:
         fh.write(payload)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
@@ -319,19 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="bisection tolerance (default: RADIAL_TOL env or 1e-10)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The expression flags of every subcommand that parses a function.
+    expression = argparse.ArgumentParser(add_help=False)
+    expression.add_argument("--f", required=True, help="expression, e.g. 'pos(sqrt(1 - x0^2))'")
+    expression.add_argument("--dim", type=_count, required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate the upper/lower transform at a point")
+    p_eval = sub.add_parser("eval", parents=[expression], help="evaluate the upper/lower transform at a point")
     p_eval.set_defaults(run=_cmd_eval)
-    p_eval.add_argument("--f", required=True, help="expression, e.g. 'pos(sqrt(1 - x0^2))'")
-    p_eval.add_argument("--dim", type=_count, required=True)
     p_eval.add_argument("--sense", choices=("upper", "lower"), default="upper")
     p_eval.add_argument("--at", type=_vector, required=True, help="comma-separated coordinates")
     p_eval.add_argument("--global", dest="global_scan", action="store_true", help="scan a fixed height grid instead of assuming ray monotonicity")
 
-    p_grid = sub.add_parser("grid", help="emit transform values over a grid")
+    p_grid = sub.add_parser("grid", parents=[expression], help="emit transform values over a grid")
     p_grid.set_defaults(run=_cmd_grid)
-    p_grid.add_argument("--f", required=True)
-    p_grid.add_argument("--dim", type=_count, required=True)
     p_grid.add_argument("--grid", type=lambda s: [_axis(a) for a in s.split(",")], required=True, help="lo:hi:count per axis, comma separated")
     p_grid.add_argument("--out", required=True)
     p_grid.add_argument("--emit", default="primal,dual,lower,bidual,residual", help=f"columns: {', '.join(_EMIT_TOKENS)}")
@@ -343,19 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_set.add_argument("--in", dest="infile", required=True)
     p_set.add_argument("--out", required=True)
 
-    p_check = sub.add_parser("check", help="sample-based radiality check")
+    p_check = sub.add_parser("check", parents=[expression], help="sample-based radiality check")
     p_check.set_defaults(run=_cmd_check)
-    p_check.add_argument("--f", required=True)
-    p_check.add_argument("--dim", type=_count, required=True)
     p_check.add_argument("--rays", type=_count, default=64)
-    p_check.add_argument("--points", type=_count, default=64)
+    # A ray is checked by comparing neighbouring heights, so it needs two.
+    p_check.add_argument("--points", type=lambda text: _count(text, least=2), default=64)
     p_check.add_argument("--box", type=_box_arg, default=(-3.0, 3.0))
     p_check.add_argument("--seed", type=lambda text: _count(text, least=0), default=0)
 
-    p_solve = sub.add_parser("solve", help="maximize f by minimizing its transform")
+    p_solve = sub.add_parser("solve", parents=[expression], help="maximize f by minimizing its transform")
     p_solve.set_defaults(run=_cmd_solve)
-    p_solve.add_argument("--f", required=True)
-    p_solve.add_argument("--dim", type=_count, required=True)
     p_solve.add_argument("--y0", type=_vector, required=True)
     p_solve.add_argument("--constraint", default=None, help="JSON file: ball/box/halfspace in decision space")
     p_solve.add_argument("--budget", type=_count, default=10_000)

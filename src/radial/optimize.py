@@ -23,7 +23,7 @@ from .errors import (
     RadialityRequiredError,
     StrictnessViolatedError,
 )
-from .oracle import FunctionOracle, Trilean, _fd_step, gradient
+from .oracle import FunctionOracle, Trilean, difference_probes, gradient
 from .sets import SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial
 
@@ -85,7 +85,7 @@ def map_stationary(x, f: FunctionOracle) -> tuple[np.ndarray, np.ndarray]:
     fx = f.eval(x)
     if not fx.is_finite:
         raise NotStationaryError("f(x) must be finite")
-    g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else gradient(f, x)
+    g = gradient(f, x)
     if float(np.linalg.norm(g)) > STATIONARY_TOL:
         raise NotStationaryError(f"gradient norm {float(np.linalg.norm(g)):g} exceeds {STATIONARY_TOL:g}")
     # (y, transform value) = the point map applied to (x, f(x)).
@@ -117,18 +117,13 @@ class SolveParams:
 
 
 def _fd_grad(phi, y: np.ndarray, base: float) -> np.ndarray:
-    """Difference quotients of the float dual objective, with the step rule
-    of oracle.gradient.  Unlike oracle.gradient it returns a quotient at a
+    """Difference quotients of the float dual objective over the probes
+    oracle.gradient takes.  Unlike oracle.gradient it returns a quotient at a
     kink (an active gauge) instead of raising: descent still needs a
-    direction there."""
+    direction there, so a coordinate with one infinite probe takes the
+    one-sided quotient of the other."""
     out = np.empty(y.shape[0])
-    for i in range(y.shape[0]):
-        h = _fd_step(y[i])
-        yp = y.copy()
-        yp[i] += h
-        ym = y.copy()
-        ym[i] -= h
-        fp, fm = phi(yp), phi(ym)
+    for i, h, fp, fm in difference_probes(phi, y):
         if math.isfinite(fp) and math.isfinite(fm):
             out[i] = (fp - fm) / (2.0 * h)
         elif math.isfinite(fp):
@@ -200,7 +195,6 @@ def solve_via_dual(
         raise ValueError(f"dual objective at the start point is {fy!r}; provide a feasible y0")
 
     status = "budget"
-    grad_norm = math.inf
     iterations = 0
     g, analytic = grad_at(y, fy)
     for iterations in range(1, params.budget + 1):
@@ -236,10 +230,10 @@ def solve_via_dual(
             status = "step"
             break
 
+    # Report what is held for the returned iterate: its objective value and
+    # the norm of its gradient (after a budget exit, the last accepted step's).
+    grad_norm = float(np.linalg.norm(g))
     converged = status in ("gradient", "step")
-    d_star = handle.value(y)
-    if use_gauge:
-        d_star = max(d_star, gauge(constraint, y, tol=params.tol))
-    dual_solution = DualSolution(y, d_star, iterations, grad_norm, converged, status)
+    dual_solution = DualSolution(y, ExtPos.from_float(fy), iterations, grad_norm, converged, status)
     primal_solution = map_dual_to_primal(dual_solution)
     return dual_solution, primal_solution

@@ -95,9 +95,6 @@ class FunctionOracle:
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
         return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn)
 
-    def gradient(self, x) -> np.ndarray:
-        return gradient(self, x)
-
     def __repr__(self):
         label = self.name or "<callback>"
         return f"FunctionOracle(dim={self.dim}, {label})"
@@ -124,19 +121,28 @@ def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
 FD_AGREEMENT = 1e-3
 
 
-def _fd_step(t: float) -> float:
-    return max(1e-6, 1e-8 * abs(t))
+def difference_probes(fn, x: np.ndarray):
+    """Yield (i, h, fn(x + h e_i), fn(x - h e_i)) for each coordinate i of
+    x, with step h = max(1e-6, 1e-8 |x_i|); fn maps a vector to a float.
+    Lazy, so a caller that stops at a coordinate probes no further."""
+    for i in range(x.shape[0]):
+        h = max(1e-6, 1e-8 * abs(x[i]))
+        xp = x.copy()
+        xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
+        yield i, h, fn(xp), fn(xm)
 
 
 def gradient(f: FunctionOracle, x) -> np.ndarray:
     """Gradient of f at an interior point: the analytic callback if present,
-    otherwise central differences with per-coordinate step
-    h = max(1e-6, 1e-8 |x_i|).
+    otherwise central differences over difference_probes.
 
     The fallback compares forward and backward quotients first and raises
-    NotDifferentiableError when they disagree by more than 1e-3 relative to
-    max(1, |quotients|), or when a probed value is not finite.  Boundary
-    points are therefore reported rather than extrapolated.
+    NotDifferentiableError at the first coordinate where they disagree by
+    more than 1e-3 relative to max(1, |quotients|), or where a probed value
+    is not finite.  Boundary points are therefore reported rather than
+    extrapolated.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
@@ -151,14 +157,7 @@ def gradient(f: FunctionOracle, x) -> np.ndarray:
     # reported by the quotient disagreement below, not rejected up front).
     base = f0.as_float()
     out = np.empty(f.dim)
-    for i in range(f.dim):
-        h = _fd_step(x[i])
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        fp = f.eval(xp).as_float()
-        fm = f.eval(xm).as_float()
+    for i, h, fp, fm in difference_probes(lambda z: f.eval(z).as_float(), x):
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NotDifferentiableError(f"non-finite probe next to coordinate {i}")
         forward = (fp - base) / h

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LiftedPoint, gamma_point
+from .core import LiftedPoint, _readonly, gamma_point
 from .errors import SchemaError
 
 SCHEMA_VERSION = "radial/v1"
@@ -63,6 +63,25 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _check_normal(owner, zeta_field: str, delta_field: str, at: LiftedPoint) -> None:
+    """Validate the normal (zeta, delta) held in two fields of a frozen
+    dataclass against the lifted point it is stated at, and store zeta as a
+    read-only float vector and delta as a float.  zeta must be a finite
+    vector of the point's dimension, delta finite, and the normal nonzero."""
+    zeta = _readonly(np.atleast_1d(getattr(owner, zeta_field)))
+    if zeta.ndim != 1 or not np.all(np.isfinite(zeta)):
+        raise ValueError(f"{zeta_field} must be a finite vector")
+    delta = float(getattr(owner, delta_field))
+    if not math.isfinite(delta):
+        raise ValueError(f"{delta_field} must be finite")
+    if np.all(zeta == 0.0) and delta == 0.0:
+        raise ValueError(f"normal ({zeta_field}, {delta_field}) must be nonzero")
+    if zeta.shape[0] != at.dim:
+        raise ValueError(f"{zeta_field} has dimension {zeta.shape[0]}, the point {at.dim}")
+    object.__setattr__(owner, zeta_field, zeta)
+    object.__setattr__(owner, delta_field, delta)
+
+
 @dataclass(frozen=True)
 class Halfspace:
     """The set {(x', u') : (zeta, delta)^T ((x', u') - anchor) <= 0},
@@ -77,20 +96,7 @@ class Halfspace:
     anchor: LiftedPoint
 
     def __post_init__(self):
-        zeta = np.atleast_1d(np.asarray(self.normal_x, dtype=float))
-        if zeta.ndim != 1 or not np.all(np.isfinite(zeta)):
-            raise ValueError("normal_x must be a finite vector")
-        delta = float(self.normal_u)
-        if not math.isfinite(delta):
-            raise ValueError("normal_u must be finite")
-        if np.all(zeta == 0.0) and delta == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
-        if zeta.shape[0] != self.anchor.dim:
-            raise ValueError("normal and anchor dimensions differ")
-        zeta = zeta.copy()
-        zeta.flags.writeable = False
-        object.__setattr__(self, "normal_x", zeta)
-        object.__setattr__(self, "normal_u", delta)
+        _check_normal(self, "normal_x", "normal_u", self.anchor)
 
     @property
     def dim(self) -> int:
@@ -181,20 +187,7 @@ class NormalVector:
     at: LiftedPoint
 
     def __post_init__(self):
-        zeta = np.atleast_1d(np.asarray(self.zeta, dtype=float))
-        if zeta.ndim != 1 or not np.all(np.isfinite(zeta)):
-            raise ValueError("zeta must be a finite vector")
-        delta = float(self.delta)
-        if not math.isfinite(delta):
-            raise ValueError("delta must be finite")
-        if np.all(zeta == 0.0) and delta == 0.0:
-            raise ValueError("normal vector must be nonzero")
-        if zeta.shape[0] != self.at.dim:
-            raise ValueError("normal and point dimensions differ")
-        zeta = zeta.copy()
-        zeta.flags.writeable = False
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "delta", delta)
+        _check_normal(self, "zeta", "delta", self.at)
 
 
 def _dual_normal(zeta: np.ndarray, delta: float, at: LiftedPoint) -> tuple[np.ndarray, float]:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import INF, ZERO, ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowRiskError
-from .oracle import FunctionOracle, Provenance, RadialityMeta, Trilean, perspective
+from .oracle import DECLARED_UPPER, FunctionOracle, Provenance, RadialityMeta, Trilean, perspective
 
 DEFAULT_TOL = 1e-10
 #: Search caps: the heights at which an expansion stops and returns a tag.
@@ -200,7 +200,7 @@ class DualHandle(FunctionOracle):
         super().__init__(
             base.dim,
             lambda y: self._solve(y)[0],
-            meta=RadialityMeta(Trilean.YES, Trilean.UNKNOWN, Provenance.DECLARED),
+            meta=DECLARED_UPPER,
             name=f"{sense.value}-transform({base.name or 'f'})",
             many=self._lockstep,
         )
@@ -445,17 +445,18 @@ def check_radial(
     """Sample-based radiality check.
 
     Random directions y are drawn uniformly from box^dim and the profile
-    v f(y/v) is evaluated on a geometric grid of heights from V_MIN to
-    V_MAX; any decrease beyond MONOTONE_GUARD across increasing heights is
-    a NOT_RADIAL witness.  When a gradient callback is available the sign
-    of grad f(x).x - f(x) is additionally tested at random domain points: a
-    positive value is a violation and a (near-)zero value rules out
-    strictness.  A RADIAL verdict means no violation was found in the
-    sample, never a proof; if no sampled point produced a finite profile or
-    gradient test the verdict is INCONCLUSIVE.
+    v f(y/v) is evaluated on a geometric grid of points_per_ray heights
+    from V_MIN to V_MAX; any decrease beyond MONOTONE_GUARD between
+    neighbouring heights is a NOT_RADIAL witness, so a ray needs at least
+    two heights (fewer raise ValueError).  When a gradient callback is
+    available the sign of grad f(x).x - f(x) is additionally tested at
+    random domain points: a positive value is a violation and a (near-)zero
+    value rules out strictness.  A RADIAL verdict means no violation was
+    found in the sample, never a proof; if no sampled point produced a
+    finite profile or gradient test the verdict is INCONCLUSIVE.
     """
-    if rays < 1 or points_per_ray < 1:
-        raise ValueError("rays and points_per_ray must be >= 1")
+    if rays < 1 or points_per_ray < 2:
+        raise ValueError("check_radial needs rays >= 1 and points_per_ray >= 2")
     lo, hi = box
     if not lo < hi:
         raise ValueError("box must satisfy lo < hi")

@@ -413,6 +413,11 @@ class TestGeneralTransform:
         with pytest.raises(ValueError):
             general_transform(np.zeros((1, 1)), np.zeros(1), 1.0, upper(sqrt_cap(1)))
 
+    @pytest.mark.parametrize("u", [0.0, -1.0, math.inf, math.nan])
+    def test_point_map_needs_a_finite_positive_height(self, u):
+        with pytest.raises(ValueError):
+            general_point_map(np.eye(1), np.zeros(1), 1.0, np.array([0.5]), u)
+
 
 class TestNonsmoothPrimalSmoothDual:
     """Documented case: the transform can be differentiable even where the

@@ -358,6 +358,14 @@ class TestSolve:
         doc = json.loads(out)  # partial result still printed
         assert doc["status"] == "budget" and not doc["converged"]
 
+    def test_budget_exit_reports_the_returned_iterates_gradient_norm(self, capsys):
+        code, out, _ = run_cli(["solve", "--f", "pos(1-x0^2)", "--dim", "1", "--y0", "0.5", "--budget", "1"], capsys)
+        assert code == 5
+        doc = json.loads(out)
+        assert abs(doc["y_star"][0] + 0.2071) <= 1e-4
+        # The norm at y*, not the 0.7071 of the start point.
+        assert abs(doc["grad_norm"] - 0.3827) <= 1e-4
+
     def test_ball_constraint(self, capsys, tmp_path):
         cpath = tmp_path / "ball.json"
         cpath.write_text(json.dumps({"schema": "radial/v1", "type": "ball", "dim": 1, "radius": 0.5}))
@@ -445,6 +453,8 @@ CONTRACT = [
     (["eval", "--f", "x0", "--dim", "0", "--at", "1"], 2),
     (["check", "--f", "abs(x0)", "--dim", "1", "--rays", "0"], 2),
     (["check", "--f", "abs(x0)", "--dim", "1", "--points", "0"], 2),
+    # One height per ray compares nothing; it is refused, not called radial.
+    (["check", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--points", "1"], 2),
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--budget", "0"], 2),
     (["set-transform", "--in", "{missing}", "--out", "{dir}/o.json"], 2),
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{missing}"], 2),
@@ -558,10 +568,14 @@ def _scalar_grid(argv):
     return names, rows
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
 def _read_grid(path, fmt):
     text = path.read_text()
     if fmt == "json":
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
         return doc["columns"], doc["rows"]
     lines = text.splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -571,9 +585,13 @@ def _same_cell(got, tagged, want, fmt) -> bool:
     if tagged and want in (0.0, math.inf):
         # The tags keep their tokens: 0 (an int in JSON, never 0.0) and inf.
         return (got == "0" if fmt == "csv" else got == 0 and type(got) is int) if want == 0.0 else got == "inf"
+    if not math.isfinite(want):
+        # Untagged non-finite cells are the tokens nan, inf and -inf: CSV
+        # text, and JSON strings since JSON has no non-finite numbers.
+        return got == ("nan" if math.isnan(want) else "inf" if want > 0 else "-inf")
+    if fmt == "json" and isinstance(got, str):
+        return False
     got = float(got)
-    if math.isnan(want) or math.isinf(want):
-        return math.isnan(got) if math.isnan(want) else got == want
     return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 

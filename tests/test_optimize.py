@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,14 +18,17 @@ from radial import (
     SolveParams,
     ball_set,
     box_set,
+    dual_gradient,
     gauge,
     map_dual_to_primal,
     map_primal_to_dual,
     map_stationary,
     optimality_product,
+    parse_function,
     solve_via_dual,
 )
 from radial.catalog import absval, exp_bump, shifted_parabola, shifted_quadratic, sqrt_cap, strict_entries
+from radial.optimize import _fd_grad
 from radial.oracle import DECLARED_STRICT, FunctionOracle
 from helpers import refine_max_1d, refine_max_2d, refine_min_1d, refine_min_2d
 
@@ -144,6 +149,25 @@ class TestSolveViaDual:
         assert not ds.converged and ds.status == "budget"
         assert ps.certificate is SolutionCertificate.MAPPED
 
+    def test_budget_exit_reports_the_returned_iterates_gradient_norm(self):
+        # One accepted step from 0.5 lands at -0.2071; the gradient norm
+        # there is 0.3827, not the 0.7071 of the start point.
+        f = parse_function("pos(1-x0^2)", 1)
+        ds, _ = solve_via_dual(f, np.array([0.5]), SolveParams(budget=1))
+        assert ds.status == "budget" and ds.iterations == 1
+        assert abs(ds.y_star[0] + 0.2071) <= 1e-4
+        assert ds.grad_norm == float(np.linalg.norm(dual_gradient(f, ds.y_star, ds.d_star.value)))
+        assert abs(ds.grad_norm - 0.3827) <= 1e-4
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_optimal_value_is_the_objective_at_the_returned_iterate(self, constrained):
+        s = ball_set(1, 0.5) if constrained else None
+        ds, _ = solve_via_dual(shifted_parabola(), np.array([2.0]), constraint=s)
+        want = DualHandle(shifted_parabola(), Sense.UPPER).value(ds.y_star)
+        if constrained:
+            want = max(want, gauge(s, ds.y_star))
+        assert ds.d_star == want
+
     @pytest.mark.parametrize("name", ["tol_grad", "tol"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
     def test_tolerances_must_be_positive_and_finite(self, name, bad):
@@ -157,6 +181,34 @@ class TestSolveViaDual:
         assert ds.converged and ds.status == "step"
         assert abs(ps.x_star[0]) <= 1e-4
         assert abs(ps.p_star.value - 1.5) <= 1e-4
+
+
+class TestFdGrad:
+    """The solver's difference quotients on closed-form objectives: the
+    probes are y +- h e_i with h = max(1e-6, 1e-8 |y_i|)."""
+
+    def test_central_quotient(self):
+        g = _fd_grad(lambda y: float(y[0] ** 2 + 3.0 * y[1]), np.array([2.0, 5.0]), 9.0)
+        assert abs(g[0] - 4.0) <= 1e-6 and abs(g[1] - 3.0) <= 1e-6
+
+    def test_one_sided_when_one_probe_is_infinite(self):
+        # Slope 2 left of 1 and infinite right of it: the backward quotient.
+        def left(y):
+            return 2.0 * float(y[0]) if y[0] <= 1.0 else math.inf
+
+        assert abs(_fd_grad(left, np.array([1.0]), 2.0)[0] - 2.0) <= 1e-6
+        # Slope -3 right of 0 and infinite left of it: the forward quotient.
+        def right(y):
+            return 1.0 - 3.0 * float(y[0]) if y[0] >= 0.0 else math.inf
+
+        assert abs(_fd_grad(right, np.array([0.0]), 1.0)[0] + 3.0) <= 1e-6
+
+    def test_both_probes_infinite_raises(self):
+        def spike(y):
+            return 1.0 if y[0] == 0.5 else math.inf
+
+        with pytest.raises(ValueError, match="not finite around the iterate"):
+            _fd_grad(spike, np.array([0.5]), 1.0)
 
 
 class TestConstrainedPattern:

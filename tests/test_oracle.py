@@ -74,6 +74,19 @@ class TestGradient:
         with pytest.raises(ValueError):
             gradient(indicator_oracle(ball_set(1, 1.0)), np.array([0.5]))
 
+    def test_names_the_first_coordinate_with_a_non_finite_probe(self):
+        # Finite up to x1 = 1 and infinite past it; coordinate 0 is smooth.
+        def ev(x):
+            return INF if x[1] > 1.0 else ExtPos.finite(2.0 + float(x[0]))
+
+        with pytest.raises(NotDifferentiableError, match="non-finite probe next to coordinate 1$"):
+            gradient(FunctionOracle(2, ev), np.array([0.5, 1.0]))
+
+    def test_names_the_first_coordinate_where_quotients_disagree(self):
+        f = FunctionOracle(3, lambda x: ExtPos.finite(1.0 + float(x[0]) + abs(float(x[1])) + abs(float(x[2]))))
+        with pytest.raises(NotDifferentiableError, match="disagree at coordinate 1: 1 vs -1$"):
+            gradient(f, np.array([0.3, 0.0, 0.0]))
+
     def test_analytic_matches_differences_on_interior_points(self):
         rng = np.random.default_rng(2)
         for entry in strict_entries():

@@ -238,6 +238,26 @@ class TestNormalVector:
         with pytest.raises(ValueError):
             NormalVector(np.array([0.0]), 0.0, NormalKind.CONVEX, lifted([0.0], 1.0))
 
+    @pytest.mark.parametrize(
+        "make,fields",
+        [
+            (lambda z, d, at: Halfspace(z, d, at), ("normal_x", "normal_u")),
+            (lambda z, d, at: NormalVector(z, d, NormalKind.CONVEX, at), ("zeta", "delta")),
+        ],
+        ids=["Halfspace", "NormalVector"],
+    )
+    def test_one_normal_check_for_halfspaces_and_normals(self, make, fields):
+        at = lifted([0.5, -1.0], 2.0)
+        for zeta, delta in [([math.nan, 1.0], 0.0), ([1.0, 0.0], math.inf), ([1.0], 0.0), ([0.0, 0.0], 0.0)]:
+            with pytest.raises(ValueError):
+                make(np.array(zeta), delta, at)
+        zeta = np.array([1.0, 2.0])
+        s = make(zeta, 1, at)
+        zeta[0] = 9.0
+        stored, delta = (getattr(s, name) for name in fields)
+        assert stored.tolist() == [1.0, 2.0] and not stored.flags.writeable
+        assert type(delta) is float
+
     def test_image_normal_supports_image_set(self):
         # A supporting normal of the hypograph of sqrt_cap maps to a
         # supporting normal of the image (the dual's epigraph), checked via

@@ -237,6 +237,13 @@ class TestRadialityChecker:
         w = report.witnesses[0]
         assert w.v_lo < w.v_hi and w.p_lo > w.p_hi + 1e-9
 
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_needs_two_heights_per_ray(self, points):
+        # One height per ray compares nothing, so it could only ever
+        # report a vacuous RADIAL.
+        with pytest.raises(ValueError, match="points_per_ray"):
+            check_radial(shifted_quadratic(), rays=16, points_per_ray=points, seed=0)
+
     def test_inconclusive_without_informative_samples(self):
         from radial import ball_set, indicator_oracle
 
