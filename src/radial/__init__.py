@@ -51,7 +51,6 @@ from .grammar import GRAMMAR_EBNF, parse_function
 from .optimize import (
     DualSolution,
     PrimalSolution,
-    SolutionCertificate,
     SolveParams,
     map_dual_to_primal,
     map_primal_to_dual,
@@ -60,7 +59,6 @@ from .optimize import (
 )
 from .oracle import (
     FunctionOracle,
-    Provenance,
     RadialityMeta,
     Trilean,
     gradient,

@@ -26,7 +26,6 @@ from .errors import (
 from .oracle import (
     DECLARED_UPPER,
     FunctionOracle,
-    Provenance,
     RadialityMeta,
     Trilean,
     gradient,
@@ -104,7 +103,6 @@ def _avg_oracle(bases, idxs) -> FunctionOracle:
     meta = RadialityMeta(
         Trilean.YES if upper else Trilean.UNKNOWN,
         Trilean.YES if upper and strictly else Trilean.UNKNOWN,
-        Provenance.DECLARED,
     )
 
     def ev(x):

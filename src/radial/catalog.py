@@ -28,10 +28,10 @@ import numpy as np
 from .core import INF, ZERO, ExtPos
 from .errors import NotDifferentiableError
 from .grammar import parse_function
-from .oracle import DECLARED_STRICT, FunctionOracle, Provenance, RadialityMeta, Trilean
+from .oracle import DECLARED_STRICT, FunctionOracle, RadialityMeta, Trilean
 
-_UPPER_NOT_STRICT = RadialityMeta(Trilean.YES, Trilean.NO, Provenance.DECLARED)
-_NOT_RADIAL = RadialityMeta(Trilean.NO, Trilean.NO, Provenance.DECLARED)
+_UPPER_NOT_STRICT = RadialityMeta(Trilean.YES, Trilean.NO)
+_NOT_RADIAL = RadialityMeta(Trilean.NO, Trilean.NO)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ tolerance; an explicit --tol flag overrides both.
 
 Exit codes:
   0  success (check: sampled radial)
-  1  runtime failure, including an unwritable output file (check: not radial)
+  1  runtime failure, including an unwritable output file and a request
+     too large for memory (check: not radial)
   2  expression/usage/schema error: parse errors, a negative or nan
      expression value, a count below 1 (check --points below 2), an
      unreadable input file, a JSON document that breaks its schema
@@ -69,7 +70,7 @@ _EXIT_CODES = (
     (NonMonotonePerspectiveError, EXIT_NONMONOTONE, "retry with --global"),
     (RadialityRequiredError, EXIT_RADIALITY, None),
     ((ParseError, _UsageError, SchemaError, ExpressionRangeError, OriginNotInSetError), EXIT_PARSE, None),
-    ((RadialError, ValueError, OSError), EXIT_FAILURE, None),
+    ((RadialError, ValueError, OSError, MemoryError), EXIT_FAILURE, None),
 )
 
 _EMIT_TOKENS = ("primal", "dual", "lower", "bidual", "residual", "gamma")
@@ -151,9 +152,7 @@ def _axis(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"axis spec must be lo:hi:count, got {text!r}")
-    count = int(parts[2])
-    if count < 2:
-        raise argparse.ArgumentTypeError("axis count must be >= 2")
+    count = _count(parts[2], least=2)
     return (*_interval(parts[0], parts[1], "axis"), count)
 
 
@@ -280,7 +279,7 @@ def _cmd_check(args) -> int:
             f"witness: y=({ys}) v={_fmt(w.v_lo)} v'={_fmt(w.v_hi)} "
             f"perspective {_fmt(w.p_lo)} -> {_fmt(w.p_hi)}"
         )
-    print(f"checked {report.checked_rays} rays x {report.checked_points_per_ray} points", file=sys.stderr)
+    print(f"checked {args.rays} rays x {args.points} points", file=sys.stderr)
     return code
 
 

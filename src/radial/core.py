@@ -25,15 +25,19 @@ _INF_KIND = 2
 HEIGHT_FLOOR = 1e-300
 
 
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class ExtPos:
     """A value in {0} | (0, inf) | {+inf}, totally ordered.
 
     Use the module singletons ``ZERO`` and ``INF`` for the tags and
     ``ExtPos.finite(v)`` for finite values.  Finite values must be strictly
     positive; 0.0 and math.inf are rejected so the tags stay unambiguous.
+    Equality, hashing and order compare (kind, value), so
+    ZERO < finite values < INF.
     """
 
-    __slots__ = ("kind", "value")
+    kind: int
+    value: float
 
     def __init__(self, kind: int, value: float = 0.0):
         if kind == _FINITE_KIND:
@@ -46,9 +50,6 @@ class ExtPos:
             value = 0.0
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtPos is immutable")
 
     @staticmethod
     def finite(value: float) -> "ExtPos":
@@ -84,27 +85,6 @@ class ExtPos:
         if self.kind == _INF_KIND:
             return math.inf
         return self.value
-
-    def _key(self):
-        return (self.kind, self.value)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtPos) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
 
     def __repr__(self):
         if self.kind == _ZERO_KIND:

@@ -44,7 +44,8 @@ class NotDifferentiableError(RadialError):
 
 class NonMonotonePerspectiveError(RadialError):
     """The perspective profile decreased across an increasing pair of heights
-    while the function was not declared ray-monotone."""
+    while the function was not declared ray-monotone; witness is the
+    transform.MonotoneWitness of that pair."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

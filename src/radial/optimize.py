@@ -8,7 +8,6 @@ the minimizer back through the point transform), not convergence rates.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -28,16 +27,10 @@ from .sets import SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial
 
 
-class SolutionCertificate(enum.Enum):
-    MAPPED = "mapped"
-    DIRECT_EVAL = "direct-eval"
-
-
 @dataclass(frozen=True)
 class PrimalSolution:
     x_star: np.ndarray
     p_star: ExtPos
-    certificate: SolutionCertificate
 
 
 @dataclass(frozen=True)
@@ -46,8 +39,12 @@ class DualSolution:
     d_star: ExtPos
     iterations: int
     grad_norm: float
-    converged: bool = True
     status: str = "gradient"  # "gradient" | "step" | "budget" | "mapped"
+
+    @property
+    def converged(self) -> bool:
+        """False only after an exhausted iteration budget."""
+        return self.status != "budget"
 
 
 def map_dual_to_primal(s: DualSolution) -> PrimalSolution:
@@ -57,7 +54,7 @@ def map_dual_to_primal(s: DualSolution) -> PrimalSolution:
     if not s.d_star.is_finite:
         raise InfiniteValueError("dual optimal value must be finite and positive to map back")
     d = s.d_star.value
-    return PrimalSolution(np.asarray(s.y_star, dtype=float) / d, ExtPos.finite(1.0 / d), SolutionCertificate.MAPPED)
+    return PrimalSolution(np.asarray(s.y_star, dtype=float) / d, ExtPos.finite(1.0 / d))
 
 
 def map_primal_to_dual(s: PrimalSolution) -> DualSolution:
@@ -65,7 +62,7 @@ def map_primal_to_dual(s: PrimalSolution) -> DualSolution:
     if not s.p_star.is_finite:
         raise InfiniteValueError("primal optimal value must be finite and positive to map")
     p = s.p_star.value
-    return DualSolution(np.asarray(s.x_star, dtype=float) / p, ExtPos.finite(1.0 / p), 0, math.nan, True, "mapped")
+    return DualSolution(np.asarray(s.x_star, dtype=float) / p, ExtPos.finite(1.0 / p), 0, math.nan, "mapped")
 
 
 #: Gradient norms below this certify a stationary point for mapping.
@@ -154,8 +151,8 @@ def solve_via_dual(
     value comparisons carry no information at that scale.  Stops on a
     small gradient, a collapsed backtracking step (the expected exit at
     nonsmooth kinks such as active gauges), or an exhausted budget; the
-    budget exit is flagged via converged=False rather than raised, and the
-    best iterate is still returned.
+    budget exit is flagged by status "budget" (converged is False) rather
+    than raised, and the best iterate is still returned.
     """
     params = params or SolveParams()
     if f.meta.upper_radial is Trilean.NO:
@@ -233,7 +230,6 @@ def solve_via_dual(
     # Report what is held for the returned iterate: its objective value and
     # the norm of its gradient (after a budget exit, the last accepted step's).
     grad_norm = float(np.linalg.norm(g))
-    converged = status in ("gradient", "step")
-    dual_solution = DualSolution(y, ExtPos.from_float(fy), iterations, grad_norm, converged, status)
+    dual_solution = DualSolution(y, ExtPos.from_float(fy), iterations, grad_norm, status)
     primal_solution = map_dual_to_primal(dual_solution)
     return dual_solution, primal_solution

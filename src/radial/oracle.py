@@ -24,18 +24,12 @@ class Trilean(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class Provenance(enum.Enum):
-    DECLARED = "declared"
-    CHECKED = "checked"
-
-
 @dataclass(frozen=True)
 class RadialityMeta:
     """What is known about ray-monotonicity of the perspective profile."""
 
     upper_radial: Trilean = Trilean.UNKNOWN
     strictly_radial: Trilean = Trilean.UNKNOWN
-    provenance: Provenance = Provenance.DECLARED
 
     def __post_init__(self):
         if self.strictly_radial is Trilean.YES and self.upper_radial is not Trilean.YES:
@@ -43,8 +37,8 @@ class RadialityMeta:
 
 
 UNKNOWN_META = RadialityMeta()
-DECLARED_STRICT = RadialityMeta(Trilean.YES, Trilean.YES, Provenance.DECLARED)
-DECLARED_UPPER = RadialityMeta(Trilean.YES, Trilean.UNKNOWN, Provenance.DECLARED)
+DECLARED_STRICT = RadialityMeta(Trilean.YES, Trilean.YES)
+DECLARED_UPPER = RadialityMeta(Trilean.YES, Trilean.UNKNOWN)
 
 
 class FunctionOracle:

@@ -30,27 +30,30 @@ SCHEMA_VERSION = "radial/v1"
 PIVOT_FACTOR = 1e-12
 
 
-def positive_definite_pivots(m: np.ndarray, pivot_factor: float = PIVOT_FACTOR) -> bool:
-    """Certify positive definiteness by a symmetric (Cholesky-style)
-    factorization, requiring every pivot to exceed pivot_factor * trace.
+def _certified_pivots(m: np.ndarray) -> np.ndarray | None:
+    """The pivots of the symmetric factorization m = L L^T (the squared
+    diagonal of the Cholesky factor L) when every one exceeds
+    PIVOT_FACTOR * trace(m); None when one does not, when the factorization
+    fails, or when m is not square.  The last pivot is the Schur complement
+    of the leading block: m[-1, -1] - m[:-1, -1]^T m[:-1, :-1]^-1 m[:-1, -1]."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return None
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(m)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    return pivots if np.all(pivots > PIVOT_FACTOR * float(np.trace(m))) else None
+
+
+def positive_definite_pivots(m: np.ndarray) -> bool:
+    """Certify positive definiteness by a Cholesky factorization, requiring
+    every pivot to exceed PIVOT_FACTOR * trace.
 
     Deterministic and dimension-independent; returns False instead of
     raising so callers can phrase their own errors.
     """
-    a = np.array(m, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        return False
-    threshold = pivot_factor * float(np.trace(a))
-    for k in range(n):
-        pivot = a[k, k]
-        if not (pivot > threshold):
-            return False
-        root = math.sqrt(pivot)
-        a[k, k:] /= root
-        for j in range(k + 1, n):
-            a[j, j:] -= a[k, j] * a[k, j:]
-    return True
+    return _certified_pivots(m) is not None
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
@@ -126,12 +129,10 @@ class Ellipsoid:
         h = _check_symmetric(self.shape, "shape")
         if h.shape != (n + 1, n + 1):
             raise ValueError("shape must be (dim+1) x (dim+1)")
-        if not positive_definite_pivots(h):
+        pivots = _certified_pivots(h)
+        if pivots is None:
             raise ValueError("shape matrix is not positive definite")
-        h11 = h[:n, :n]
-        h12 = h[:n, n]
-        h22 = h[n, n]
-        schur = h22 - float(h12 @ np.linalg.solve(h11, h12))
+        schur = float(pivots[-1])
         if not schur * self.center.u**2 > 1.0:
             raise ValueError(
                 "ellipsoid is not contained in the positive-height halfspace: "
@@ -277,7 +278,10 @@ class SetOracle:
 
     dim: int
     member: Callable[[np.ndarray], bool]
-    contains_origin: bool
+
+    @property
+    def contains_origin(self) -> bool:
+        return bool(self.member(np.zeros(self.dim)))
 
 
 def ball_set(dim: int, radius: float) -> SetOracle:
@@ -290,7 +294,7 @@ def ball_set(dim: int, radius: float) -> SetOracle:
         with np.errstate(over="ignore"):
             return float(x.dot(x)) <= r2
 
-    return SetOracle(dim, member, True)
+    return SetOracle(dim, member)
 
 
 def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
@@ -298,13 +302,14 @@ def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape or not np.all(lo < hi):
         raise ValueError("box requires lo < hi componentwise")
-    contains_origin = bool(np.all((lo <= 0.0) & (0.0 <= hi)))
-    return SetOracle(lo.shape[0], lambda x: bool(np.all((x >= lo) & (x <= hi))), contains_origin)
+    return SetOracle(lo.shape[0], lambda x: bool(np.all((x >= lo) & (x <= hi))))
 
 
 def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    return SetOracle(a.shape[0], lambda x: float(a @ x) <= b, 0.0 <= b)
+    if not (np.all(np.isfinite(a)) and math.isfinite(b)):
+        raise ValueError("halfspace requires finite a and b")
+    return SetOracle(a.shape[0], lambda x: float(a @ x) <= b)
 
 
 # --- JSON schemas (radial/v1): lifted sets for set-transform, decision-space
@@ -383,12 +388,15 @@ def set_from_json(obj) -> Halfspace | Ellipsoid | Polyhedron:
 
 def constraint_from_json(obj, dim: int) -> SetOracle:
     """Decode a radial/v1 constraint document for decision space of
-    dimension dim.  A ball's "dim" defaults to dim; any other dimension
-    that differs from dim is a SchemaError."""
+    dimension dim.  A ball's "dim" is a JSON integer that defaults to dim;
+    any other dimension that differs from dim is a SchemaError."""
     kind = _document_type(obj, "constraint")
     try:
         if kind == "ball":
-            s = ball_set(int(obj.get("dim", dim)), float(obj["radius"]))
+            ball_dim = obj.get("dim", int(dim))
+            if type(ball_dim) is not int:
+                raise SchemaError(f'bad ball constraint: "dim" must be an integer, got {ball_dim!r}')
+            s = ball_set(ball_dim, float(obj["radius"]))
         elif kind == "box":
             s = box_set(np.asarray(obj["lo"], dtype=float), np.asarray(obj["hi"], dtype=float))
         elif kind == "halfspace":

@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import INF, ZERO, ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowRiskError
-from .oracle import DECLARED_UPPER, FunctionOracle, Provenance, RadialityMeta, Trilean, perspective
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, Trilean, perspective
 
 DEFAULT_TOL = 1e-10
 #: Search caps: the heights at which an expansion stops and returns a tag.
@@ -99,6 +99,20 @@ class BracketCertificate:
     p_hi: float
     evaluations: int
     mode: str  # "monotone" or "global"
+
+
+@dataclass(frozen=True)
+class MonotoneWitness:
+    """A violation of ray-monotonicity: the profile along the ray through y
+    decreased from p_lo at v_lo to p_hi at v_hi although v_lo < v_hi.
+    check_radial keeps the ones it samples; NonMonotonePerspectiveError
+    carries the one a search observed."""
+
+    y: np.ndarray
+    v_lo: float
+    v_hi: float
+    p_lo: float
+    p_hi: float
 
 
 def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -389,7 +403,7 @@ class DualHandle(FunctionOracle):
             f"{p_small:g} at v={v_small:g} to {p_big:g} at v={v_big:g}; "
             "the base function is not declared ray-monotone "
             "(retry with global_scan for a scanned approximation)",
-            witness=(np.array(y), float(v_small), float(v_big), ExtPos.from_float(p_small), ExtPos.from_float(p_big)),
+            witness=MonotoneWitness(np.array(y), float(v_small), float(v_big), float(p_small), float(p_big)),
         )
 
 
@@ -403,18 +417,6 @@ class Verdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MonotoneWitness:
-    """A sampled violation: the profile decreased from p_lo at v_lo to p_hi
-    at v_hi although v_lo < v_hi."""
-
-    y: np.ndarray
-    v_lo: float
-    v_hi: float
-    p_lo: float
-    p_hi: float
-
-
-@dataclass(frozen=True)
 class RadialityReport:
     """witness_count counts every sampled violation; witnesses keeps the
     first KEPT_WITNESSES of them."""
@@ -423,16 +425,14 @@ class RadialityReport:
     strict: bool
     witnesses: tuple[MonotoneWitness, ...]
     witness_count: int
-    checked_rays: int
-    checked_points_per_ray: int
 
     def to_meta(self) -> RadialityMeta:
         if self.verdict is Verdict.NOT_RADIAL:
-            return RadialityMeta(Trilean.NO, Trilean.NO, Provenance.CHECKED)
+            return RadialityMeta(Trilean.NO, Trilean.NO)
         if self.verdict is Verdict.RADIAL:
             strictly = Trilean.YES if self.strict else Trilean.NO
-            return RadialityMeta(Trilean.YES, strictly, Provenance.CHECKED)
-        return RadialityMeta(Trilean.UNKNOWN, Trilean.UNKNOWN, Provenance.CHECKED)
+            return RadialityMeta(Trilean.YES, strictly)
+        return RadialityMeta(Trilean.UNKNOWN, Trilean.UNKNOWN)
 
 
 def check_radial(
@@ -514,7 +514,7 @@ def check_radial(
         strict_ok = False
     else:
         verdict = Verdict.RADIAL
-    return RadialityReport(verdict, strict_ok, tuple(witnesses), witness_count, rays, points_per_ray)
+    return RadialityReport(verdict, strict_ok, tuple(witnesses), witness_count)
 
 
 # -- duality residual ------------------------------------------------------

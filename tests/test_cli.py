@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import expressions
 
-from radial import DualHandle, LiftedPoint, Sense, extpos_gap, gamma_point, parse_function
+from radial import DualHandle, LiftedPoint, Sense, cli, extpos_gap, gamma_point, parse_function
 from radial.cli import build_parser, main
 
 
@@ -231,6 +231,16 @@ class TestGrid:
         assert first[:2] == [-0.5, -0.5]
         assert abs(first[3] - math.sqrt(1.5)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "count,message",
+        [("2.5", "expected an integer, got '2.5'"), ("1", "must be at least 2, got 1")],
+        ids=["fraction", "one"],
+    )
+    def test_axis_count_messages(self, count, message, tmp_path, capsys):
+        argv = ["grid", "--f", "x0", "--dim", "1", f"--grid=0:1:{count}", "--out", str(tmp_path / "g.csv")]
+        assert exit_code(argv) == 2
+        assert f"argument --grid: {message}\n" in capsys.readouterr().err
+
 
 class TestSetTransform:
     def test_ellipsoid_instance(self, capsys, tmp_path):
@@ -441,6 +451,16 @@ EDGE_ELLIPSOID = {
     "center": {"x": [0.0], "u": 1.0},
     "shape": [[1.0, 0.0], [0.0, 1.0000000000001]],
 }
+# The files CONTRACT reads as {dir}/name.  The last three are constraint
+# documents that json.load reads (it accepts NaN and Infinity) and the
+# schema refuses.
+CONTRACT_FILES = {
+    "box2.json": BOX_2D,
+    "edge.json": EDGE_ELLIPSOID,
+    "nan_a.json": {"schema": "radial/v1", "type": "halfspace", "a": [math.nan], "b": 1.0},
+    "inf_b.json": {"schema": "radial/v1", "type": "halfspace", "a": [1.0], "b": math.inf},
+    "frac_dim.json": {"schema": "radial/v1", "type": "ball", "dim": 1.7, "radius": 1.0},
+}
 
 # argv -> exit code.  {dir} is a writable scratch directory, {missing} a
 # path that cannot be opened for reading or writing.
@@ -476,6 +496,11 @@ CONTRACT = [
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--tol-grad", "inf"], 2),
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--tol-grad", "-1"], 2),
     (["check", "--f", "abs(x0)", "--dim", "1", "--seed", "-1"], 2),
+    # Constraint and indicator numbers are checked, not dropped or truncated.
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/nan_a.json"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/inf_b.json"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/frac_dim.json"], 2),
+    (["eval", "--f", "min(x0, indicator(halfspace 1 1e999))", "--dim", "1", "--at", "1"], 2),
 ]
 
 
@@ -490,14 +515,36 @@ def exit_code(argv):
 class TestExitCodes:
     @pytest.mark.parametrize("argv,expected", CONTRACT, ids=[" ".join(a) for a, _ in CONTRACT])
     def test_contract(self, argv, expected, tmp_path, capsys):
-        (tmp_path / "box2.json").write_text(json.dumps(BOX_2D))
-        (tmp_path / "edge.json").write_text(json.dumps(EDGE_ELLIPSOID))
+        for name, doc in CONTRACT_FILES.items():
+            (tmp_path / name).write_text(json.dumps(doc))
         missing = str(tmp_path / "no-such-dir" / "file.json")
         argv = [a.format(dir=tmp_path, missing=missing) for a in argv]
         assert exit_code(argv) == expected
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "target,argv",
+        [
+            ("_grid_points", ["grid", "--f", "x0", "--dim", "1", "--grid=0:1:10000000000000", "--out", "{dir}/g.csv"]),
+            ("check_radial", ["check", "--f", "x0", "--dim", "1", "--rays", "10000000000000"]),
+        ],
+        ids=["grid", "check"],
+    )
+    def test_out_of_memory_exits_1_with_one_line(self, target, argv, tmp_path, monkeypatch, capsys):
+        """A count too large for memory ends in exit 1 and one error line.
+        The allocation is replaced by its MemoryError: on a host that
+        overcommits memory a real 72 TiB request can succeed and then
+        exhaust the machine."""
+        message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, target, refuse)
+        assert main([a.format(dir=tmp_path) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @given(expr=expressions, at=st.sampled_from(["-2", "-0.5", "0", "0.25", "3"]))

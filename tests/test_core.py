@@ -83,6 +83,13 @@ class TestGammaPoint:
         assert abs(q.u - u) <= 1e-12 * scale
 
 
+extpos_values = st.one_of(
+    st.just(ZERO),
+    st.just(INF),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(ExtPos.finite),
+)
+
+
 class TestExtPos:
     def test_total_order(self):
         assert ZERO < ExtPos.finite(1e-9) < ExtPos.finite(3.0) < INF
@@ -104,6 +111,31 @@ class TestExtPos:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             INF.kind = 0
+
+    @given(st.lists(extpos_values, min_size=2, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_protocol_compares_kind_then_value(self, values):
+        """<, <=, ==, hash and sorted agree with comparing (kind, value) and
+        with the order of as_float()."""
+        a, b = values[0], values[1]
+        key_a, key_b = (a.kind, a.value), (b.kind, b.value)
+        assert (a < b) is (key_a < key_b) is (a.as_float() < b.as_float())
+        assert (a <= b) is (key_a <= key_b) is (a.as_float() <= b.as_float())
+        assert (a == b) is (key_a == key_b) is (a.as_float() == b.as_float())
+        assert (a > b) is (b < a) and (a >= b) is (b <= a)
+        if a == b:
+            assert hash(a) == hash(b)
+        assert sorted(values) == sorted(values, key=lambda e: (e.kind, e.value)) == sorted(values, key=ExtPos.as_float)
+
+    @given(extpos_values, st.sampled_from(["kind", "value"]))
+    @settings(max_examples=50, deadline=None)
+    def test_assignment_raises(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+        # A name that is not a field has no slot: Python 3.10 to 3.13 refuse
+        # it with TypeError from the frozen dataclass's __setattr__.
+        with pytest.raises((AttributeError, TypeError)):
+            value.other = 1.0
 
 
 class TestOptimalityProduct:

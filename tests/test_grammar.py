@@ -78,6 +78,11 @@ class TestParsing:
         with pytest.raises(ParseError, match="kind"):
             parse_function("indicator(wedge 1)", 1)
 
+    @pytest.mark.parametrize("source", ["indicator(halfspace 1 1e999)", "indicator(halfspace 1e999 1)", "indicator(halfspace -1e999 0)"])
+    def test_indicator_halfspace_numbers_must_be_finite(self, source):
+        with pytest.raises(ParseError, match="finite a and b"):
+            parse_function(source, 1)
+
     def test_indicator_accepts_commas(self):
         f = parse_function("indicator(box, -1, 1)", 1)
         assert f.eval(np.array([0.0])) is INF

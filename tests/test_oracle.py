@@ -9,7 +9,6 @@ from radial import (
     ExtPos,
     FunctionOracle,
     NotDifferentiableError,
-    Provenance,
     RadialityMeta,
     Trilean,
     gradient,
@@ -112,7 +111,7 @@ class TestGradient:
 class TestMeta:
     def test_strict_implies_upper(self):
         with pytest.raises(ValueError):
-            RadialityMeta(Trilean.NO, Trilean.YES, Provenance.DECLARED)
+            RadialityMeta(Trilean.NO, Trilean.YES)
 
     def test_catalog_declarations(self):
         assert sqrt_cap(1).meta.strictly_radial is Trilean.YES

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial import (
     Ellipsoid,
@@ -13,9 +15,11 @@ from radial import (
     Polyhedron,
     SchemaError,
     ball_set,
+    box_set,
     constraint_from_json,
     dual_gradient,
     gamma_point,
+    halfspace_set,
     membership,
     set_from_json,
     set_to_json,
@@ -25,7 +29,7 @@ from radial import (
     transform_polyhedron,
 )
 from radial.catalog import sqrt_cap
-from radial.sets import _dual_ellipsoid_pieces, positive_definite_pivots
+from radial.sets import _certified_pivots, _dual_ellipsoid_pieces, positive_definite_pivots
 
 
 def lifted(x, u):
@@ -371,3 +375,100 @@ class TestConstraintJson:
             constraint_from_json(self.doc(type="ball", radius=-1.0), 1)
         with pytest.raises(SchemaError, match="bad box"):
             constraint_from_json(self.doc(type="box", lo=[1.0]), 1)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [([math.nan], 1.0), ([math.inf], 1.0), ([1.0], math.inf), ([1.0], -math.inf), ([1.0], math.nan)],
+        ids=["nan-a", "inf-a", "inf-b", "minus-inf-b", "nan-b"],
+    )
+    def test_halfspace_numbers_must_be_finite(self, a, b):
+        # json.loads reads NaN and Infinity, so the decoder does see them.
+        doc = json.loads(json.dumps(self.doc(type="halfspace", a=a, b=b)))
+        with pytest.raises(SchemaError, match="bad halfspace constraint: halfspace requires finite a and b"):
+            constraint_from_json(doc, 1)
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1"], ids=["fraction", "float", "bool", "string"])
+    def test_ball_dim_must_be_a_json_integer(self, bad):
+        with pytest.raises(SchemaError, match='"dim" must be an integer'):
+            constraint_from_json(self.doc(type="ball", dim=bad, radius=1.0), 1)
+
+
+# -- properties of the moved rules ------------------------------------------
+
+coordinates = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def boxes(draw):
+    dim = draw(st.integers(1, 4))
+    ends = [sorted(draw(st.lists(coordinates, min_size=2, max_size=2, unique=True))) for _ in range(dim)]
+    return np.array([lo for lo, _ in ends]), np.array([hi for _, hi in ends])
+
+
+class TestContainsOrigin:
+    """contains_origin is membership of the origin; each case checks it
+    against the rule the constructors used to store."""
+
+    @given(st.integers(1, 6), st.floats(min_value=1e-300, max_value=1e300))
+    @settings(max_examples=50, deadline=None)
+    def test_ball(self, dim, radius):
+        assert ball_set(dim, radius).contains_origin is True
+
+    @given(boxes())
+    @settings(max_examples=200, deadline=None)
+    def test_box(self, box):
+        lo, hi = box
+        assert box_set(lo, hi).contains_origin is bool(np.all((lo <= 0.0) & (0.0 <= hi)))
+
+    @given(st.lists(coordinates, min_size=1, max_size=4), coordinates)
+    @settings(max_examples=200, deadline=None)
+    def test_halfspace(self, a, b):
+        assert halfspace_set(np.array(a), b).contains_origin is (0.0 <= b)
+
+
+@st.composite
+def spectra(draw, margin=1e-2, least_dim=1, definite=False):
+    """A symmetric matrix with a drawn spectrum (every eigenvalue at least
+    margin away from zero; all positive if definite) in a random
+    orthonormal basis, and that spectrum."""
+    n = draw(st.integers(least_dim, 5))
+    magnitudes = draw(st.lists(st.floats(min_value=margin, max_value=1e2), min_size=n, max_size=n))
+    signs = [1.0] * n if definite else draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    eigenvalues = np.array(magnitudes) * np.array(signs)
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, n)))
+    m = (q * eigenvalues) @ q.T
+    return 0.5 * (m + m.T), eigenvalues
+
+
+#: Well-conditioned shapes of lifted ellipsoids: dimension >= 1 plus height.
+shapes = spectra(margin=0.1, least_dim=2, definite=True).map(lambda case: case[0])
+
+
+def schur_complement(h):
+    h11, h12, h22 = h[:-1, :-1], h[:-1, -1], h[-1, -1]
+    return h22 - float(h12 @ np.linalg.solve(h11, h12))
+
+
+class TestPivots:
+    @given(spectra())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_agrees_with_eigenvalues(self, case):
+        m, eigenvalues = case
+        assert positive_definite_pivots(m) is bool(eigenvalues.min() > 0.0)
+
+    @given(shapes)
+    @settings(max_examples=100, deadline=None)
+    def test_last_pivot_is_the_schur_complement(self, h):
+        assert math.isclose(_certified_pivots(h)[-1], schur_complement(h), rel_tol=1e-12)
+
+    @given(shapes, st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_ellipsoid_containment_reads_the_last_pivot(self, h, ratio):
+        """At the center height with schur * u^2 = ratio, well away from the
+        boundary 1, the ellipsoid is accepted exactly when ratio > 1."""
+        center = lifted(np.zeros(h.shape[0] - 1), math.sqrt(ratio / schur_complement(h)))
+        if ratio > 1.0:
+            Ellipsoid(center, h)
+        else:
+            with pytest.raises(ValueError, match="contained"):
+                Ellipsoid(center, h)
