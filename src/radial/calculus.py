@@ -38,10 +38,17 @@ from .transform import DEFAULT_TOL, DualHandle, Sense
 STRICTNESS_FLOOR = -1e-12
 
 
-def _scaled(value: ExtPos, factor: float) -> ExtPos:
-    if not value.is_finite:
-        return value
-    return ExtPos.finite(value.value * factor)
+def _change_of_variables(dual: FunctionOracle, dim: int, point_map, factor: float, name: str) -> FunctionOracle:
+    """The oracle y -> dual(point_map(y)) * factor shared by the scaling,
+    linear and fractional-linear rules; the ZERO and INF tags pass through."""
+
+    def ev(y):
+        value = dual.eval(point_map(y))
+        if not value.is_finite:
+            return value
+        return ExtPos.finite(value.value * factor)
+
+    return FunctionOracle(dim, ev, meta=DECLARED_UPPER, name=name)
 
 
 def rule_scale(lam: float, dual: FunctionOracle) -> FunctionOracle:
@@ -49,11 +56,7 @@ def rule_scale(lam: float, dual: FunctionOracle) -> FunctionOracle:
     lam = float(lam)
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError("scale factor must be finite and > 0")
-
-    def ev(y):
-        return _scaled(dual.eval(lam * y), 1.0 / lam)
-
-    return FunctionOracle(dual.dim, ev, meta=DECLARED_UPPER, name=f"scale({lam:g}, {dual.name})")
+    return _change_of_variables(dual, dual.dim, lambda y: lam * y, 1.0 / lam, f"scale({lam:g}, {dual.name})")
 
 
 def rule_linear(a: np.ndarray, dual: FunctionOracle) -> FunctionOracle:
@@ -61,11 +64,7 @@ def rule_linear(a: np.ndarray, dual: FunctionOracle) -> FunctionOracle:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != dual.dim:
         raise ValueError(f"linear map has {a.shape[0]} rows, oracle dimension is {dual.dim}")
-
-    def ev(y):
-        return dual.eval(a @ y)
-
-    return FunctionOracle(a.shape[1], ev, meta=DECLARED_UPPER, name=f"linear({dual.name})")
+    return _change_of_variables(dual, a.shape[1], lambda y: a @ y, 1.0, f"linear({dual.name})")
 
 
 def _dual_operands(handles, op_name: str, gate: bool):
@@ -276,11 +275,7 @@ def general_transform(a: np.ndarray, alpha: np.ndarray, d: float, dual: Function
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise ValueError("A must be invertible") from exc
-
-    def ev(y):
-        return _scaled(dual.eval(a_inv @ (y - alpha)), 1.0 / d)
-
-    return FunctionOracle(dual.dim, ev, meta=DECLARED_UPPER, name=f"fractional({dual.name})")
+    return _change_of_variables(dual, dual.dim, lambda y: a_inv @ (y - alpha), 1.0 / d, f"fractional({dual.name})")
 
 
 def general_point_map(a: np.ndarray, alpha: np.ndarray, d: float, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:

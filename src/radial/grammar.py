@@ -51,8 +51,9 @@ indicator(box lo hi) the per-coordinate box [lo, hi]^dim, and
 indicator(halfspace a_1 .. a_dim b) the set {x : a.x <= b}.
 """
 
-_UNARY_FUNCS = ("sqrt", "exp", "abs", "sin", "cos", "pos")
-_VARIADIC_FUNCS = ("min", "max", "norm")
+#: Each function with the fewest and the most arguments it takes.
+_ARITY = dict.fromkeys(("sqrt", "exp", "abs", "sin", "cos", "pos"), (1, 1))
+_ARITY.update(min=(2, math.inf), max=(2, math.inf), norm=(1, math.inf))
 _INDICATOR_KINDS = ("ball", "box", "halfspace")
 
 _TOKEN_RE = re.compile(
@@ -72,7 +73,7 @@ def _tokenize(text: str) -> list[_Token]:
     i = 0
     while i < len(text):
         m = _TOKEN_RE.match(text, i)
-        if m is None or m.lastgroup is None:
+        if m is None:
             stripped = text[i:].lstrip()
             if not stripped:
                 break
@@ -92,11 +93,6 @@ class Num:
 @dataclass(frozen=True)
 class Var:
     index: int
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str  # only "inf"
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ class _Parser:
         tok = self.advance()
         name = tok.text
         if name == "inf":
-            return Const("inf")
+            return Num(math.inf)
         if re.fullmatch(r"x\d+", name):
             index = int(name[1:])
             if index >= self.dim:
@@ -209,19 +205,18 @@ class _Parser:
             return Var(index)
         if name == "indicator":
             return self.indicator(tok)
-        if name in _UNARY_FUNCS or name in _VARIADIC_FUNCS:
+        if name in _ARITY:
             self.expect("(")
             args = [self.expr()]
             while self.peek().kind == "op" and self.peek().text == ",":
                 self.advance()
                 args.append(self.expr())
             self.expect(")")
-            if name in _UNARY_FUNCS and len(args) != 1:
-                raise ParseError(f"{name} takes exactly 1 argument, got {len(args)}", tok.pos)
-            if name == "norm" and len(args) < 1:
-                raise ParseError("norm takes at least 1 argument", tok.pos)
-            if name in ("min", "max") and len(args) < 2:
-                raise ParseError(f"{name} takes at least 2 arguments, got {len(args)}", tok.pos)
+            least, most = _ARITY[name]
+            if len(args) > most:
+                raise ParseError(f"{name} takes exactly {most} argument, got {len(args)}", tok.pos)
+            if len(args) < least:
+                raise ParseError(f"{name} takes at least {least} arguments, got {len(args)}", tok.pos)
             return Call(name, tuple(args))
         raise ParseError(f"unknown identifier {name!r}", tok.pos)
 
@@ -395,8 +390,6 @@ def _compile(node, ops):
     if isinstance(node, Num):
         value = node.value
         return lambda x: value
-    if isinstance(node, Const):
-        return lambda x: math.inf
     if isinstance(node, Var):
         return ops["var"](node.index)
     if isinstance(node, Indicator):
@@ -428,8 +421,6 @@ def unparse(node) -> str:
         return repr(node.value)
     if isinstance(node, Var):
         return f"x{node.index}"
-    if isinstance(node, Const):
-        return "inf"
     if isinstance(node, Neg):
         return f"(-{unparse(node.child)})"
     if isinstance(node, Bin):

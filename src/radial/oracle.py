@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ExtPos
-from .errors import NotDifferentiableError, OverflowRiskError
+from .errors import ExpressionRangeError, NotDifferentiableError, OverflowRiskError
 
 
 class Trilean(enum.Enum):
@@ -78,13 +78,20 @@ class FunctionOracle:
 
     def eval_many(self, xs) -> np.ndarray:
         """Values at the rows of xs, an (m, dim) array, as floats with 0.0
-        and inf for the ZERO and INF tags."""
+        and inf for the ZERO and INF tags.  Without a batch callback, an
+        ExpressionRangeError raised by eval names its row of xs."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected an (m, {self.dim}) array, got shape {xs.shape}")
-        if self._many_fn is None:
-            return np.array([self.eval(x).as_float() for x in xs], dtype=float)
-        return self._many_fn(xs)
+        if self._many_fn is not None:
+            return self._many_fn(xs)
+        values = []
+        for i, x in enumerate(xs):
+            try:
+                values.append(self.eval(x).as_float())
+            except ExpressionRangeError as exc:
+                raise exc.at_row(i) from exc
+        return np.array(values, dtype=float)
 
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
         return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn)

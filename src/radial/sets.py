@@ -138,9 +138,7 @@ class Ellipsoid:
                 "ellipsoid is not contained in the positive-height halfspace: "
                 f"need H22 - H12^T H11^-1 H12 > 1/u^2, got {schur:g} <= {1.0 / self.center.u ** 2:g}"
             )
-        h = h.copy()
-        h.flags.writeable = False
-        object.__setattr__(self, "shape", h)
+        object.__setattr__(self, "shape", _readonly(h))
 
     @property
     def dim(self) -> int:
@@ -287,6 +285,8 @@ class SetOracle:
 def ball_set(dim: int, radius: float) -> SetOracle:
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
     r2 = radius * radius
 
     def member(x: np.ndarray) -> bool:
@@ -302,6 +302,8 @@ def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
     if lo.shape != hi.shape or not np.all(lo < hi):
         raise ValueError("box requires lo < hi componentwise")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("box requires finite lo and hi")
     return SetOracle(lo.shape[0], lambda x: bool(np.all((x >= lo) & (x <= hi))))
 
 

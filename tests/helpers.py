@@ -3,7 +3,7 @@
 These deliberately avoid the library's own search machinery: extremes come
 from dense grids plus windowed refinement, derivatives from explicit
 difference quotients.  They stay independent of the code paths they check.
-The expression strategy generates grammar sources in one variable, x0.
+The expression strategies generate grammar sources in one variable, x0.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want))) / scale
 
 
-_leaf = st.sampled_from(["x0", "0", "0.5", "1", "2", "1e-3", "1e3", "inf", "indicator(ball 1)", "indicator(box -1 2)", "indicator(halfspace 1 0.5)"])
+_LEAVES = ["x0", "0", "0.5", "1", "2", "1e-3", "1e3", "inf", "indicator(ball 1)", "indicator(box -1 2)", "indicator(halfspace 1 0.5)"]
 
 
 def _compose(children):
@@ -108,4 +108,7 @@ def _compose(children):
     return unary | binary | variadic
 
 
-expressions = st.recursive(_leaf, _compose, max_leaves=6)
+expressions = st.recursive(st.sampled_from(_LEAVES), _compose, max_leaves=6)
+
+#: The same composition with a literal that overflows to inf among the leaves.
+overflowing_expressions = st.recursive(st.sampled_from([*_LEAVES, "1e999"]), _compose, max_leaves=6)

@@ -53,6 +53,14 @@ class TestEval:
         assert code == 3
         assert "--global" in err
 
+    def test_upward_guard_exit_3(self, capsys):
+        """At 0.5 the profile of x0^2 is 0.25 / v, below 1 at v = 1, so the
+        upper search expands upward; the profile falls there and the guard
+        trips."""
+        code, out, err = run_cli(["eval", "--f", "x0^2", "--dim", "1", "--at", "0.5"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: perspective profile decreased from 0.25 at v=1 to 0.125 at v=2; ")
+
     def test_global_scan_flag(self, capsys):
         code, out, _ = run_cli(
             ["eval", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--at", "-1", "--global"], capsys
@@ -386,6 +394,12 @@ class TestSolve:
         doc = json.loads(out)
         assert abs(doc["x_star"][0] - 0.5) <= 1e-3
 
+    def test_infeasible_start_exit_1(self, capsys):
+        # The transform of a constant above the cap is the zero tag everywhere.
+        code, out, err = run_cli(["solve", "--f", "1e13", "--dim", "1", "--y0", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: dual objective at the start point is 0.0; provide a feasible y0\n"
+
     def test_constraint_schema_error_exit_2(self, capsys, tmp_path):
         cpath = tmp_path / "bad.json"
         cpath.write_text(json.dumps({"schema": "radial/v1", "type": "cone"}))
@@ -451,7 +465,7 @@ EDGE_ELLIPSOID = {
     "center": {"x": [0.0], "u": 1.0},
     "shape": [[1.0, 0.0], [0.0, 1.0000000000001]],
 }
-# The files CONTRACT reads as {dir}/name.  The last three are constraint
+# The files CONTRACT reads as {dir}/name.  The last five are constraint
 # documents that json.load reads (it accepts NaN and Infinity) and the
 # schema refuses.
 CONTRACT_FILES = {
@@ -460,6 +474,8 @@ CONTRACT_FILES = {
     "nan_a.json": {"schema": "radial/v1", "type": "halfspace", "a": [math.nan], "b": 1.0},
     "inf_b.json": {"schema": "radial/v1", "type": "halfspace", "a": [1.0], "b": math.inf},
     "frac_dim.json": {"schema": "radial/v1", "type": "ball", "dim": 1.7, "radius": 1.0},
+    "inf_radius.json": {"schema": "radial/v1", "type": "ball", "radius": math.inf},
+    "inf_lo.json": {"schema": "radial/v1", "type": "box", "lo": [-math.inf], "hi": [0.5]},
 }
 
 # argv -> exit code.  {dir} is a writable scratch directory, {missing} a
@@ -501,6 +517,10 @@ CONTRACT = [
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/inf_b.json"], 2),
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/frac_dim.json"], 2),
     (["eval", "--f", "min(x0, indicator(halfspace 1 1e999))", "--dim", "1", "--at", "1"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/inf_radius.json"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/inf_lo.json"], 2),
+    (["eval", "--f", "min(x0, indicator(ball 1e999))", "--dim", "1", "--at", "1"], 2),
+    (["eval", "--f", "min(x0, indicator(box -1e999 1))", "--dim", "1", "--at", "1"], 2),
 ]
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expressions
+from helpers import expressions, overflowing_expressions
 from radial import INF, ZERO, ExpressionRangeError, ExtPos, ParseError, parse_function
-from radial.grammar import evaluate, parse, unparse
+from radial.grammar import Num, evaluate, parse, unparse
 
 # Expressions that are total (never negative/nan at the top level) so the
 # reprint round-trip can be checked by evaluation anywhere.
@@ -28,6 +28,8 @@ ROUND_TRIP_CORPUS = [
     ("inf", 1),
     ("abs(x0) ^ 2 + 0.25", 1),
     ("pos(2 - (x0 - 1)^2)", 1),
+    ("1e999", 1),
+    ("x0 + 1e999", 1),
 ]
 
 
@@ -62,6 +64,23 @@ class TestParsing:
         with pytest.raises(ParseError, match="unexpected character"):
             parse_function("x0 ? 2", 1)
 
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("sqrt(x0,1)", "sqrt takes exactly 1 argument, got 2"),
+            ("min(x0)", "min takes at least 2 arguments, got 1"),
+            ("max(x0)", "max takes at least 2 arguments, got 1"),
+            ("norm()", "unexpected token ')'"),
+        ],
+    )
+    def test_arity_messages(self, source, message):
+        with pytest.raises(ParseError) as exc:
+            parse_function(source, 1)
+        assert str(exc.value).startswith(message + " (at offset")
+
+    def test_inf_is_the_overflowing_literal(self):
+        assert parse("inf", 1) == parse("1e999", 1) == Num(math.inf)
+
     def test_precedence(self):
         f = parse_function("2 + 3 * x0 ^ 2", 1)
         assert f.eval(np.array([2.0])) == ExtPos.finite(14.0)
@@ -81,6 +100,18 @@ class TestParsing:
     @pytest.mark.parametrize("source", ["indicator(halfspace 1 1e999)", "indicator(halfspace 1e999 1)", "indicator(halfspace -1e999 0)"])
     def test_indicator_halfspace_numbers_must_be_finite(self, source):
         with pytest.raises(ParseError, match="finite a and b"):
+            parse_function(source, 1)
+
+    @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("indicator(ball 1e999)", "radius must be finite"),
+            ("indicator(box -1e999 1)", "box requires finite lo and hi"),
+            ("indicator(box -1 1e999)", "box requires finite lo and hi"),
+        ],
+    )
+    def test_indicator_ball_and_box_numbers_must_be_finite(self, source, message):
+        with pytest.raises(ParseError, match=message):
             parse_function(source, 1)
 
     def test_indicator_accepts_commas(self):
@@ -132,6 +163,15 @@ class TestRoundTrip:
             x = rng.uniform(-3.0, 3.0, size=dim)
             a, b = evaluate(tree, x), evaluate(tree2, x)
             assert (a == b) or (math.isnan(a) and math.isnan(b))
+
+
+@given(expr=overflowing_expressions)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_reparse_reconstructs_the_tree(expr):
+    """unparse prints a tree that parses back to the same tree, including
+    literals that overflow to inf."""
+    tree = parse(expr, 1)
+    assert parse(unparse(tree), 1) == tree
 
 
 # Points where numpy's own result differs from the scalar rule, with the

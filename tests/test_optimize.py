@@ -26,7 +26,8 @@ from radial import (
     parse_function,
     solve_via_dual,
 )
-from radial.catalog import absval, exp_bump, shifted_parabola, shifted_quadratic, sqrt_cap, strict_entries
+from radial import optimize
+from radial.catalog import absval, exp_bump, lifted_cap, shifted_parabola, shifted_quadratic, sqrt_cap, strict_entries
 from radial.optimize import _fd_grad
 from radial.oracle import DECLARED_STRICT, FunctionOracle
 from helpers import refine_max_1d, refine_max_2d, refine_min_1d, refine_min_2d
@@ -172,6 +173,26 @@ class TestSolveViaDual:
         # it at y0; both are refused up front, as the CLI refuses them.
         with pytest.raises(ValueError, match=name):
             SolveParams(**{name: bad})
+
+    def test_formula_gradient_falls_back_to_differences(self, monkeypatch):
+        """At y = 2 and at the next iterate, the mapped point y / dual(y) of
+        lifted_cap lies just past the edge of its domain [-1, 1], so the
+        dual gradient formula refuses it; descent continues on difference
+        quotients and still reaches the peak."""
+        failures = []
+
+        def formula(f, y, f_dual_y):
+            try:
+                return dual_gradient(f, y, f_dual_y)
+            except ValueError as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(optimize, "dual_gradient", formula)
+        d, p = solve_via_dual(lifted_cap(), np.array([2.0]))
+        assert len(failures) == 2
+        assert (d.status, d.iterations) == ("gradient", 4)
+        assert abs(p.x_star[0]) <= 1e-9 and abs(p.p_star.value - 2.0) <= 1e-9
 
     def test_kink_maximizer_exits_by_step_collapse(self):
         ds, ps = solve_via_dual(exp_bump(), np.array([3.0]))

@@ -387,6 +387,21 @@ class TestConstraintJson:
         with pytest.raises(SchemaError, match="bad halfspace constraint: halfspace requires finite a and b"):
             constraint_from_json(doc, 1)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"type": "ball", "radius": math.inf}, "bad ball constraint: radius must be finite"),
+            ({"type": "box", "lo": [-math.inf], "hi": [1.0]}, "bad box constraint: box requires finite lo and hi"),
+            ({"type": "box", "lo": [-1.0], "hi": [math.inf]}, "bad box constraint: box requires finite lo and hi"),
+        ],
+        ids=["inf-radius", "minus-inf-lo", "inf-hi"],
+    )
+    def test_ball_and_box_numbers_must_be_finite(self, fields, message):
+        # An infinite radius or bound would drop the constraint.
+        doc = json.loads(json.dumps(self.doc(**fields)))
+        with pytest.raises(SchemaError, match=message):
+            constraint_from_json(doc, 1)
+
     @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1"], ids=["fraction", "float", "bool", "string"])
     def test_ball_dim_must_be_a_json_integer(self, bad):
         with pytest.raises(SchemaError, match='"dim" must be an integer'):

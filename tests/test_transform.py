@@ -28,7 +28,7 @@ from radial import (
     perspective,
 )
 from radial import transform
-from radial.oracle import DECLARED_UPPER
+from radial.oracle import DECLARED_UPPER, UNKNOWN_META
 from radial.transform import extpos_gap_many
 from radial.catalog import (
     absval,
@@ -202,6 +202,19 @@ class TestNonMonotone:
             assert w.v_lo < w.v_hi
             assert w.p_lo > w.p_hi + 1e-9
 
+    def test_upward_guard_names_the_same_pair_in_values(self):
+        """At y = 0.5 the profile of x0^2 is 0.25 / v, below 1 at v = 1, so
+        the upper search expands upward and the guard trips there; the
+        lockstep form names the same pair."""
+        h = upper(parse_function("x0^2", 1))
+        message = "perspective profile decreased from 0.25 at v=1 to 0.125 at v=2; "
+        with pytest.raises(NonMonotonePerspectiveError) as scalar:
+            h.value([0.5])
+        assert str(scalar.value).startswith(message)
+        with pytest.raises(NonMonotonePerspectiveError) as batch:
+            h.values(np.array([[0.5]]))
+        assert str(batch.value) == str(scalar.value)
+
     def test_global_scan_matches_closed_form(self):
         h = upper(shifted_quadratic(), global_scan=True)
         for t in np.linspace(-2.0, 0.15, 44):
@@ -304,6 +317,21 @@ class TestRadialityChecker:
         assert meta.upper_radial is Trilean.YES and meta.strictly_radial is Trilean.YES
         meta = check_radial(shifted_quadratic(), rays=8, points_per_ray=32, seed=1).to_meta()
         assert meta.upper_radial is Trilean.NO
+        report = check_radial(parse_function("indicator(ball 1)", 1), rays=2, points_per_ray=4)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.to_meta() == UNKNOWN_META
+
+    def test_gradient_pass_keeps_its_witnesses(self):
+        """On the one sampled ray the profile of 1 + x.x rises from
+        v = 1e-12 to v = 1e12, so only the gradient pass finds its fall
+        near v = 1, and it keeps the confirmed pair v = 1 -> 1.0001."""
+        f = FunctionOracle(1, lambda x: ExtPos.finite(1 + x @ x), grad=lambda x: 2 * x)
+        report = check_radial(f, rays=1, points_per_ray=2, seed=0)
+        assert report.verdict is Verdict.NOT_RADIAL and report.witness_count == 4
+        first = report.witnesses[0]
+        assert (first.v_lo, first.v_hi) == (1.0, 1.0 + 1e-4)
+        assert first.p_lo - first.p_hi > transform.MONOTONE_GUARD
+        assert first.p_lo == perspective(f, first.y, 1.0).as_float()
 
 
 class TestDualityResidual:
@@ -324,6 +352,12 @@ class TestDualityResidual:
         res = duality_residual(shifted_quadratic(), [np.array([-2.0])], global_scan=True)
         want = 1.5 - 2.0 * (math.sqrt(1.5) - 1.0) * 2.0
         assert abs(res - want) <= 1e-2
+
+    def test_flat_grid_in_one_dimension(self):
+        """A 1-D oracle takes its grid as a flat list of points."""
+        flat = duality_residual(sqrt_cap(1), [0.1, 0.2])
+        assert flat == duality_residual(sqrt_cap(1), [[0.1], [0.2]])
+        assert flat <= 5 * TOL
 
     def test_propagates_guard_error(self):
         with pytest.raises(NonMonotonePerspectiveError):
@@ -671,6 +705,16 @@ class TestErrorRows:
         with pytest.raises(ExpressionRangeError, match=r"\(row 1\)") as raised:
             h.values(np.array([[0.0], [2.0]]))
         assert raised.value.row == 1
+
+    def test_an_oracle_without_a_batch_callback_names_the_row(self):
+        """eval_many loops over eval when no batch callback is given; the
+        error still names the row, directly and through values."""
+        f = FunctionOracle(1, parse_function("1 - x0", 1).eval)
+        with pytest.raises(ExpressionRangeError, match=r"at \[2.0\] \(row 1\)") as raised:
+            f.eval_many(np.array([[0.0], [2.0]]))
+        assert raised.value.row == 1
+        with pytest.raises(ExpressionRangeError, match=r"at \[3.0\] \(row 1\)"):
+            upper(f).values(np.array([[0.5], [3.0]]))
 
     def test_scan_pairs_are_named_by_their_row(self):
         f = parse_function("1 - x0^2", 1)
