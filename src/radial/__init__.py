@@ -60,7 +60,6 @@ from .optimize import (
 from .oracle import (
     FunctionOracle,
     RadialityMeta,
-    Trilean,
     gradient,
     perspective,
 )

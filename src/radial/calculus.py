@@ -27,7 +27,6 @@ from .oracle import (
     DECLARED_UPPER,
     FunctionOracle,
     RadialityMeta,
-    Trilean,
     gradient,
 )
 from .sets import NormalVector, SetOracle
@@ -79,10 +78,10 @@ def _dual_operands(handles, op_name: str, gate: bool):
         raise ValueError(f"{op_name} operands have mixed dimensions")
     if gate:
         for h in handles:
-            if h.base.meta.upper_radial is not Trilean.YES:
+            if not h.base.meta.radial:
                 raise RadialityRequiredError(
                     f"{op_name} requires ray-monotone operands; "
-                    f"{h.base.name or 'operand'} has upper_radial={h.base.meta.upper_radial.value}"
+                    f"{h.base.name or 'operand'} has radiality {h.base.meta.value}"
                 )
     return handles
 
@@ -97,12 +96,10 @@ class KthKind(enum.Enum):
 def _avg_oracle(bases, idxs) -> FunctionOracle:
     k = len(idxs)
     chosen = [bases[i] for i in idxs]
-    upper = all(b.meta.upper_radial is Trilean.YES for b in chosen)
-    strictly = all(b.meta.strictly_radial is Trilean.YES for b in chosen)
-    meta = RadialityMeta(
-        Trilean.YES if upper else Trilean.UNKNOWN,
-        Trilean.YES if upper and strictly else Trilean.UNKNOWN,
-    )
+    if all(b.meta is RadialityMeta.STRICT for b in chosen):
+        meta = RadialityMeta.STRICT
+    else:
+        meta = RadialityMeta.RADIAL if all(b.meta.radial for b in chosen) else RadialityMeta.UNKNOWN
 
     def ev(x):
         total = 0.0

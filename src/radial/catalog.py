@@ -28,10 +28,7 @@ import numpy as np
 from .core import INF, ZERO, ExtPos
 from .errors import NotDifferentiableError
 from .grammar import parse_function
-from .oracle import DECLARED_STRICT, FunctionOracle, RadialityMeta, Trilean
-
-_UPPER_NOT_STRICT = RadialityMeta(Trilean.YES, Trilean.NO)
-_NOT_RADIAL = RadialityMeta(Trilean.NO, Trilean.NO)
+from .oracle import DECLARED_STRICT, FunctionOracle, RadialityMeta
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def absval() -> FunctionOracle:
             raise NotDifferentiableError("kink at the origin")
         return np.array([math.copysign(1.0, t)])
 
-    return parse_function("abs(x0)", 1, gr, None, _UPPER_NOT_STRICT, "absval")
+    return parse_function("abs(x0)", 1, gr, None, RadialityMeta.RADIAL, "absval")
 
 
 def absval_upper_dual(y: np.ndarray) -> ExtPos:
@@ -183,7 +180,7 @@ def shifted_quadratic() -> FunctionOracle:
     def he(x):
         return np.array([[2.0]])
 
-    return parse_function("(x0+1)^2 + 0.5", 1, gr, he, _NOT_RADIAL, "shifted_quadratic")
+    return parse_function("(x0+1)^2 + 0.5", 1, gr, he, RadialityMeta.NOT_RADIAL, "shifted_quadratic")
 
 
 def shifted_quadratic_upper_dual(y: np.ndarray) -> ExtPos:

@@ -178,11 +178,11 @@ def gamma_point_many(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.nda
         raise ValueError("heights must be finite and > 0")
     if np.any(us < HEIGHT_FLOOR):
         raise OverflowRiskError(f"height below {HEIGHT_FLOOR:g}; reciprocal would overflow")
-    ys = xs / us[..., None]
-    vs = 1.0 / us
-    if not (np.all(np.isfinite(ys)) and np.all(np.isfinite(vs))):
+    with np.errstate(over="ignore"):  # an overflowing image is rejected below
+        ys = xs / us[..., None]
+    if not np.all(np.isfinite(ys)):
         raise OverflowRiskError("transformed point is not finite")
-    return ys, vs
+    return ys, 1.0 / us  # finite, since us >= HEIGHT_FLOOR
 
 
 def gamma_point(p: LiftedPoint) -> LiftedPoint:

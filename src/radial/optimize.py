@@ -22,7 +22,7 @@ from .errors import (
     RadialityRequiredError,
     StrictnessViolatedError,
 )
-from .oracle import FunctionOracle, Trilean, difference_probes, gradient
+from .oracle import FunctionOracle, RadialityMeta, difference_probes, gradient
 from .sets import SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial
 
@@ -76,7 +76,7 @@ def map_stationary(x, f: FunctionOracle) -> tuple[np.ndarray, np.ndarray]:
     Requires f strictly ray-monotone (declared or checked), f(x) finite,
     and |grad f(x)| <= 1e-8.  Returns (y, dual gradient at y).
     """
-    if f.meta.strictly_radial is not Trilean.YES:
+    if f.meta is not RadialityMeta.STRICT:
         raise RadialityRequiredError("map_stationary requires a strictly ray-monotone function")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     fx = f.eval(x)
@@ -155,9 +155,9 @@ def solve_via_dual(
     than raised, and the best iterate is still returned.
     """
     params = params or SolveParams()
-    if f.meta.upper_radial is Trilean.NO:
+    if f.meta is RadialityMeta.NOT_RADIAL:
         raise RadialityRequiredError("the objective is not ray-monotone; its transform is not dual to it")
-    if f.meta.upper_radial is Trilean.UNKNOWN:
+    if f.meta is RadialityMeta.UNKNOWN:
         report = check_radial(f, rays=32, points_per_ray=64, seed=0)
         if report.verdict.value != "radial":
             raise RadialityRequiredError(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,27 +17,23 @@ from .core import ExtPos
 from .errors import ExpressionRangeError, NotDifferentiableError, OverflowRiskError
 
 
-class Trilean(enum.Enum):
-    YES = "yes"
-    NO = "no"
+class RadialityMeta(enum.Enum):
+    """What is known about ray-monotonicity of the perspective profile:
+    RADIAL means nondecreasing, STRICT strictly increasing where finite."""
+
+    NOT_RADIAL = "not-radial"
     UNKNOWN = "unknown"
+    RADIAL = "radial"
+    STRICT = "strict"
+
+    @property
+    def radial(self) -> bool:
+        return self in (RadialityMeta.RADIAL, RadialityMeta.STRICT)
 
 
-@dataclass(frozen=True)
-class RadialityMeta:
-    """What is known about ray-monotonicity of the perspective profile."""
-
-    upper_radial: Trilean = Trilean.UNKNOWN
-    strictly_radial: Trilean = Trilean.UNKNOWN
-
-    def __post_init__(self):
-        if self.strictly_radial is Trilean.YES and self.upper_radial is not Trilean.YES:
-            raise ValueError("strictly_radial = YES implies upper_radial = YES")
-
-
-UNKNOWN_META = RadialityMeta()
-DECLARED_STRICT = RadialityMeta(Trilean.YES, Trilean.YES)
-DECLARED_UPPER = RadialityMeta(Trilean.YES, Trilean.UNKNOWN)
+UNKNOWN_META = RadialityMeta.UNKNOWN
+DECLARED_STRICT = RadialityMeta.STRICT
+DECLARED_UPPER = RadialityMeta.RADIAL
 
 
 class FunctionOracle:

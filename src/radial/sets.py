@@ -287,12 +287,14 @@ def ball_set(dim: int, radius: float) -> SetOracle:
         raise ValueError("radius must be positive")
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
-    r2 = radius * radius
 
     def member(x: np.ndarray) -> bool:
-        # A far point's x.x overflows to inf, outside any finite radius.
+        # In units of the radius, whatever its size: a far point's z.z
+        # overflows to inf (outside) and a tiny offset's underflows to 0
+        # (inside).
         with np.errstate(over="ignore"):
-            return float(x.dot(x)) <= r2
+            z = x / radius
+            return float(z.dot(z)) <= 1.0
 
     return SetOracle(dim, member)
 
@@ -311,7 +313,13 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if not (np.all(np.isfinite(a)) and math.isfinite(b)):
         raise ValueError("halfspace requires finite a and b")
-    return SetOracle(a.shape[0], lambda x: float(a @ x) <= b)
+
+    def member(x: np.ndarray) -> bool:
+        # An a.x that overflows to +-inf still compares correctly with b.
+        with np.errstate(over="ignore"):
+            return float(a @ x) <= b
+
+    return SetOracle(a.shape[0], member)
 
 
 # --- JSON schemas (radial/v1): lifted sets for set-transform, decision-space
@@ -381,8 +389,6 @@ def set_from_json(obj) -> Halfspace | Ellipsoid | Polyhedron:
             if not isinstance(parts, list):
                 raise SchemaError("halfspaces must be a list")
             return Polyhedron(tuple(set_from_json(h) for h in parts))
-    except SchemaError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad {kind} document: {exc}") from exc
     raise SchemaError(f"unknown set type {kind!r}")

@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import INF, ZERO, ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowRiskError
-from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, Trilean, perspective
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective
 
 DEFAULT_TOL = 1e-10
 #: Search caps: the heights at which an expansion stops and returns a tag.
@@ -246,7 +246,7 @@ class DualHandle(FunctionOracle):
         evaluation, and a bracket certificate."""
         y = np.atleast_1d(np.asarray(y, dtype=float))
         upper = self.sense is Sense.UPPER
-        guarded = self.base.meta.upper_radial is not Trilean.YES
+        guarded = not self.base.meta.radial
         evals = 0
 
         def profile(v: float) -> float:
@@ -300,7 +300,7 @@ class DualHandle(FunctionOracle):
         SPECULATIVE_LEVELS steps per base call (_speculate).
         """
         upper = self.sense is Sense.UPPER
-        guarded = self.base.meta.upper_radial is not Trilean.YES
+        guarded = not self.base.meta.radial
         # The guard is the one decision that needs the previous probe, so a
         # speculative walk cannot take it; a nested search (a handle's
         # profile is declared monotone) has none.
@@ -427,12 +427,11 @@ class RadialityReport:
     witness_count: int
 
     def to_meta(self) -> RadialityMeta:
-        if self.verdict is Verdict.NOT_RADIAL:
-            return RadialityMeta(Trilean.NO, Trilean.NO)
         if self.verdict is Verdict.RADIAL:
-            strictly = Trilean.YES if self.strict else Trilean.NO
-            return RadialityMeta(Trilean.YES, strictly)
-        return RadialityMeta(Trilean.UNKNOWN, Trilean.UNKNOWN)
+            return RadialityMeta.STRICT if self.strict else RadialityMeta.RADIAL
+        if self.verdict is Verdict.NOT_RADIAL:
+            return RadialityMeta.NOT_RADIAL
+        return RadialityMeta.UNKNOWN
 
 
 def check_radial(
@@ -497,7 +496,7 @@ def check_radial(
                 # The profile along the ray through x falls at first order;
                 # confirm with an explicit pair before recording.
                 step = 1e-4
-                a = perspective(f, x, 1.0).as_float()
+                a = fx.value
                 b = perspective(f, x, 1.0 + step).as_float()
                 if a - b > MONOTONE_GUARD:
                     witness_count += 1

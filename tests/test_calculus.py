@@ -27,6 +27,7 @@ from radial import (
     gauge,
     general_point_map,
     general_transform,
+    indicator_oracle,
     rule_kth,
     rule_linear,
     rule_max,
@@ -97,6 +98,11 @@ class TestScaleRule:
         rule = rule_scale(0.5, upper(constant(2.0)))
         assert abs(rule.eval(np.array([3.0])).value - 1.0) <= 2 * TOL
 
+    def test_tags_pass_through(self):
+        rule = rule_scale(2.0, upper(absval()))
+        assert rule.eval(np.array([5.0])) is ZERO
+        assert rule.eval(np.array([0.1])) is INF
+
     def test_agrees_with_direct_bisection(self):
         lam = 2.0
         rule = rule_scale(lam, upper(sqrt_cap(1), tol=1e-11))
@@ -150,7 +156,7 @@ class TestMinMaxRules:
         assert abs(rule.eval(np.array([3.0])).value - 2.0) <= 2 * TOL  # min(sqrt 10, 2)
 
     def test_max_requires_monotone_operands(self):
-        with pytest.raises(RadialityRequiredError):
+        with pytest.raises(RadialityRequiredError, match="; shifted_quadratic has radiality not-radial$"):
             rule_max(upper(sqrt_cap(1)), upper(shifted_quadratic()))
 
     def test_min_unconditional(self):
@@ -213,6 +219,13 @@ class TestKthRules:
         for t in np.linspace(-1.8, 1.8, 40):
             y = np.array([t])
             assert extpos_gap(rule.eval(y), direct.value(y)) <= 5 * TOL, (kind, t)
+
+    def test_kminavg_over_an_infinite_operand(self):
+        """An indicator is inf inside its set, so the subset average is inf
+        there too; with k = 1 the rule is the plain min."""
+        duals = [upper(indicator_oracle(ball_set(1, 1.0))), upper(sqrt_cap(1))]
+        got = rule_kth(KthKind.KMINAVG, 1, duals).eval(np.array([0.5]))
+        assert abs(got.value - rule_min(*duals).eval(np.array([0.5])).value) <= 4 * TOL
 
     def test_gate(self):
         duals = [upper(sqrt_cap(1)), upper(shifted_quadratic())]

@@ -61,6 +61,14 @@ class TestEval:
         assert (code, out) == (3, "")
         assert err.startswith("error: perspective profile decreased from 0.25 at v=1 to 0.125 at v=2; ")
 
+    def test_overflowing_halfspace_product_warns_nothing(self, capsys):
+        # a.(y/v) overflows to inf at small heights; y/v is outside the
+        # halfspace at every searched height, so the transform is inf.
+        code, out, err = run_cli(["eval", "--f", "indicator(halfspace 1e300 1)", "--dim", "1", "--at=1e12"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "inf"
+        assert err == ""
+
     def test_global_scan_flag(self, capsys):
         code, out, _ = run_cli(
             ["eval", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--at", "-1", "--global"], capsys
@@ -521,6 +529,14 @@ CONTRACT = [
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/inf_lo.json"], 2),
     (["eval", "--f", "min(x0, indicator(ball 1e999))", "--dim", "1", "--at", "1"], 2),
     (["eval", "--f", "min(x0, indicator(box -1e999 1))", "--dim", "1", "--at", "1"], 2),
+    # Grid, box and point specifications refused before any search.
+    (["grid", "--f", "x0", "--dim", "3", "--grid=0:1:2", "--out", "{dir}/o.csv"], 2),
+    (["grid", "--f", "x0", "--dim", "1", "--grid=0:1:2,0:1:2", "--out", "{dir}/o.csv"], 2),
+    (["grid", "--f", "x0", "--dim", "1", "--grid=0:1:2", "--emit", "primal,foo", "--out", "{dir}/o.csv"], 2),
+    (["grid", "--f", "x0", "--dim", "1", "--grid=0:1", "--out", "{dir}/o.csv"], 2),
+    (["check", "--f", "abs(x0)", "--dim", "1", "--box=1:0"], 2),
+    (["check", "--f", "abs(x0)", "--dim", "1", "--box=1"], 2),
+    (["eval", "--f", "x0", "--dim", "1", "--at=abc"], 2),
 ]
 
 
@@ -689,6 +705,13 @@ class TestGridColumns:
         assert exit_code(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "(row 1);" in err[0]
+
+    def test_overflowing_gamma_image_is_one_line(self, tmp_path, capsys):
+        # x / f(x) overflows for x = 1e10 and f = 1e-300: one error line and
+        # no numpy warning.
+        argv = ["grid", "--f", "1e-300", "--dim", "1", "--grid=1e10:2e10:2", "--emit", "gamma", "--out", str(tmp_path / "g.csv")]
+        assert exit_code(argv) == 1
+        assert capsys.readouterr().err == "error: transformed point is not finite\n"
 
     def test_nonmonotone_error_is_one_line_plus_hint(self, tmp_path, capsys):
         argv = ["grid", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--grid=-3:1:5", "--out", str(tmp_path / "o.csv")]

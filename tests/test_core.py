@@ -70,6 +70,11 @@ class TestGammaPoint:
         with pytest.raises(OverflowRiskError):
             gamma_point(lifted([0.0], 1e-301))
 
+    def test_overflowing_image_raises_without_a_warning(self):
+        # 1e300 / 1e-10 overflows; tier-1 turns a RuntimeWarning into an error.
+        with pytest.raises(OverflowRiskError, match="transformed point is not finite"):
+            gamma_point(LiftedPoint(np.array([1e300]), 1e-10))
+
     @given(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
         st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),

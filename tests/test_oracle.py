@@ -10,12 +10,11 @@ from radial import (
     FunctionOracle,
     NotDifferentiableError,
     RadialityMeta,
-    Trilean,
     gradient,
     perspective,
 )
 from radial import catalog
-from radial.catalog import absval, constant, exp_bump, shifted_parabola, sqrt_cap, strict_entries
+from radial.catalog import absval, constant, exp_bump, shifted_parabola, sqrt_cap, strict_entries, tent
 
 
 def sqrt_cap_no_grad():
@@ -67,6 +66,13 @@ class TestGradient:
         with pytest.raises(NotDifferentiableError):
             gradient(FunctionOracle(1, absval()._eval_fn), np.array([0.0]))
 
+    def test_catalog_callbacks_at_and_beside_their_kinks(self):
+        assert tent().grad(np.array([0.5])).tolist() == [-1.0]
+        assert tent().grad(np.array([-0.5])).tolist() == [1.0]
+        for callback in (tent().grad, exp_bump().grad, exp_bump().hess, absval().grad):
+            with pytest.raises(NotDifferentiableError, match="kink at the origin"):
+                callback(np.array([0.0]))
+
     def test_rejects_infinite_value(self):
         from radial import ball_set, indicator_oracle
 
@@ -109,14 +115,9 @@ class TestGradient:
 
 
 class TestMeta:
-    def test_strict_implies_upper(self):
-        with pytest.raises(ValueError):
-            RadialityMeta(Trilean.NO, Trilean.YES)
-
     def test_catalog_declarations(self):
-        assert sqrt_cap(1).meta.strictly_radial is Trilean.YES
-        assert absval().meta.strictly_radial is Trilean.NO
-        assert absval().meta.upper_radial is Trilean.YES
+        assert sqrt_cap(1).meta is RadialityMeta.STRICT
+        assert absval().meta is RadialityMeta.RADIAL
 
     def test_eval_totality_and_tags(self):
         f = shifted_parabola()

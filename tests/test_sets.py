@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radial import (
+    INF,
+    ZERO,
     Ellipsoid,
     Halfspace,
     LiftedPoint,
@@ -21,6 +23,7 @@ from radial import (
     gamma_point,
     halfspace_set,
     membership,
+    parse_function,
     set_from_json,
     set_to_json,
     transform_ellipsoid,
@@ -340,6 +343,22 @@ class TestConstraintJson:
         for far in ([1e200, 0.0], [-1e200, 1.0], [1e154, 1e154], [3e150, -3e150]):
             assert not ball.member(np.array(far))
         assert ball_set(1, 1e200).member(np.array([1e200]))
+
+    @pytest.mark.parametrize(
+        "radius,x,inside",
+        [
+            (1e200, 1e300, False),  # x.x and r^2 both overflow to inf
+            (1e200, 0.5e200, True),
+            (1e-200, 5e-200, False),  # x.x and r^2 both underflow to 0
+            (1e-200, 0.5e-200, True),
+            (1.0, 1e-200, True),  # x.x underflows to 0
+        ],
+    )
+    def test_ball_membership_at_both_ends_of_the_float_range(self, radius, x, inside):
+        assert ball_set(1, radius).member(np.array([x])) is inside
+        indicator = parse_function(f"indicator(ball {radius!r})", 1)
+        assert indicator.eval([x]) is (INF if inside else ZERO)
+        assert indicator.eval_many(np.array([[x], [0.0]])).tolist() == [math.inf if inside else 0.0, math.inf]
 
     def test_members(self):
         box = constraint_from_json(self.doc(type="box", lo=[-1.0, 0.5], hi=[0.5, 1.0]), 2)

@@ -16,10 +16,11 @@ from radial import (
     ExtPos,
     FunctionOracle,
     NonMonotonePerspectiveError,
+    NotDifferentiableError,
     OverflowRiskError,
     RadialError,
+    RadialityMeta,
     Sense,
-    Trilean,
     Verdict,
     check_radial,
     duality_residual,
@@ -178,7 +179,7 @@ class TestComposability:
         # The outer profile of any transform is nondecreasing: the nested
         # evaluation must not raise even though tolerance jitter exists.
         outer = upper(upper(sqrt_cap(1)))
-        assert outer.meta.upper_radial is Trilean.YES
+        assert outer.meta.radial
         v = outer.value([0.5])
         want = sqrt_cap(1).eval(np.array([0.5])).value
         assert abs(v.value - want) <= 5 * TOL
@@ -260,7 +261,7 @@ class TestRadialityChecker:
     def test_inconclusive_without_informative_samples(self):
         from radial import ball_set, indicator_oracle
 
-        probe = indicator_oracle(ball_set(1, 1.0)).with_meta(sqrt_cap(1).meta.__class__())
+        probe = indicator_oracle(ball_set(1, 1.0)).with_meta(UNKNOWN_META)
         report = check_radial(probe, rays=4, points_per_ray=16, seed=0)
         assert report.verdict is Verdict.INCONCLUSIVE
 
@@ -312,14 +313,26 @@ class TestRadialityChecker:
             (y, heights[i], heights[i + 1]) for y, i in drops[: transform.KEPT_WITNESSES]
         ]
 
+    @pytest.mark.parametrize("f", [sqrt_cap(1), shifted_quadratic()], ids=lambda f: f.name)
+    def test_a_point_whose_gradient_raises_is_skipped(self, f):
+        def raising(x):
+            raise NotDifferentiableError("no gradient here")
+
+        got = check_radial(FunctionOracle(1, f.eval, grad=raising, meta=f.meta), rays=8, points_per_ray=32, seed=1)
+        want = check_radial(FunctionOracle(1, f.eval, meta=f.meta), rays=8, points_per_ray=32, seed=1)
+        assert (got.verdict, got.strict, got.witness_count) == (want.verdict, want.strict, want.witness_count)
+        assert [(w.y.tolist(), w.v_lo, w.v_hi, w.p_lo, w.p_hi) for w in got.witnesses] == [
+            (w.y.tolist(), w.v_lo, w.v_hi, w.p_lo, w.p_hi) for w in want.witnesses
+        ]
+
     def test_to_meta(self):
         meta = check_radial(sqrt_cap(1), rays=8, points_per_ray=32, seed=1).to_meta()
-        assert meta.upper_radial is Trilean.YES and meta.strictly_radial is Trilean.YES
+        assert meta is RadialityMeta.STRICT
         meta = check_radial(shifted_quadratic(), rays=8, points_per_ray=32, seed=1).to_meta()
-        assert meta.upper_radial is Trilean.NO
+        assert meta is RadialityMeta.NOT_RADIAL
         report = check_radial(parse_function("indicator(ball 1)", 1), rays=2, points_per_ray=4)
         assert report.verdict is Verdict.INCONCLUSIVE
-        assert report.to_meta() == UNKNOWN_META
+        assert report.to_meta() is UNKNOWN_META
 
     def test_gradient_pass_keeps_its_witnesses(self):
         """On the one sampled ray the profile of 1 + x.x rises from
@@ -715,6 +728,17 @@ class TestErrorRows:
         assert raised.value.row == 1
         with pytest.raises(ExpressionRangeError, match=r"at \[3.0\] \(row 1\)"):
             upper(f).values(np.array([[0.5], [3.0]]))
+
+    def test_a_batch_error_without_a_row_reaches_the_caller_unchanged(self):
+        f = parse_function("abs(x0) + 1", 1)
+        error = ExpressionRangeError(-1.0, [0.0])
+
+        def many(xs):
+            raise error
+
+        with pytest.raises(ExpressionRangeError) as raised:
+            upper(FunctionOracle(1, f.eval, meta=DECLARED_UPPER, many=many)).values(np.array([[0.0], [2.0]]))
+        assert raised.value is error and raised.value.row is None
 
     def test_scan_pairs_are_named_by_their_row(self):
         f = parse_function("1 - x0^2", 1)
