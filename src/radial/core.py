@@ -5,7 +5,8 @@ reals: zero, a strictly positive finite value, or +infinity.  The two
 limit tags are kept distinct from IEEE floats so that transform logic can
 branch on them without epsilon tests.  Points of the lifted space pair a
 vector with a strictly positive height; the projective point transform
-``gamma_point`` sends (x, u) to (x/u, 1/u) and is its own inverse.
+``gamma_point`` sends (x, u) to (x/u, 1/u) and is its own inverse; it runs
+over Python floats, with the checks and bits of the batch ``gamma_point_many``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class ExtPos:
             raise ValueError(f"bad ExtPos kind {kind!r}")
         else:
             value = 0.0
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
+        _set_kind(self, kind)
+        _set_value(self, value)
 
     @staticmethod
     def finite(value: float) -> "ExtPos":
@@ -111,6 +112,8 @@ class ExtPos:
         return ExtPos.finite(v)
 
 
+# The slot descriptors store past the frozen __setattr__, cheaper than object.__setattr__.
+_set_kind, _set_value = ExtPos.kind.__set__, ExtPos.value.__set__
 ZERO = ExtPos(_ZERO_KIND)
 INF = ExtPos(_INF_KIND)
 
@@ -150,7 +153,7 @@ class LiftedPoint:
         x = _readonly(np.atleast_1d(self.x))
         if x.ndim != 1:
             raise ValueError("x must be a vector")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("x must have finite coordinates")
         u = float(self.u)
         if not math.isfinite(u) or u <= 0.0:
@@ -169,8 +172,8 @@ class LiftedPoint:
 def gamma_point_many(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply (x, u) -> (x/u, 1/u) row-wise to xs (m, n) with heights us (m,).
 
-    Shared kernel for the scalar operation and for sampling-based tests.
-    Rejects heights at or below HEIGHT_FLOOR and any non-finite result.
+    ``gamma_point`` row by row, bit for bit, for ``grid``'s gamma column and the tests.
+    Rejects non-positive heights, heights below HEIGHT_FLOOR and non-finite images.
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -192,5 +195,9 @@ def gamma_point(p: LiftedPoint) -> LiftedPoint:
     original point up to floating round-off (bit-exactly when the divisions
     are exact, e.g. at height 1).
     """
-    ys, vs = gamma_point_many(p.x[None, :], np.array([p.u]))
-    return LiftedPoint(ys[0], float(vs[0]))
+    if p.u < HEIGHT_FLOOR:  # p.u is finite and > 0, checked by LiftedPoint
+        raise OverflowRiskError(f"height below {HEIGHT_FLOOR:g}; reciprocal would overflow")
+    ys = [x / p.u for x in p.x.tolist()]  # a float division overflows to inf, with no warning
+    if not all(map(math.isfinite, ys)):
+        raise OverflowRiskError("transformed point is not finite")
+    return LiftedPoint(np.array(ys), 1.0 / p.u)

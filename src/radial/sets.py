@@ -139,13 +139,14 @@ class Ellipsoid:
                 f"need H22 - H12^T H11^-1 H12 > 1/u^2, got {schur:g} <= {1.0 / self.center.u ** 2:g}"
             )
         object.__setattr__(self, "shape", _readonly(h))
+        object.__setattr__(self, "_center_array", self.center.as_array())
 
     @property
     def dim(self) -> int:
         return self.center.dim
 
     def contains(self, p: LiftedPoint) -> bool:
-        d = p.as_array() - self.center.as_array()
+        d = p.as_array() - self._center_array
         return float(d @ self.shape @ d) <= 1.0
 
 
@@ -313,11 +314,13 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     a = np.atleast_1d(np.asarray(a, dtype=float))
     if not (np.all(np.isfinite(a)) and math.isfinite(b)):
         raise ValueError("halfspace requires finite a and b")
+    scale = float(np.max(np.abs(a), initial=0.0)) or 1.0
 
     def member(x: np.ndarray) -> bool:
-        # An a.x that overflows to +-inf still compares correctly with b.
+        # A non-finite a.x may hide inf - inf (nan, or inf from a fused dot kernel).
         with np.errstate(over="ignore"):
-            return float(a @ x) <= b
+            ax = float(a @ x)
+            return ax <= b if math.isfinite(ax) else float((a / scale) @ x) <= b / scale
 
     return SetOracle(a.shape[0], member)
 

@@ -3,13 +3,16 @@
 These deliberately avoid the library's own search machinery: extremes come
 from dense grids plus windowed refinement, derivatives from explicit
 difference quotients.  They stay independent of the code paths they check.
-The expression strategies generate grammar sources in one variable, x0.
+The expression strategies generate grammar sources in one variable, x0;
+``lifted_points`` draws points of the lifted space over the whole float range.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
+
+from radial import LiftedPoint
 
 
 def refine_min_1d(fn, lo: float, hi: float, n: int = 201, rounds: int = 7):
@@ -112,3 +115,11 @@ expressions = st.recursive(st.sampled_from(_LEAVES), _compose, max_leaves=6)
 
 #: The same composition with a literal that overflows to inf among the leaves.
 overflowing_expressions = st.recursive(st.sampled_from([*_LEAVES, "1e999"]), _compose, max_leaves=6)
+
+#: Lifted points with any finite coordinates and any finite height > 0:
+#: subnormal heights and images that overflow are drawn too.
+lifted_points = st.builds(
+    lambda x, u: LiftedPoint(np.array(x), u),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)

@@ -16,10 +16,34 @@ from radial import (
     gamma_point_many,
     optimality_product,
 )
+from radial.core import HEIGHT_FLOOR
+
+from helpers import lifted_points
 
 
 def lifted(x, u):
     return LiftedPoint(np.atleast_1d(np.asarray(x, dtype=float)), u)
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+def scalar_and_batch_agree(p: LiftedPoint):
+    """gamma_point(p) is row 0 of the batch kernel bit for bit, or both raise
+    the same error type with the same message."""
+    scalar = outcome(gamma_point, p)
+    batch = outcome(gamma_point_many, p.x[None], [p.u])
+    if isinstance(scalar, LiftedPoint):
+        ys, vs = batch
+        assert scalar.x.tobytes() == ys[0].tobytes()
+        assert scalar.u.hex() == float(vs[0]).hex()
+    else:
+        assert scalar == batch
 
 
 class TestGammaPoint:
@@ -75,6 +99,31 @@ class TestGammaPoint:
         with pytest.raises(OverflowRiskError, match="transformed point is not finite"):
             gamma_point(LiftedPoint(np.array([1e300]), 1e-10))
 
+    @given(lifted_points)
+    @settings(max_examples=500, deadline=None)
+    def test_scalar_path_is_the_batch_kernel_bit_for_bit(self, p):
+        scalar_and_batch_agree(p)
+
+    @pytest.mark.parametrize(
+        "x,u,error",
+        [
+            ([1.0, -2.0], HEIGHT_FLOOR, None),
+            ([0.0], HEIGHT_FLOOR, None),
+            ([-0.0, 3.0], 0.7, None),
+            ([1.0], math.nextafter(HEIGHT_FLOOR, 0.0), "height below"),
+            ([0.0], 5e-324, "height below"),
+            ([1e300], 1e-10, "transformed point is not finite"),
+            ([0.5, -1e300], 1e-10, "transformed point is not finite"),
+            ([1e9], HEIGHT_FLOOR, "transformed point is not finite"),
+        ],
+    )
+    def test_scalar_path_at_the_height_floor_and_past_the_float_range(self, x, u, error):
+        p = LiftedPoint(np.array(x), u)
+        scalar_and_batch_agree(p)
+        if error:
+            with pytest.raises(OverflowRiskError, match=error):
+                gamma_point(p)
+
     @given(
         st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
         st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
@@ -106,6 +155,15 @@ class TestExtPos:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 ExtPos.finite(bad)
+
+    def test_bad_kind_raises(self):
+        for kind in (-1, 3, "finite", None):
+            with pytest.raises(ValueError, match="bad ExtPos kind"):
+                ExtPos(kind, 1.0)
+
+    def test_finite_value_is_a_python_float(self):
+        value = ExtPos.finite(np.float64(2.0)).value
+        assert type(value) is float and value == 2.0
 
     def test_json_round_trip(self):
         for v in (ZERO, INF, ExtPos.finite(0.25), ExtPos.finite(1e300)):

@@ -360,6 +360,20 @@ class TestConstraintJson:
         assert indicator.eval([x]) is (INF if inside else ZERO)
         assert indicator.eval_many(np.array([[x], [0.0]])).tolist() == [math.inf if inside else 0.0, math.inf]
 
+    def test_halfspace_membership_when_the_products_overflow(self):
+        """a.x = 1e310 - 1e310 = 0 <= 1: a verdict whose products overflow
+        comes from a.x in units of the largest |a_i|."""
+        half = halfspace_set(np.array([1e300, -1e300]), 1.0)
+        assert half.member(np.array([1e10, 1e10]))
+        assert half.member(np.array([1e10, 1.0001e10]))
+        assert not half.member(np.array([1.0001e10, 1e10]))
+        assert not halfspace_set(np.array([1e300, -1e300]), -1.0).member(np.array([1e10, 1e10]))
+        assert not halfspace_set(np.array([1e300]), 1.0).member(np.array([1e10]))
+        assert halfspace_set(np.array([1e300]), 1.0).member(np.array([-1e10]))
+        indicator = parse_function("indicator(halfspace 1e300 -1e300 1)", 2)
+        assert indicator.eval([1e10, 1e10]) is INF
+        assert indicator.eval_many(np.array([[1e10, 1e10], [1.0001e10, 1e10]])).tolist() == [math.inf, 0.0]
+
     def test_members(self):
         box = constraint_from_json(self.doc(type="box", lo=[-1.0, 0.5], hi=[0.5, 1.0]), 2)
         assert box.member(np.array([0.0, 0.75])) and not box.member(np.array([0.0, 0.0]))
