@@ -27,6 +27,7 @@ output has no NaN or Infinity: such cells are the strings "nan", "inf", "-inf".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from .errors import (
 from .grammar import parse_function
 from .sets import SCHEMA_VERSION, constraint_from_json, set_from_json, set_to_json, transform_set
 from .optimize import SolveParams, solve_via_dual
-from .transform import DEFAULT_TOL, DualHandle, Sense, Verdict, check_radial, extpos_gap_many
+from .transform import DEFAULT_TOL, MIN_TOL, DualHandle, Sense, Verdict, check_radial, extpos_gap_many
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -123,17 +124,19 @@ def _count(text: str, least: int = 1) -> int:
     return value
 
 
-def _positive(what: str):
-    """An argparse type: a positive finite number, named what in errors."""
+def _positive(what: str, least: float = 0.0):
+    """An argparse type: a positive finite number no smaller than least,
+    named what in errors."""
+    bound = f"a finite number >= {least!r}" if least else "a positive finite number"
 
     def parse(text: str) -> float:
         try:
             value = float(text)
-            if 0 < value < math.inf:
+            if 0 < value < math.inf and value >= least:
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"{what} must be a positive finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {text!r}")
 
     return parse
 
@@ -319,13 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="radial",
         description="Evaluate projective transforms of functions and sets.",
     )
+    # main sets the default from RADIAL_TOL on every call.
     parser.add_argument(
         "--tol",
-        type=_positive("tolerance (--tol or RADIAL_TOL)"),
-        # A string default goes through the type too, so a bad RADIAL_TOL
-        # is a usage error like a bad --tol.
-        default=os.environ.get("RADIAL_TOL") or DEFAULT_TOL,
-        help="bisection tolerance (default: RADIAL_TOL env or 1e-10)",
+        # A finer tol would never stop a search (see transform.MIN_TOL).
+        type=_positive("tolerance (--tol or RADIAL_TOL)", least=MIN_TOL),
+        default=DEFAULT_TOL,
+        help=f"bisection tolerance, at least {MIN_TOL!r} (default: RADIAL_TOL env or 1e-10)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # The expression flags of every subcommand that parses a function.
@@ -370,8 +373,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused;
+    RADIAL_TOL is read on every call."""
+    parser = _parser()
+    # A string default goes through --tol's type too, so a bad RADIAL_TOL
+    # is a usage error like a bad --tol.
+    parser.set_defaults(tol=os.environ.get("RADIAL_TOL") or DEFAULT_TOL)
+    args = parser.parse_args(argv)
     try:
         return args.run(args)
     except Exception as exc:

@@ -6,7 +6,11 @@ the numpy table serves eval_many on an (m, n) array of points.  Both follow
 the same IEEE rules, with nan/inf propagation; where numpy's own result
 differs from the scalar rule (1/-0.0, 0^negative, nan^0, hypot(inf, nan))
 the numpy table masks it back, so the two agree except for ulp-level
-differences between libm and numpy in exp, pow and hypot.
+differences between libm and numpy in exp, pow and hypot.  Constant
+subtrees are folded when compiling, and each table has two entries for a
+constant right operand that cannot reach those cases: "/c" (a divisor
+neither zero nor nan) and "^c" (a positive exponent), the plain division
+and power, bit-identical to the general rules there.
 
 The final value is converted to an extended positive value (eval) or a
 float with 0.0 and inf as the tags (eval_many).  A negative or undefined
@@ -278,6 +282,12 @@ def parse(text: str, dim: int):
 def _safe_pow(a: float, b: float) -> float:
     if math.isnan(a) or math.isnan(b):
         return math.nan
+    return _pow(a, b)
+
+
+def _pow(a: float, b: float) -> float:
+    """math.pow with the IEEE value where it raises.  For b != 0 a nan base
+    already gives nan, so a positive constant exponent needs no nan test."""
     try:
         return math.pow(a, b)
     except ValueError:
@@ -329,6 +339,8 @@ _MATH_OPS = {
     "*": operator.mul,
     "/": _safe_div,
     "^": _safe_pow,
+    "/c": operator.truediv,  # by a constant that is neither zero nor nan
+    "^c": _pow,  # to a positive constant
     "sqrt": _safe_unary(math.sqrt),
     "exp": _safe_unary(math.exp),
     "abs": math.fabs,
@@ -372,6 +384,8 @@ _NUMPY_OPS = {
     "*": operator.mul,
     "/": _np_div,
     "^": _np_pow,
+    "/c": np.divide,  # _np_div's masks change a value only where b == 0
+    "^c": np.power,  # _np_pow's only where b <= 0 or b is nan
     "sqrt": np.sqrt,
     "exp": np.exp,
     "abs": np.abs,
@@ -384,21 +398,55 @@ _NUMPY_OPS = {
 }
 
 
+def _constant(node) -> bool:
+    """Whether a subtree holds no variable and no indicator."""
+    if isinstance(node, (Var, Indicator)):
+        return False
+    if isinstance(node, Neg):
+        return _constant(node.child)
+    if isinstance(node, Bin):
+        return _constant(node.left) and _constant(node.right)
+    if isinstance(node, Call):
+        return all(map(_constant, node.args))
+    return True
+
+
 def _compile(node, ops):
     """Turn a syntax tree into a closure over one op table, so that an
-    evaluation no longer dispatches on node types."""
-    if isinstance(node, Num):
-        value = node.value
-        return lambda x: value
+    evaluation no longer dispatches on node types.
+
+    A constant subtree is folded: its closure runs once, here, and its value
+    is what every evaluation would have computed.  A constant right operand
+    that cannot reach the general rule's special cases, a divisor that is
+    neither zero nor nan or a positive exponent, compiles to the plain op
+    ("/c", "^c"), which gives the same bits."""
     if isinstance(node, Var):
         return ops["var"](node.index)
     if isinstance(node, Indicator):
         return ops["indicator"](node.region)
+    if isinstance(node, Num):
+        value = node.value
+    else:
+        closure = _compile_op(node, ops)
+        if not _constant(node):
+            return closure
+        with np.errstate(all="ignore"):
+            value = closure(None)
+    return lambda x: value
+
+
+def _compile_op(node, ops):
     if isinstance(node, Neg):
         child, neg = _compile(node.child, ops), ops["neg"]
         return lambda x: neg(child(x))
     if isinstance(node, Bin):
-        left, right, op = _compile(node.left, ops), _compile(node.right, ops), ops[node.op]
+        left, right = _compile(node.left, ops), _compile(node.right, ops)
+        if node.op in ("/", "^") and _constant(node.right):
+            c = right(None)
+            if (c != 0.0 and c == c) if node.op == "/" else c > 0.0:
+                op = ops[node.op + "c"]
+                return lambda x: op(left(x), c)
+        op = ops[node.op]
         return lambda x: op(left(x), right(x))
     if isinstance(node, Call):
         args, func = [_compile(arg, ops) for arg in node.args], ops[node.func]

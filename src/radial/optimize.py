@@ -24,7 +24,7 @@ from .errors import (
 )
 from .oracle import FunctionOracle, RadialityMeta, difference_probes, gradient
 from .sets import SetOracle
-from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial
+from .transform import DEFAULT_TOL, MIN_TOL, DualHandle, Sense, check_radial
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,8 @@ class SolveParams:
             raise ValueError("tol_grad must be positive and finite")
         if not (0.0 < self.tol < math.inf):
             raise ValueError("tol must be positive and finite")
+        if self.tol < MIN_TOL:
+            raise ValueError(f"tol must be at least {MIN_TOL!r}, the float resolution")
 
 
 def _fd_grad(phi, y: np.ndarray, base: float) -> np.ndarray:

@@ -317,8 +317,9 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     scale = float(np.max(np.abs(a), initial=0.0)) or 1.0
 
     def member(x: np.ndarray) -> bool:
-        # A non-finite a.x may hide inf - inf (nan, or inf from a fused dot kernel).
-        with np.errstate(over="ignore"):
+        # A non-finite a.x may hide inf - inf (nan, or inf from a fused dot
+        # kernel); a nan a.x, from inf - inf or a nan coordinate, is outside.
+        with np.errstate(over="ignore", invalid="ignore"):
             ax = float(a @ x)
             return ax <= b if math.isfinite(ax) else float((a / scale) @ x) <= b / scale
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowR
 from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective
 
 DEFAULT_TOL = 1e-10
+#: The finest tol accepted.  Since ulp(v) <= MIN_TOL * max(v, 1), the stop
+#: rule holds once lo and hi are adjacent floats; below it a search whose
+#: midpoint has reached an endpoint never stops.
+MIN_TOL = sys.float_info.epsilon
 #: Search caps: the heights at which an expansion stops and returns a tag.
 V_MIN = 1e-12
 V_MAX = 1e12
@@ -201,6 +206,8 @@ class DualHandle(FunctionOracle):
     ):
         if not (0.0 < tol < math.inf):
             raise ValueError("tol must be positive and finite")
+        if tol < MIN_TOL:
+            raise ValueError(f"tol must be at least {MIN_TOL!r}, the float resolution")
         self.base = base
         self.sense = sense
         self.tol = float(tol)

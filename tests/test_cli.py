@@ -462,6 +462,65 @@ class TestEntryPointAndEnvironment:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag,env", [(["--tol", "1e-300"], {}), ([], {"RADIAL_TOL": "1e-300"})], ids=["flag", "env"])
+    def test_tol_below_float_resolution_is_refused(self, flag, env):
+        """A tol under which adjacent floats still miss the stop rule is a
+        usage error; the timeout turns a search that never stops into a
+        failure."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "radial.cli", *flag, "eval", "--f", "pos(1-x0^2)", "--dim", "1", "--at", "0.5"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, **env),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        usage, error = proc.stderr.splitlines()
+        assert usage.startswith("usage: radial")
+        assert error == (
+            "radial: error: argument --tol: tolerance (--tol or RADIAL_TOL) must be a finite number "
+            ">= 2.220446049250313e-16, got '1e-300'"
+        )
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reads RADIAL_TOL on
+    every call."""
+
+    ARGV = ["eval", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--at", "1"]
+
+    def test_radial_tol_is_read_on_every_call(self, monkeypatch, capsys):
+        for env, want in (("1e-6", "± 1e-06"), ("1e-4", "± 0.0001"), (None, "± 1e-10")):
+            if env is None:
+                monkeypatch.delenv("RADIAL_TOL")
+            else:
+                monkeypatch.setenv("RADIAL_TOL", env)
+            code, out, _ = run_cli(self.ARGV, capsys)
+            assert code == 0
+            assert out.splitlines()[0].endswith(want)
+
+    def test_bad_env_value_then_a_good_call(self, monkeypatch, capsys):
+        monkeypatch.setenv("RADIAL_TOL", "banana")
+        assert exit_code(self.ARGV) == 2
+        assert "error: argument --tol" in capsys.readouterr().err
+        monkeypatch.delenv("RADIAL_TOL")
+        code, out, _ = run_cli(self.ARGV, capsys)
+        assert code == 0
+        assert out.splitlines()[0].endswith("± 1e-10")
+
+    def test_usage_error_leaves_the_parser_as_built(self, monkeypatch, capsys):
+        monkeypatch.delenv("RADIAL_TOL", raising=False)
+        cli._parser.cache_clear()
+        first = run_cli(self.ARGV, capsys)
+        assert exit_code(["eval", "--f", "x0", "--dim", "1", "--at", "1", "--sense", "sideways"]) == 2
+        assert exit_code(["--tol", "0", "eval", "--f", "x0", "--dim", "1", "--at", "1"]) == 2
+        capsys.readouterr()
+        assert run_cli(self.ARGV, capsys) == first
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
 
 CAP = "pos(2 - (x0-1)^2)"
 BOX_2D = {"schema": "radial/v1", "type": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}

@@ -1,13 +1,15 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import expressions, overflowing_expressions
 from radial import INF, ZERO, ExpressionRangeError, ExtPos, ParseError, parse_function
-from radial.grammar import Num, evaluate, parse, unparse
+from radial.grammar import _MATH_OPS, _NUMPY_OPS, Bin, Call, Indicator, Neg, Num, Var, evaluate, parse, unparse
 
 # Expressions that are total (never negative/nan at the top level) so the
 # reprint round-trip can be checked by evaluation anywhere.
@@ -264,3 +266,108 @@ def test_eval_many_rows_match_eval(expr, xs):
         assert (w == 0.0) == (g == 0.0) and (w == math.inf) == (g == math.inf), (expr, xs, want, got)
         if 0.0 < w < math.inf:
             assert abs(g - w) <= 4 * math.ulp(w), (expr, xs, want, got)
+
+
+# -- compiled kernels against a walk of the general rules --------------------
+
+
+def _walk(node, ops, x):
+    """The tree evaluated node by node with the general op of each: no
+    folding and no constant-operand entries ("/c", "^c")."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return ops["var"](node.index)(x)
+    if isinstance(node, Indicator):
+        return ops["indicator"](node.region)(x)
+    if isinstance(node, Neg):
+        return ops["neg"](_walk(node.child, ops, x))
+    if isinstance(node, Bin):
+        return ops[node.op](_walk(node.left, ops, x), _walk(node.right, ops, x))
+    assert isinstance(node, Call)
+    return ops[node.func](*[_walk(arg, ops, x) for arg in node.args])
+
+
+def _walk_many(tree, xs):
+    """parse_function's eval_many over the walk."""
+    with np.errstate(all="ignore"):
+        t = _walk(tree, _NUMPY_OPS, xs) + np.zeros(xs.shape[0])
+    valid = t >= 0.0
+    if np.count_nonzero(valid) != t.size:
+        i = int(np.argmin(valid))
+        raise ExpressionRangeError(float(t[i]), xs[i].tolist(), i)
+    return t
+
+
+def _walk_eval(tree, x):
+    """parse_function's eval over the walk."""
+    t = _walk(tree, _MATH_OPS, x.tolist())
+    if not t >= 0.0:
+        raise ExpressionRangeError(t, x.tolist())
+    return ExtPos.from_float(t)
+
+
+def _outcome(fn, *args):
+    """A batch as its bytes, a value as its float's hex, an error as its
+    type, message and row: nan payloads inside a kernel may differ, its
+    results may not."""
+    try:
+        got = fn(*args)
+    except ExpressionRangeError as exc:
+        return type(exc), str(exc), exc.row
+    return got.tobytes() if isinstance(got, np.ndarray) else got.as_float().hex()
+
+
+def _rows(dim):
+    return np.array(list(itertools.product(_SPECIAL_POINTS, repeat=dim)))
+
+
+def _in_dim(expr, dim):
+    """The expression over dim variables: in 2-D every other x0 becomes x1
+    and the halfspace gains a normal coordinate."""
+    if dim == 1:
+        return expr
+    turn = itertools.count()
+    expr = re.sub(r"x0", lambda _: "x1" if next(turn) % 2 else "x0", expr)
+    return expr.replace("halfspace 1 0.5", "halfspace 1 -1 0.5")
+
+
+def _assert_kernels_match_walk(expr, dim):
+    tree = parse(expr, dim)
+    f = parse_function(expr, dim)
+    xs = _rows(dim)
+    assert _outcome(f.eval_many, xs) == _outcome(_walk_many, tree, xs), expr
+    for x in xs:
+        assert _outcome(f.eval_many, x[None]) == _outcome(_walk_many, tree, x[None]), (expr, x)
+        assert _outcome(f.eval, x) == _outcome(_walk_eval, tree, x), (expr, x)
+
+
+# Each constant operand the compiler specialises, and each it must not: a
+# zero, -0.0 or nan divisor and a zero, negative or nan exponent keep the
+# general rule.  At -0.0 an odd negative power and a division by -0.0 are
+# where the plain ufuncs differ from the rule.
+CONSTANT_OPERANDS = [
+    ("pos(1.335*sqrt(1-(x0/0.619)^2))", 1),
+    ("pos(0.947*sqrt(1-(x0^2+x1^2)/1.159^2))", 2),
+    ("(x0+1)^2 + 0.5", 1),
+    ("x0^2 + x1^3", 2),
+    *[(f"x0^{c}", 1) for c in ("0.5", "3", "inf", "1e-300", "0", "-1", "-2", "-0.5", "-inf", "(0*inf)", "(2^-2)")],
+    *[(f"x0/{c}", 1) for c in ("0.619", "-2", "inf", "0", "-0", "(0*inf)", "(1/0)", "(-(2^-2))")],
+    ("2^-2 + (-x0)^1e-300 / 1e-3", 2),
+]
+
+
+@pytest.mark.parametrize("expr,dim", CONSTANT_OPERANDS)
+def test_constant_operands_compile_bit_for_bit(expr, dim):
+    _assert_kernels_match_walk(expr, dim)
+
+
+@given(expr=expressions | overflowing_expressions, dim=st.sampled_from([1, 2]))
+@example(expr="(x0) ^ (-(1))", dim=1).via("an odd negative power of -0.0")
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_compiled_kernels_match_the_general_rules(expr, dim):
+    """Folding constant subtrees and compiling constant operands to one op
+    change no bit of any result: eval_many returns the walk's bytes or its
+    error on the same row, and eval the same value or error, at the
+    special points in 1-D and 2-D."""
+    _assert_kernels_match_walk(_in_dim(expr, dim), dim)

@@ -174,6 +174,12 @@ class TestSolveViaDual:
         with pytest.raises(ValueError, match=name):
             SolveParams(**{name: bad})
 
+    def test_tol_below_float_resolution_is_refused(self):
+        # Such a tol never stops a search; tol_grad has no floor.
+        with pytest.raises(ValueError, match="tol must be at least"):
+            SolveParams(tol=1e-17)
+        assert SolveParams(tol=2**-52, tol_grad=1e-300).tol == 2**-52
+
     def test_formula_gradient_falls_back_to_differences(self, monkeypatch):
         """At y = 2 and at the next iterate, the mapped point y / dual(y) of
         lifted_cap lies just past the edge of its domain [-1, 1], so the

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -30,7 +34,7 @@ from radial import (
 )
 from radial import transform
 from radial.oracle import DECLARED_UPPER, UNKNOWN_META
-from radial.transform import extpos_gap_many
+from radial.transform import MIN_TOL, extpos_gap_many
 from radial.catalog import (
     absval,
     absval_lower_dual,
@@ -90,6 +94,49 @@ class TestLowerValue:
         h = lower(constant(2.0))
         for t in (-3.0, 0.0, 7.0):
             assert abs(h.value([t]).value - 0.5) <= TOL * 2
+
+
+# Each search form at the finest tol, in a child process: value, values
+# and a nested handle's, for both senses and a global scan.
+_FINEST_TOL_SCRIPT = """
+import json, numpy as np
+from radial import DualHandle, Sense, parse_function
+f = parse_function("pos(sqrt(1 - x0^2))", 1)
+ys = np.array([[0.0], [0.5], [1.0], [3.0]])
+out = {}
+for sense in Sense:
+    for scan in (False, True):
+        h = DualHandle(f, sense, tol=2**-52, global_scan=scan)
+        for name, g in (("", h), ("nested ", DualHandle(h, Sense.UPPER, tol=2**-52))):
+            key = f"{name}{sense.value} scan={scan}"
+            out[key] = [g.values(ys).tolist(), [g.value(y).as_float() for y in ys]]
+print(json.dumps(out))
+"""
+
+
+class TestToleranceFloor:
+    """Below float resolution a search whose bracket has closed to adjacent
+    floats still misses the stop rule and never returns."""
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-300, math.nextafter(MIN_TOL, 0.0)])
+    def test_finer_tol_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol must be at least 2.220446049250313e-16"):
+            DualHandle(sqrt_cap(1), tol=tol)
+
+    def test_float_resolution_stops(self):
+        # The timeout turns a search that never stops into a failure.
+        proc = subprocess.run(
+            [sys.executable, "-c", _FINEST_TOL_SCRIPT], capture_output=True, text=True, timeout=120, env=dict(os.environ)
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert len(results) == 8
+        for key, (batch, single) in results.items():
+            assert batch == single, key
+            if key.startswith("nested"):  # the bidual of the cap is the cap
+                assert abs(batch[1] - math.sqrt(0.75)) <= 1e-12, key
+            else:
+                assert abs(batch[2] - math.sqrt(2.0)) <= 4 * math.ulp(math.sqrt(2.0)), key
 
 
 CLOSED_FORMS = [
