@@ -89,7 +89,6 @@ from .transform import (
     MonotoneWitness,
     RadialityReport,
     Sense,
-    Verdict,
     check_radial,
     duality_residual,
     extpos_gap,

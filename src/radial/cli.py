@@ -14,7 +14,7 @@ Exit codes:
      unreadable input file, a JSON document that breaks its schema
      (constraint dimensions must match --dim; a ball's "dim" defaults to it)
   3  eval/grid: non-monotone perspective (retry with --global);
-     solve: objective not ray-monotone
+     solve: objective not ray-monotone, or its radiality sample inconclusive
   4  check: inconclusive sample
   5  solve: iteration budget exhausted (partial result still printed)
 
@@ -48,9 +48,10 @@ from .errors import (
     SchemaError,
 )
 from .grammar import parse_function
+from .oracle import RadialityMeta
 from .sets import SCHEMA_VERSION, constraint_from_json, set_from_json, set_to_json, transform_set
 from .optimize import SolveParams, solve_via_dual
-from .transform import DEFAULT_TOL, MIN_TOL, DualHandle, Sense, Verdict, check_radial, extpos_gap_many
+from .transform import DEFAULT_TOL, MIN_TOL, DualHandle, Sense, check_radial, extpos_gap_many
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -73,6 +74,15 @@ _EXIT_CODES = (
     ((ParseError, _UsageError, SchemaError, ExpressionRangeError, OriginNotInSetError), EXIT_PARSE, None),
     ((RadialError, ValueError, OSError, MemoryError), EXIT_FAILURE, None),
 )
+
+#: check's first stdout line (formatted with the witness count) and exit
+#: code for each radiality fact the sample shows.
+_CHECK_OUTCOMES = {
+    RadialityMeta.STRICT: ("strictly radial (sampled)", EXIT_OK),
+    RadialityMeta.RADIAL: ("radial (sampled; not strict)", EXIT_OK),
+    RadialityMeta.NOT_RADIAL: ("not radial: {} witness(es)", EXIT_FAILURE),
+    RadialityMeta.UNKNOWN: ("inconclusive: no informative samples", EXIT_INCONCLUSIVE),
+}
 
 _EMIT_TOKENS = ("primal", "dual", "lower", "bidual", "residual", "gamma")
 
@@ -267,15 +277,8 @@ def _cmd_check(args) -> int:
     oracle = parse_function(args.f, args.dim)
     lo, hi = args.box
     report = check_radial(oracle, args.rays, args.points, box=(lo, hi), seed=args.seed)
-    if report.verdict is Verdict.RADIAL:
-        print("strictly radial (sampled)" if report.strict else "radial (sampled; not strict)")
-        code = EXIT_OK
-    elif report.verdict is Verdict.NOT_RADIAL:
-        print(f"not radial: {report.witness_count} witness(es)")
-        code = EXIT_FAILURE
-    else:
-        print("inconclusive: no informative samples")
-        code = EXIT_INCONCLUSIVE
+    line, code = _CHECK_OUTCOMES[report.meta]
+    print(line.format(report.witness_count))
     for w in report.witnesses:
         ys = ",".join(_fmt(c) for c in w.y)
         print(

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .oracle import FunctionOracle, RadialityMeta, difference_probes, gradient
 from .sets import SetOracle
-from .transform import DEFAULT_TOL, MIN_TOL, DualHandle, Sense, check_radial
+from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial, checked_tol
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,7 @@ class SolveParams:
             raise ValueError("budget must be >= 1")
         if not (0.0 < self.tol_grad < math.inf):
             raise ValueError("tol_grad must be positive and finite")
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError("tol must be positive and finite")
-        if self.tol < MIN_TOL:
-            raise ValueError(f"tol must be at least {MIN_TOL!r}, the float resolution")
+        checked_tol(self.tol)
 
 
 def _fd_grad(phi, y: np.ndarray, base: float) -> np.ndarray:
@@ -161,12 +158,9 @@ def solve_via_dual(
         raise RadialityRequiredError("the objective is not ray-monotone; its transform is not dual to it")
     if f.meta is RadialityMeta.UNKNOWN:
         report = check_radial(f, rays=32, points_per_ray=64, seed=0)
-        if report.verdict.value != "radial":
-            raise RadialityRequiredError(
-                f"radiality check verdict: {report.verdict.value} "
-                f"({report.witness_count} witnesses)"
-            )
-        f = f.with_meta(report.to_meta())
+        if not report.meta.radial:
+            raise RadialityRequiredError(f"radiality check: {report.meta.value} ({report.witness_count} witnesses)")
+        f = f.with_meta(report.meta)
 
     handle = DualHandle(f, Sense.UPPER, tol=params.tol)
     use_gauge = constraint is not None

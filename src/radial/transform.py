@@ -87,6 +87,16 @@ KEPT_WITNESSES = 5
 MONOTONE_GUARD = 1e-9
 
 
+def checked_tol(tol: float) -> float:
+    """A search tolerance as a float: positive, finite and at least MIN_TOL
+    (ValueError otherwise)."""
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be positive and finite")
+    if tol < MIN_TOL:
+        raise ValueError(f"tol must be at least {MIN_TOL!r}, the float resolution")
+    return float(tol)
+
+
 class Sense(enum.Enum):
     UPPER = "upper"
     LOWER = "lower"
@@ -204,13 +214,9 @@ class DualHandle(FunctionOracle):
         tol: float = DEFAULT_TOL,
         global_scan: bool = False,
     ):
-        if not (0.0 < tol < math.inf):
-            raise ValueError("tol must be positive and finite")
-        if tol < MIN_TOL:
-            raise ValueError(f"tol must be at least {MIN_TOL!r}, the float resolution")
         self.base = base
         self.sense = sense
-        self.tol = float(tol)
+        self.tol = checked_tol(tol)
         self.global_scan = bool(global_scan)
         # A lockstep is batch-native when its cost per step does not grow
         # with its rows: over a leaf built with a batch callback, and with
@@ -417,28 +423,14 @@ class DualHandle(FunctionOracle):
 # -- radiality checking ---------------------------------------------------
 
 
-class Verdict(enum.Enum):
-    RADIAL = "radial"
-    NOT_RADIAL = "not-radial"
-    INCONCLUSIVE = "inconclusive"
-
-
 @dataclass(frozen=True)
 class RadialityReport:
-    """witness_count counts every sampled violation; witnesses keeps the
-    first KEPT_WITNESSES of them."""
+    """meta is what the sample shows; witness_count counts every sampled
+    violation and witnesses keeps the first KEPT_WITNESSES of them."""
 
-    verdict: Verdict
-    strict: bool
+    meta: RadialityMeta
     witnesses: tuple[MonotoneWitness, ...]
     witness_count: int
-
-    def to_meta(self) -> RadialityMeta:
-        if self.verdict is Verdict.RADIAL:
-            return RadialityMeta.STRICT if self.strict else RadialityMeta.RADIAL
-        if self.verdict is Verdict.NOT_RADIAL:
-            return RadialityMeta.NOT_RADIAL
-        return RadialityMeta.UNKNOWN
 
 
 def check_radial(
@@ -457,9 +449,9 @@ def check_radial(
     two heights (fewer raise ValueError).  When a gradient callback is
     available the sign of grad f(x).x - f(x) is additionally tested at
     random domain points: a positive value is a violation and a (near-)zero
-    value rules out strictness.  A RADIAL verdict means no violation was
-    found in the sample, never a proof; if no sampled point produced a
-    finite profile or gradient test the verdict is INCONCLUSIVE.
+    value rules out strictness.  A RADIAL or STRICT meta means no violation
+    was found in the sample, never a proof; if no sampled point produced a
+    finite profile or gradient test the meta is UNKNOWN.
     """
     if rays < 1 or points_per_ray < 2:
         raise ValueError("check_radial needs rays >= 1 and points_per_ray >= 2")
@@ -513,14 +505,12 @@ def check_radial(
                 strict_ok = False
 
     if witness_count:
-        verdict = Verdict.NOT_RADIAL
-        strict_ok = False
+        meta = RadialityMeta.NOT_RADIAL
     elif informative == 0:
-        verdict = Verdict.INCONCLUSIVE
-        strict_ok = False
+        meta = RadialityMeta.UNKNOWN
     else:
-        verdict = Verdict.RADIAL
-    return RadialityReport(verdict, strict_ok, tuple(witnesses), witness_count)
+        meta = RadialityMeta.STRICT if strict_ok else RadialityMeta.RADIAL
+    return RadialityReport(meta, tuple(witnesses), witness_count)
 
 
 # -- duality residual ------------------------------------------------------

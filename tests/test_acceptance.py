@@ -19,8 +19,8 @@ from radial import (
     KthKind,
     LiftedPoint,
     Polyhedron,
+    RadialityMeta,
     Sense,
-    Verdict,
     ball_set,
     check_radial,
     dual_gradient,
@@ -353,15 +353,15 @@ def test_criterion_11_fractional_linear_identity():
 
 def test_criterion_12_radiality_verdicts():
     expected = [
-        (sqrt_cap(1), Verdict.RADIAL, True),
-        (absval(), Verdict.RADIAL, False),
-        (shifted_quadratic(), Verdict.NOT_RADIAL, False),
+        (sqrt_cap(1), RadialityMeta.STRICT),
+        (absval(), RadialityMeta.RADIAL),
+        (shifted_quadratic(), RadialityMeta.NOT_RADIAL),
     ]
     misclassified = 0
     for seed in range(10):
-        for oracle, verdict, strict in expected:
+        for oracle, meta in expected:
             r = check_radial(oracle, rays=32, points_per_ray=48, seed=seed)
-            if r.verdict is not verdict or r.strict != strict:
+            if r.meta is not meta:
                 misclassified += 1
     ok = misclassified == 0
     report(12, ok, f"radiality verdicts over 10 seeded runs: {misclassified} misclassifications (= 0)")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import expressions
 
-from radial import DualHandle, LiftedPoint, Sense, cli, extpos_gap, gamma_point, parse_function
+from radial import DualHandle, LiftedPoint, Sense, check_radial, cli, extpos_gap, gamma_point, parse_function
 from radial.cli import build_parser, main
 
 
@@ -344,23 +344,24 @@ class TestSetTransform:
 class TestCheck:
     def test_strictly_radial_exit_0(self, capsys):
         code, out, _ = run_cli(["check", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--rays", "16", "--points", "32"], capsys)
-        assert code == 0 and "strictly radial (sampled)" in out
+        assert (code, out.splitlines()[0]) == (0, "strictly radial (sampled)")
 
     def test_quadratic_exit_1_with_witness(self, capsys):
         code, out, _ = run_cli(["check", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--rays", "16", "--points", "32"], capsys)
-        assert code == 1 and "witness" in out
+        assert (code, out.splitlines()[0]) == (1, "not radial: 253 witness(es)")
+        assert out.splitlines()[1].startswith("witness: y=(")
 
     def test_bump_exit_0(self, capsys):
         code, out, _ = run_cli(["check", "--f", "exp(-abs(x0)) + 0.5", "--dim", "1", "--rays", "16", "--points", "32"], capsys)
-        assert code == 0
+        assert (code, out.splitlines()[0]) == (0, "strictly radial (sampled)")
 
     def test_absval_not_strict(self, capsys):
         code, out, _ = run_cli(["check", "--f", "abs(x0)", "--dim", "1", "--rays", "16", "--points", "32"], capsys)
-        assert code == 0 and "not strict" in out
+        assert (code, out.splitlines()[0]) == (0, "radial (sampled; not strict)")
 
     def test_indicator_inconclusive_exit_4(self, capsys):
         code, out, _ = run_cli(["check", "--f", "indicator(ball 1)", "--dim", "1", "--rays", "4", "--points", "16"], capsys)
-        assert code == 4 and "inconclusive" in out
+        assert (code, out) == (4, "inconclusive: no informative samples\n")
 
 
 class TestSolve:
@@ -375,6 +376,11 @@ class TestSolve:
     def test_quadratic_exit_3(self, capsys):
         code, _, err = run_cli(["solve", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--y0", "1"], capsys)
         assert code == 3 and "radial" in err.lower()
+
+    def test_inconclusive_sample_exit_3(self, capsys):
+        code, out, err = run_cli(["solve", "--f", "indicator(ball 1)", "--dim", "1", "--y0", "0.5"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: radiality check: unknown (0 witnesses)\n"
 
     def test_budget_exhaustion_exit_5_with_partial_result(self, capsys):
         code, out, err = run_cli(
@@ -647,17 +653,22 @@ class TestExitCodes:
 def test_generated_expressions_end_in_a_documented_code(expr, at):
     """Any expression ends in an exit code with a one-line reason, never a
     traceback: eval succeeds (0) or reports an error, and check reports a
-    verdict (0, 1, 4) or an error."""
+    verdict (0, 1, 4) or an error.  A verdict's first line is the one the
+    library's report maps to."""
     runs = [
         (["eval", f"--f={expr}", "--dim", "1", f"--at={at}"], {0}),
         (["check", f"--f={expr}", "--dim", "1", "--rays", "4", "--points", "8"], {0, 1, 4}),
     ]
     for argv, verdicts in runs:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in range(6)
         assert code in verdicts or "error:" in err.getvalue()
+        if argv[0] == "check" and code in verdicts:
+            report = check_radial(parse_function(expr, 1), 4, 8)
+            line, want = cli._CHECK_OUTCOMES[report.meta]
+            assert (code, out.getvalue().splitlines()[0]) == (want, line.format(report.witness_count))
 
 
 # -- grid columns against a per-point scalar reference ---------------------

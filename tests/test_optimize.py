@@ -143,6 +143,12 @@ class TestSolveViaDual:
         with pytest.raises(RadialityRequiredError):
             solve_via_dual(bare, np.array([1.0]))
 
+    def test_inconclusive_sample_is_refused(self):
+        # An indicator's profile is 0 or inf on every sampled ray, so the
+        # check learns nothing and the solver refuses an UNKNOWN objective.
+        with pytest.raises(RadialityRequiredError, match=r"^radiality check: unknown \(0 witnesses\)$"):
+            solve_via_dual(parse_function("indicator(ball 1)", 1), np.array([0.5]))
+
     def test_budget_exhaustion_flagged_not_raised(self):
         ds, ps = solve_via_dual(shifted_parabola(), np.array([5.0]), SolveParams(budget=3))
         assert not ds.converged and ds.status == "budget"

@@ -25,7 +25,6 @@ from radial import (
     RadialError,
     RadialityMeta,
     Sense,
-    Verdict,
     check_radial,
     duality_residual,
     extpos_gap,
@@ -281,19 +280,19 @@ class TestNonMonotone:
 class TestRadialityChecker:
     def test_strictly_monotone_verdict(self):
         report = check_radial(sqrt_cap(1), rays=16, points_per_ray=32, seed=0)
-        assert report.verdict is Verdict.RADIAL and report.strict
+        assert report.meta is RadialityMeta.STRICT
 
     def test_constant_is_reported_strict(self):
         report = check_radial(constant(1.0), rays=8, points_per_ray=32, seed=0)
-        assert report.verdict is Verdict.RADIAL and report.strict
+        assert report.meta is RadialityMeta.STRICT
 
     def test_absolute_value_not_strict(self):
         report = check_radial(absval(), rays=16, points_per_ray=32, seed=0)
-        assert report.verdict is Verdict.RADIAL and not report.strict
+        assert report.meta is RadialityMeta.RADIAL
 
     def test_quadratic_not_monotone_with_witness(self):
         report = check_radial(shifted_quadratic(), rays=16, points_per_ray=32, seed=0)
-        assert report.verdict is Verdict.NOT_RADIAL
+        assert report.meta is RadialityMeta.NOT_RADIAL
         assert report.witnesses
         w = report.witnesses[0]
         assert w.v_lo < w.v_hi and w.p_lo > w.p_hi + 1e-9
@@ -310,7 +309,7 @@ class TestRadialityChecker:
 
         probe = indicator_oracle(ball_set(1, 1.0)).with_meta(UNKNOWN_META)
         report = check_radial(probe, rays=4, points_per_ray=16, seed=0)
-        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.meta is RadialityMeta.UNKNOWN
 
     @pytest.mark.parametrize("expr", ["(x0+1)^2 + 0.5", "abs(x0)", "abs(x0) + 1"])
     def test_blocks_match_one_ray_at_a_time(self, expr, monkeypatch):
@@ -334,7 +333,7 @@ class TestRadialityChecker:
         batches.clear()
         want = check_radial(probe, rays=rays, points_per_ray=points, seed=3)
         assert batches == [points] * rays
-        assert (report.verdict, report.strict) == (want.verdict, want.strict)
+        assert report.meta is want.meta
         assert report.witness_count == want.witness_count
         assert len(report.witnesses) == len(want.witnesses)
         for got, ref in zip(report.witnesses, want.witnesses):
@@ -354,7 +353,7 @@ class TestRadialityChecker:
         for y in ys:
             profile = [perspective(probe, y, v).as_float() for v in heights]
             drops += [(y[0], i) for i in range(points - 1) if profile[i] - profile[i + 1] > transform.MONOTONE_GUARD]
-        assert report.verdict is Verdict.NOT_RADIAL
+        assert report.meta is RadialityMeta.NOT_RADIAL
         assert report.witness_count == len(drops) > transform.KEPT_WITNESSES
         assert [(w.y[0], w.v_lo, w.v_hi) for w in report.witnesses] == [
             (y, heights[i], heights[i + 1]) for y, i in drops[: transform.KEPT_WITNESSES]
@@ -367,19 +366,18 @@ class TestRadialityChecker:
 
         got = check_radial(FunctionOracle(1, f.eval, grad=raising, meta=f.meta), rays=8, points_per_ray=32, seed=1)
         want = check_radial(FunctionOracle(1, f.eval, meta=f.meta), rays=8, points_per_ray=32, seed=1)
-        assert (got.verdict, got.strict, got.witness_count) == (want.verdict, want.strict, want.witness_count)
+        assert (got.meta, got.witness_count) == (want.meta, want.witness_count)
         assert [(w.y.tolist(), w.v_lo, w.v_hi, w.p_lo, w.p_hi) for w in got.witnesses] == [
             (w.y.tolist(), w.v_lo, w.v_hi, w.p_lo, w.p_hi) for w in want.witnesses
         ]
 
-    def test_to_meta(self):
-        meta = check_radial(sqrt_cap(1), rays=8, points_per_ray=32, seed=1).to_meta()
+    def test_meta(self):
+        meta = check_radial(sqrt_cap(1), rays=8, points_per_ray=32, seed=1).meta
         assert meta is RadialityMeta.STRICT
-        meta = check_radial(shifted_quadratic(), rays=8, points_per_ray=32, seed=1).to_meta()
+        meta = check_radial(shifted_quadratic(), rays=8, points_per_ray=32, seed=1).meta
         assert meta is RadialityMeta.NOT_RADIAL
         report = check_radial(parse_function("indicator(ball 1)", 1), rays=2, points_per_ray=4)
-        assert report.verdict is Verdict.INCONCLUSIVE
-        assert report.to_meta() is UNKNOWN_META
+        assert report.meta is UNKNOWN_META
 
     def test_gradient_pass_keeps_its_witnesses(self):
         """On the one sampled ray the profile of 1 + x.x rises from
@@ -387,7 +385,7 @@ class TestRadialityChecker:
         near v = 1, and it keeps the confirmed pair v = 1 -> 1.0001."""
         f = FunctionOracle(1, lambda x: ExtPos.finite(1 + x @ x), grad=lambda x: 2 * x)
         report = check_radial(f, rays=1, points_per_ray=2, seed=0)
-        assert report.verdict is Verdict.NOT_RADIAL and report.witness_count == 4
+        assert report.meta is RadialityMeta.NOT_RADIAL and report.witness_count == 4
         first = report.witnesses[0]
         assert (first.v_lo, first.v_hi) == (1.0, 1.0 + 1e-4)
         assert first.p_lo - first.p_hi > transform.MONOTONE_GUARD
