@@ -1,23 +1,23 @@
 """Expression grammar for CLI-supplied functions.
 
 A parsed tree is compiled once into closures by one compiler with two op
-tables: the scalar table (math functions on Python floats) serves eval,
-the numpy table serves eval_many on an (m, n) array of points.  Both follow
-the same IEEE rules, with nan/inf propagation; where numpy's own result
-differs from the scalar rule (1/-0.0, 0^negative, nan^0, hypot(inf, nan))
-the numpy table masks it back, so the two agree except for ulp-level
-differences between libm and numpy in exp, pow and hypot.  Constant
-subtrees are folded when compiling, and each table has two entries for a
-constant right operand that cannot reach those cases: "/c" (a divisor
+tables: the scalar table (math functions on Python floats) serves eval and
+eval_float, the numpy table serves eval_many on an (m, n) array of points.
+Both follow the same IEEE rules, with nan/inf propagation; where numpy's
+own result differs from the scalar rule (1/-0.0, 0^negative, nan^0,
+hypot(inf, nan)) the numpy table masks it back, so the two agree except for
+ulp-level differences between libm and numpy in exp, pow and hypot.
+Constant subtrees are folded when compiling, and each table has two entries
+for a constant right operand that cannot reach those cases: "/c" (a divisor
 neither zero nor nan) and "^c" (a positive exponent), the plain division
 and power, bit-identical to the general rules there.
 
 The final value is converted to an extended positive value (eval) or a
-float with 0.0 and inf as the tags (eval_many).  A negative or undefined
-(nan) full-expression value is an error: clamping to zero is only ever
-explicit, via the pos(...) node.  The indicator of a set takes the value
-+inf inside the set and 0 outside, matching the convention under which
-constraint indicators transform into gauges.
+float with 0.0 and inf as the tags (eval_float, eval_many).  A negative or
+undefined (nan) full-expression value is an error: clamping to zero is only
+ever explicit, via the pos(...) node.  The indicator of a set takes the
+value +inf inside the set and 0 outside, matching the convention under
+which constraint indicators transform into gauges.
 """
 
 from __future__ import annotations
@@ -484,22 +484,31 @@ def unparse(node) -> str:
 def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META, name=None) -> FunctionOracle:
     """Build a FunctionOracle from expression source.
 
-    The tree is compiled twice: with the scalar rules for eval and with the
-    numpy rules for eval_many, which returns floats with 0.0 and inf as the
-    tags.  Without grad the oracle's gradient falls back to finite
-    differences (no analytic composition is attempted); grad, hess, meta
-    and name (default: the unparsed source) are attached as given, so a
-    caller that knows the derivatives or the radiality of an expression
-    declares them here.  A top-level negative or nan value raises
-    ExpressionRangeError pointing at pos(...) rather than clamping
-    implicitly; eval_many names the first offending row.
+    The tree is compiled twice: with the scalar rules for eval and
+    eval_float, and with the numpy rules for eval_many; eval_float and
+    eval_many return floats with 0.0 and inf as the tags.  Without grad the
+    oracle's gradient falls back to finite differences (no analytic
+    composition is attempted); grad, hess, meta and name (default: the
+    unparsed source) are attached as given, so a caller that knows the
+    derivatives or the radiality of an expression declares them here.  A
+    top-level negative or nan value raises ExpressionRangeError pointing at
+    pos(...) rather than clamping implicitly; eval_many names the first
+    offending row.
     """
     tree = parse(text, dim)
     source = unparse(tree)
     scalar = _compile(tree, _MATH_OPS)
     batch = _compile(tree, _NUMPY_OPS)
 
+    def _eval_float(x: list) -> float:
+        t = scalar(x)
+        if not t >= 0.0:
+            raise ExpressionRangeError(t, x)
+        return t + 0.0  # -0.0 is the ZERO tag too
+
     def _eval(x: np.ndarray) -> ExtPos:
+        # Its own copy of the check: a call through _eval_float would tax
+        # every certified search evaluation.
         t = scalar(x.tolist())
         if not t >= 0.0:
             raise ExpressionRangeError(t, x.tolist())
@@ -515,4 +524,4 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
             raise ExpressionRangeError(float(t[i]), x[i].tolist(), i)
         return t
 
-    return FunctionOracle(dim, _eval, grad, hess, meta, name or source, _eval_many)
+    return FunctionOracle(dim, _eval, grad, hess, meta, name or source, _eval_many, _eval_float)

@@ -42,28 +42,39 @@ class FunctionOracle:
     eval_fn must accept a 1-D float array of length dim and return ExtPos.
     The optional batch callback many takes an (m, dim) float array and
     returns a float array of m values in [0, inf], where 0.0 and inf are
-    the ZERO and INF tags; without it eval_many loops over eval.
-    Oracles are immutable after construction and callbacks must be
-    reentrant; concurrent evaluation over grids is permitted.
+    the ZERO and INF tags; without it eval_many loops over eval.  The
+    optional scalar callback is its one-point counterpart: it takes a list
+    of dim floats and returns one such float; without it eval_float goes
+    through eval.  Oracles are immutable after construction and callbacks
+    must be reentrant; concurrent evaluation over grids is permitted.
     """
 
-    def __init__(self, dim, eval_fn, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None):
+    def __init__(self, dim, eval_fn, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None):
         if int(dim) < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self._eval_fn = eval_fn
         self._many_fn = many
+        self._scalar_fn = scalar
         self.grad = grad
         self.hess = hess
         self.meta = meta
         self.name = name
 
-    def eval(self, x) -> ExtPos:
+    def _vector(self, x) -> np.ndarray:
+        """x as the float vector eval takes (a scalar is a vector of length
+        one); ValueError unless it has length dim."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             x = x[None]
         if x.shape != (self.dim,):
             raise ValueError(f"expected a vector of length {self.dim}, got shape {x.shape}")
+        return x
+
+    def eval(self, x) -> ExtPos:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or x.shape[0] != self.dim:
+            x = self._vector(x)  # a scalar is a vector of length one; other shapes raise
         value = self._eval_fn(x)
         if not isinstance(value, ExtPos):
             raise TypeError(f"oracle callback must return ExtPos, got {type(value).__name__}")
@@ -88,8 +99,18 @@ class FunctionOracle:
                 raise exc.at_row(i) from exc
         return np.array(values, dtype=float)
 
+    def eval_float(self, x: list) -> float:
+        """The value at one point x, a list of dim floats, as a float with
+        0.0 and inf for the ZERO and INF tags: the scalar callback's answer,
+        or eval's collapsed to a float."""
+        if len(x) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
+        if self._scalar_fn is None:
+            return self.eval(np.array(x)).as_float()
+        return self._scalar_fn(x)
+
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
-        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn)
+        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn, self._scalar_fn)
 
     def __repr__(self):
         label = self.name or "<callback>"
@@ -103,7 +124,11 @@ def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
     if not (v > 0.0) or not math.isfinite(v):
         raise ValueError(f"perspective height must be finite and > 0, got {v!r}")
     y = np.asarray(y, dtype=float)
-    value = f.eval(y / v)
+    if y.ndim != 1:
+        y = f._vector(y)  # eval's rule: a scalar is a vector of length one, other shapes raise
+    # Python float division overflows to inf with no warning and gives
+    # numpy's bits; the search's float profile divides the same way.
+    value = f.eval(np.array([c / v for c in y.tolist()]))
     if not value.is_finite:
         return value
     scaled = v * value.value

@@ -14,11 +14,14 @@ crossing beyond one is reported as the tag (an upper value above V_MAX
 as INF).
 
 The search runs in two forms that take the same decisions.  A single query
-(value, value_with_certificate, eval) runs it on one point over floats,
-one perspective call per evaluation, and can return a bracket
-certificate.  DualHandle.values (the handle's eval_many) runs it on many
-points in lockstep over float arrays, one base eval_many per step, so a
-nested handle hands its inner handle one batch per outer step.  A
+(value, eval, value_with_certificate) runs it on one point over Python
+floats.  value and eval evaluate the profile with no ExtPos in the loop:
+the coordinates divide as floats and the base answers through eval_float,
+so a nested handle's query is a float search too.  value_with_certificate
+takes the same steps with one perspective call per evaluation and returns
+a bracket certificate.  DualHandle.values (the handle's eval_many) runs
+it on many points in lockstep over float arrays, one base eval_many per
+step, so a nested handle hands its inner handle one batch per outer step.  A
 global-scan handle starts both forms from the extreme feasible cell of a
 fixed height grid, picked by one cell rule (_scan_cells); its lockstep
 form scans all rows at once.  Row x height profiles (the global scan's
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INF, ZERO, ExtPos
+from .core import ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowRiskError
 from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective
 
@@ -151,6 +154,26 @@ def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np
     return scaled
 
 
+def _float_profile(f: FunctionOracle, y: list):
+    """The profile v -> perspective(f, y, v).as_float() for the search's
+    heights, over Python floats: y/v divides as perspective divides it, f
+    answers through its scalar callback (eval_float without one), and the
+    tags and the OverflowRiskError are perspective's."""
+    # The query checked y's length, so a scalar callback is called directly.
+    evaluate = f._scalar_fn or f.eval_float
+
+    def profile(v: float) -> float:
+        value = evaluate([c / v for c in y])
+        if value == 0.0 or value == math.inf:
+            return value
+        scaled = v * value
+        if scaled == 0.0 or scaled == math.inf:
+            raise OverflowRiskError(f"perspective product {v!r} * {value!r} left the finite range")
+        return scaled
+
+    return profile
+
+
 def _next_height(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The search's next height for each bracket (lo, hi): double lo while
     hi is open, halve hi while lo is open, else bisect; the caps bound the
@@ -199,7 +222,8 @@ def _scan_cells(profiles: np.ndarray, upper: bool) -> np.ndarray:
 class DualHandle(FunctionOracle):
     """A FunctionOracle representing the upper or lower transform of a base
     oracle, evaluated on demand by bisection: one point at a time through
-    value/eval, or many points in lockstep through values/eval_many.
+    value/eval/eval_float (over floats) or value_with_certificate (through
+    perspective), or many points in lockstep through values/eval_many.
 
     Handles compose: a DualHandle can be the base of another DualHandle.
     The perspective profile of a transformed function is nondecreasing in
@@ -226,17 +250,28 @@ class DualHandle(FunctionOracle):
         self._native = native and not self.global_scan
         super().__init__(
             base.dim,
-            lambda y: self._solve(y)[0],
+            lambda y: ExtPos.from_float(self._search(y.tolist())),
             meta=DECLARED_UPPER,
             name=f"{sense.value}-transform({base.name or 'f'})",
             many=self._lockstep,
+            scalar=self._search,
         )
 
     def value(self, y) -> ExtPos:
-        return self._solve(np.asarray(y, dtype=float))[0]
+        return ExtPos.from_float(self._search(self._vector(y).tolist()))
 
     def value_with_certificate(self, y) -> tuple[ExtPos, BracketCertificate]:
-        return self._solve(np.asarray(y, dtype=float))
+        """value(y) and its bracket certificate, from the same search with
+        perspective as its profile: one perspective call per evaluation."""
+        y = self._vector(y)
+        value, lo, hi, p_lo, p_hi, evals = self._solve(y.tolist(), lambda v: perspective(self.base, y, v).as_float())
+        # A tag's certificate records the cap probe at both ends.
+        if hi == math.inf:
+            hi, p_hi = lo, p_lo
+        elif lo == -math.inf:
+            lo, p_lo = hi, p_hi
+        mode = "global" if self.global_scan else "monotone"
+        return ExtPos.from_float(value), BracketCertificate(lo, hi, p_lo, p_hi, evals, mode)
 
     def values(self, ys) -> np.ndarray:
         """The transform at every row of ys, an (m, dim) array, as floats
@@ -254,28 +289,30 @@ class DualHandle(FunctionOracle):
 
     # -- search ---------------------------------------------------------
 
-    def _solve(self, y) -> tuple[ExtPos, BracketCertificate]:
-        """The search on one point, over floats: one perspective call per
-        evaluation, and a bracket certificate."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+    def _search(self, y: list) -> float:
+        """The transform at y, a list of dim floats, as a float with 0.0 and
+        inf for the ZERO and INF tags: the search over _float_profile.  It
+        is the handle's scalar callback, so a nested search stays in floats."""
+        return self._solve(y, _float_profile(self.base, y))[0]
+
+    def _solve(self, y: list, profile) -> tuple[float, float, float, float, float, int]:
+        """The search on one point y, a list of floats, over a float profile
+        v -> v f(y/v): the transform as a float (0.0 and inf are the tags),
+        the final bracket (lo, hi), the profile values at its ends and the
+        number of profile evaluations."""
         upper = self.sense is Sense.UPPER
         guarded = not self.base.meta.radial
-        evals = 0
-
-        def profile(v: float) -> float:
-            nonlocal evals
-            evals += 1
-            return perspective(self.base, y, v).as_float()
-
         if self.global_scan:
             # The scanned cell is bisected by the loop below; an open side
             # sits at a cap, so the loop exits at once on a tag.
             profiles = np.array([[profile(v) for v in _SCAN_HEIGHTS.tolist()]])
             lo, p_lo, hi, p_hi = _scan_cells(profiles, upper)[:, 0].tolist()
+            evals = GLOBAL_SCAN_POINTS
         else:
             p = profile(1.0)
             low = p <= 1.0 if upper else p < 1.0
             lo, p_lo, hi, p_hi = (1.0, p, math.inf, p) if low else (-math.inf, p, 1.0, p)
+            evals = 1
         while hi - lo > self.tol * max(lo, 1.0) and lo < V_MAX and hi > V_MIN:
             if hi == math.inf:
                 v = min(2.0 * lo, V_MAX)
@@ -284,6 +321,7 @@ class DualHandle(FunctionOracle):
             else:
                 v = 0.5 * (lo + hi)
             p = profile(v)
+            evals += 1
             if guarded and hi == math.inf and p_lo - p > MONOTONE_GUARD:
                 raise self._nonmonotone(y, lo, p_lo, v, p)
             if guarded and lo == -math.inf and p - p_hi > MONOTONE_GUARD:
@@ -292,14 +330,13 @@ class DualHandle(FunctionOracle):
                 lo, p_lo = v, p
             else:
                 hi, p_hi = v, p
-
-        mode = "global" if self.global_scan else "monotone"
         if hi == math.inf:
-            return INF, BracketCertificate(lo, lo, p_lo, p_lo, evals, mode)
-        if lo == -math.inf:
-            return ZERO, BracketCertificate(hi, hi, p_hi, p_hi, evals, mode)
-        result = ExtPos.finite(lo) if upper else ExtPos.finite(hi)
-        return result, BracketCertificate(lo, hi, p_lo, p_hi, evals, mode)
+            value = math.inf
+        elif lo == -math.inf:
+            value = 0.0
+        else:
+            value = lo if upper else hi
+        return value, lo, hi, p_lo, p_hi, evals
 
     def _lockstep(self, ys: np.ndarray) -> np.ndarray:
         """The search of _solve run on all rows at once, over float arrays.

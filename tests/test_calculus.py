@@ -227,6 +227,13 @@ class TestKthRules:
         got = rule_kth(KthKind.KMINAVG, 1, duals).eval(np.array([0.5]))
         assert abs(got.value - rule_min(*duals).eval(np.array([0.5])).value) <= 4 * TOL
 
+    def test_kminavg_values_are_pinned(self):
+        """The bits the subset-average rule gave when its searches evaluated
+        their profile through perspective; the float profile keeps them."""
+        rule = rule_kth(KthKind.KMINAVG, 2, [upper(f) for f in (sqrt_cap(1), constant(2.0), tent())])
+        got = [rule.eval(np.array([t])) for t in (0.3, -1.2, 1.7, 2.5)]
+        assert got == [ExtPos.finite(v) for v in (0.7864881165442057, 1.3222983292071149, 1.7198214498348534, 2.25)]
+
     def test_gate(self):
         duals = [upper(sqrt_cap(1)), upper(shifted_quadratic())]
         for kind, k in ((KthKind.KMAX, 1), (KthKind.KMAXAVG, 2), (KthKind.KMIN, 2)):

@@ -69,6 +69,16 @@ class TestEval:
         assert out.splitlines()[0] == "inf"
         assert err == ""
 
+    def test_overflowing_point_division_warns_nothing(self, capsys):
+        # y / v overflows to inf at the small heights of the downward
+        # expansion; the division runs over Python floats, so no numpy
+        # overflow warning reaches stderr, and f(inf) = inf is the INF tag.
+        code, out, err = run_cli(["eval", "--f", "x0^2+1e-300", "--dim", "1", "--at=1e300"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "0\nbracket [9.9999999999999998e-13, 9.9999999999999998e-13] perspective [inf, inf] evaluations 41 mode monotone\n"
+        )
+
     def test_global_scan_flag(self, capsys):
         code, out, _ = run_cli(
             ["eval", "--f", "(x0+1)^2 + 0.5", "--dim", "1", "--at", "-1", "--global"], capsys

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from radial import (
 )
 from radial import optimize
 from radial.catalog import absval, exp_bump, lifted_cap, shifted_parabola, shifted_quadratic, sqrt_cap, strict_entries
+from radial.cli import main
 from radial.optimize import _fd_grad
 from radial.oracle import DECLARED_STRICT, FunctionOracle
 from helpers import refine_max_1d, refine_max_2d, refine_min_1d, refine_min_2d
@@ -313,3 +315,30 @@ class TestConstrainedPattern:
         assert abs(optimality_product(ExtPos.finite(p_best), ExtPos.finite(d_best)) - 1.0) <= 1e-4
         mapped = y_best / d_best
         assert float(np.max(np.abs(mapped - x_best))) <= 1e-4
+
+
+class TestGoldenSolves:
+    """Whole CLI solves pinned to the bytes they printed when every search
+    evaluated its profile through perspective; the float profile must leave
+    every iterate unchanged."""
+
+    def test_stall_solve_stdout(self, capsys):
+        # Armijo accepts the full step on every iteration of this cap, so
+        # the descent creeps: 2,496 iterations.
+        code = main(["solve", "--f", "pos(1-x0^2)", "--dim", "1", "--y0", "5"])
+        assert (code, capsys.readouterr().out) == (
+            0,
+            '{"converged": true, "d_star": 1.0, "grad_norm": 0.0, "iterations": 2496, "p_star": 1.0, "schema": "radial/v1", '
+            '"status": "gradient", "x_star": [1.8298022911489742e-12], "y_star": [1.8298022911489742e-12]}\n',
+        )
+
+    def test_ball_constrained_solve_stdout(self, capsys, tmp_path):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({"schema": "radial/v1", "type": "ball", "dim": 1, "radius": 0.5}))
+        code = main(["solve", "--f", "pos(2 - (x0-1)^2)", "--dim", "1", "--y0", "2", "--constraint", str(path)])
+        assert (code, capsys.readouterr().out) == (
+            0,
+            '{"converged": true, "d_star": 0.5714287621667609, "grad_norm": 0.2661545295268297, "iterations": 16, '
+            '"p_star": 1.7499994158644898, "schema": "radial/v1", "status": "step", "x_star": [0.4999994157961996], '
+            '"y_star": [0.2857140472525259]}\n',
+        )

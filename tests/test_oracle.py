@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,15 @@ import pytest
 from radial import (
     INF,
     ZERO,
+    DualHandle,
+    ExpressionRangeError,
     ExtPos,
     FunctionOracle,
     NotDifferentiableError,
     RadialityMeta,
+    Sense,
     gradient,
+    parse_function,
     perspective,
 )
 from radial import catalog
@@ -160,3 +165,65 @@ class TestMeta:
     def test_eval_validates_shape(self):
         with pytest.raises(ValueError):
             sqrt_cap(2).eval(np.array([1.0]))
+
+    def test_a_scalar_is_a_vector_of_length_one_and_other_shapes_raise(self):
+        """eval and perspective share eval's shape rule, with eval's message."""
+        f, g = sqrt_cap(1), sqrt_cap(2)
+        assert f.eval(0.5) == f.eval(np.array([0.5])) and perspective(f, 0.5, 2.0) == perspective(f, np.array([0.5]), 2.0)
+        for call in (lambda: g.eval(np.zeros((1, 2))), lambda: perspective(g, np.zeros((1, 2)), 1.0)):
+            with pytest.raises(ValueError, match=re.escape("expected a vector of length 2, got shape (1, 2)")):
+                call()
+        with pytest.raises(ValueError, match=re.escape("expected a vector of length 2, got shape (3,)")):
+            perspective(g, np.zeros(3), 1.0)
+
+
+class TestEvalFloat:
+    @pytest.mark.parametrize("source", ["pos(sqrt(1 - x0^2))", "-(pos(x0))", "indicator(ball 1)", "exp(x0) / 0", "x0 - 1"])
+    def test_parsed_scalar_form_is_eval_as_a_float(self, source):
+        """eval_float is eval collapsed to a float, with the same error; a
+        negative zero comes back as the ZERO tag 0.0."""
+        f = parse_function(source, 1)
+        for x in ([-2.0], [-0.5], [0.0], [0.5], [3.0]):
+            try:
+                want = f.eval(np.array(x)).as_float()
+            except ExpressionRangeError as exc:
+                with pytest.raises(ExpressionRangeError, match=re.escape(str(exc))):
+                    f.eval_float(x)
+            else:
+                got = f.eval_float(x)
+                assert got == want and math.copysign(1.0, got) == 1.0, (source, x)
+
+    def test_an_oracle_without_a_scalar_callback_goes_through_eval(self):
+        calls = []
+
+        def ev(x):
+            calls.append(x.tolist())
+            return ExtPos.finite(1.0 + x[0] ** 2)
+
+        f = FunctionOracle(1, ev)
+        assert (f.eval_float([2.0]), calls) == (5.0, [[2.0]])
+
+    @pytest.mark.parametrize("x", [[], [1.0, 2.0]])
+    def test_checks_the_number_of_coordinates(self, x):
+        for f in (parse_function("x0", 1), DualHandle(sqrt_cap(1), Sense.UPPER), FunctionOracle(1, lambda x: ZERO)):
+            with pytest.raises(ValueError, match=f"expected 1 coordinates, got {len(x)}"):
+                f.eval_float(x)
+
+    def test_with_meta_keeps_the_scalar_callback(self):
+        """A query on an oracle re-declared with with_meta (as solve_via_dual
+        re-declares a checked objective) still runs over the scalar form."""
+        calls = {"eval": 0, "scalar": 0}
+        f = parse_function("pos(1 - x0^2)", 1)
+
+        def ev(x):
+            calls["eval"] += 1
+            return f.eval(x)
+
+        def scalar(x):
+            calls["scalar"] += 1
+            return f.eval_float(x)
+
+        g = FunctionOracle(1, ev, scalar=scalar).with_meta(RadialityMeta.STRICT)
+        want = DualHandle(f.with_meta(RadialityMeta.STRICT), Sense.UPPER).value(np.array([0.5]))
+        assert DualHandle(g, Sense.UPPER).value(np.array([0.5])) == want
+        assert calls["eval"] == 0 and calls["scalar"] > 30

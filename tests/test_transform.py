@@ -25,9 +25,11 @@ from radial import (
     RadialError,
     RadialityMeta,
     Sense,
+    ball_set,
     check_radial,
     duality_residual,
     extpos_gap,
+    indicator_oracle,
     parse_function,
     perspective,
 )
@@ -526,6 +528,79 @@ def test_values_raise_where_value_raises(case):
         _assert_same(h.values(ys), want, tol)
 
 
+# -- the float profile against perspective ------------------------------------
+
+#: Families whose scalar form is eval's (no scalar callback) join the parsed ones.
+_EVAL_ONLY = {
+    "indicator[ball]": indicator_oracle(ball_set(1, 1.0)),
+    "shifted_quadratic[eval]": FunctionOracle(1, shifted_quadratic()._eval_fn),
+}
+_PROFILE_FAMILIES = {**_RAY_MONOTONE, **_NOT_MONOTONE, **_EVAL_ONLY}
+
+
+def _recording(f):
+    """f with the point of every evaluation recorded, through eval (the
+    certified search's perspective) or eval_float (the float profile)."""
+    points = []
+
+    def ev(x):
+        points.append(x.tolist())
+        return f.eval(x)
+
+    def scalar(x):
+        points.append(list(x))
+        return f.eval_float(x)
+
+    return FunctionOracle(f.dim, ev, meta=f.meta, name=f.name, scalar=scalar), points
+
+
+@st.composite
+def _queries(draw):
+    """One point of a catalog, parsed, eval-only or non-monotone family, or
+    in one draw of four of a generated expression, under either sense, with
+    or without a global scan, on a plain or a bidual handle."""
+    if draw(st.integers(0, 3)):
+        f = _PROFILE_FAMILIES[draw(st.sampled_from(sorted(_PROFILE_FAMILIES)))]
+    else:
+        f = parse_function(draw(expressions), 1)
+    y = np.array(draw(st.tuples(*[_coordinate] * f.dim)), dtype=float)
+    sense, tol = draw(st.sampled_from([Sense.UPPER, Sense.LOWER])), draw(st.sampled_from([1e-10, 1e-6]))
+    return f, y, sense, tol, draw(st.booleans()), draw(st.booleans())
+
+
+def _recorded(query, points):
+    points.clear()
+    try:
+        outcome = query()
+    except RadialError as exc:
+        outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, list(points)
+
+
+@given(case=_queries())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_float_profile_matches_perspective(case):
+    """value runs the search over the float profile, value_with_certificate
+    over perspective.  Both evaluate the base at the same points, bit for
+    bit and as many times as the certificate counts, and return the same
+    value bit for bit or raise the same error with the same message."""
+    f, y, sense, tol, global_scan, bidual = case
+    if bidual:
+        base, points = _recording(DualHandle(f, sense, tol=tol, global_scan=global_scan))
+        h = DualHandle(base, Sense.UPPER, tol=tol)
+    else:
+        base, points = _recording(f)
+        h = DualHandle(base, sense, tol=tol, global_scan=global_scan)
+    fast, fast_points = _recorded(lambda: h.value(y), points)
+    reference, reference_points = _recorded(lambda: h.value_with_certificate(y), points)
+    assert fast_points == reference_points
+    if isinstance(reference, str):
+        assert fast == reference
+    else:
+        value, certificate = reference
+        assert fast == value and len(fast_points) == certificate.evaluations, (fast, value, certificate)
+
+
 class TestLockstep:
     def test_global_scan_rows(self):
         f = shifted_quadratic()
@@ -581,6 +656,18 @@ class TestLockstep:
             h.value(np.array([1.0]))
         with pytest.raises(OverflowRiskError):
             h.values(np.array([[0.0], [1.0]]))
+
+    def test_overflowing_product_raises_as_perspective_raises(self):
+        # The float profile's OverflowRiskError is perspective's, word for word.
+        def ev(x):
+            return ExtPos.finite(1e307 if abs(x[0]) < 0.01 else 1e-3)
+
+        h = DualHandle(FunctionOracle(1, ev, meta=DECLARED_UPPER), Sense.UPPER)
+        with pytest.raises(OverflowRiskError) as fast:
+            h.value(np.array([1.0]))
+        with pytest.raises(OverflowRiskError) as certified:
+            h.value_with_certificate(np.array([1.0]))
+        assert str(fast.value) == str(certified.value) == "perspective product 128.0 * 1e+307 left the finite range"
 
     def test_non_finite_tol_rejected(self):
         for tol in (math.inf, math.nan, 0.0):
