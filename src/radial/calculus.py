@@ -7,6 +7,10 @@ derivation passes through a pointwise maximum require every operand's base
 function to be declared (or checked) ray-monotone; the others hold
 unconditionally.  Each factory is the programmatic form of one rule
 record: kind plus operand handles.
+Every oracle built here has one float callback over its operands'
+eval_float (0.0 and inf are the tags; FunctionOracle derives eval), and a
+finite value scaled or averaged out of the finite range raises
+OverflowRiskError.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import itertools
 import math
 import numpy as np
 
-from .core import INF, ZERO, ExtPos
+from .core import ExtPos
 from .errors import (
     DegenerateNormalError,
     OriginNotInSetError,
+    OverflowRiskError,
     RadialityRequiredError,
     StrictnessViolatedError,
 )
@@ -39,15 +44,17 @@ STRICTNESS_FLOOR = -1e-12
 
 def _change_of_variables(dual: FunctionOracle, dim: int, point_map, factor: float, name: str) -> FunctionOracle:
     """The oracle y -> dual(point_map(y)) * factor shared by the scaling,
-    linear and fractional-linear rules; the ZERO and INF tags pass through."""
+    linear and fractional-linear rules; point_map takes and returns a list
+    of floats, and the ZERO and INF tags pass through."""
 
-    def ev(y):
-        value = dual.eval(point_map(y))
-        if not value.is_finite:
-            return value
-        return ExtPos.finite(value.value * factor)
+    def scalar(y: list) -> float:
+        value = dual.eval_float(point_map(y))
+        scaled = value * factor  # factor is finite and > 0: the tags pass through
+        if scaled != value and (scaled == 0.0 or scaled == math.inf):
+            raise OverflowRiskError(f"rule value {value!r} * {factor!r} left the finite range")
+        return scaled
 
-    return FunctionOracle(dim, ev, meta=DECLARED_UPPER, name=name)
+    return FunctionOracle(dim, scalar=scalar, meta=DECLARED_UPPER, name=name)
 
 
 def rule_scale(lam: float, dual: FunctionOracle) -> FunctionOracle:
@@ -55,7 +62,7 @@ def rule_scale(lam: float, dual: FunctionOracle) -> FunctionOracle:
     lam = float(lam)
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError("scale factor must be finite and > 0")
-    return _change_of_variables(dual, dual.dim, lambda y: lam * y, 1.0 / lam, f"scale({lam:g}, {dual.name})")
+    return _change_of_variables(dual, dual.dim, lambda y: [lam * c for c in y], 1.0 / lam, f"scale({lam:g}, {dual.name})")
 
 
 def rule_linear(a: np.ndarray, dual: FunctionOracle) -> FunctionOracle:
@@ -63,7 +70,7 @@ def rule_linear(a: np.ndarray, dual: FunctionOracle) -> FunctionOracle:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != dual.dim:
         raise ValueError(f"linear map has {a.shape[0]} rows, oracle dimension is {dual.dim}")
-    return _change_of_variables(dual, a.shape[1], lambda y: a @ y, 1.0, f"linear({dual.name})")
+    return _change_of_variables(dual, a.shape[1], lambda y: (a @ np.array(y)).tolist(), 1.0, f"linear({dual.name})")
 
 
 def _dual_operands(handles, op_name: str, gate: bool):
@@ -101,16 +108,19 @@ def _avg_oracle(bases, idxs) -> FunctionOracle:
     else:
         meta = RadialityMeta.RADIAL if all(b.meta.radial for b in chosen) else RadialityMeta.UNKNOWN
 
-    def ev(x):
+    def scalar(x: list) -> float:
         total = 0.0
         for b in chosen:
-            v = b.eval(x)
-            if v.is_infinite:
-                return INF
-            total += v.as_float()
-        return ExtPos.finite(total / k) if total > 0.0 else ZERO
+            v = b.eval_float(x)
+            if v == math.inf:
+                return v
+            total += v
+        average = total / k
+        if average == math.inf or (average == 0.0 and total > 0.0):
+            raise OverflowRiskError(f"average {total!r} / {k} left the finite range")
+        return average
 
-    return FunctionOracle(chosen[0].dim, ev, meta=meta, name=f"avg{tuple(idxs)}")
+    return FunctionOracle(chosen[0].dim, scalar=scalar, meta=meta, name=f"avg{tuple(idxs)}")
 
 
 def rule_kth(kind: KthKind | str, k: int, duals, tol: float = DEFAULT_TOL) -> FunctionOracle:
@@ -134,23 +144,17 @@ def rule_kth(kind: KthKind | str, k: int, duals, tol: float = DEFAULT_TOL) -> Fu
     if kind in (KthKind.KMIN, KthKind.KMAX):
         pick = n - k if kind is KthKind.KMIN else k - 1
 
-        def ev(y):
-            values = sorted(h.value(y) for h in handles)
-            return values[pick]
+        def scalar(y: list) -> float:
+            return sorted(h.eval_float(y) for h in handles)[pick]
+    else:
+        bases = [h.base for h in handles]
+        subset_handles = [DualHandle(_avg_oracle(bases, idxs), Sense.UPPER, tol=tol) for idxs in itertools.combinations(range(n), k)]
+        outer = max if kind is KthKind.KMINAVG else min
 
-        return FunctionOracle(handles[0].dim, ev, meta=DECLARED_UPPER, name=f"{kind.value}[{k}/{n}]")
+        def scalar(y: list) -> float:
+            return outer(h.eval_float(y) for h in subset_handles)
 
-    bases = [h.base for h in handles]
-    subset_handles = [
-        DualHandle(_avg_oracle(bases, idxs), Sense.UPPER, tol=tol)
-        for idxs in itertools.combinations(range(n), k)
-    ]
-    outer = max if kind is KthKind.KMINAVG else min
-
-    def ev(y):
-        return outer(h.value(y) for h in subset_handles)
-
-    return FunctionOracle(handles[0].dim, ev, meta=DECLARED_UPPER, name=f"{kind.value}[{k}/{n}]")
+    return FunctionOracle(handles[0].dim, scalar=scalar, meta=DECLARED_UPPER, name=f"{kind.value}[{k}/{n}]")
 
 
 def rule_min(dual1: DualHandle, dual2: DualHandle) -> FunctionOracle:
@@ -172,12 +176,14 @@ def indicator_oracle(s: SetOracle) -> FunctionOracle:
     """The indicator taking value +inf inside the set and 0 outside, so
     that intersecting a constraint means taking a pointwise min.  For a
     star-shaped set around the origin this is ray-monotone, which is what
-    makes its transform a plain bisection."""
+    makes its transform a plain bisection: the (convex) set's indicator is
+    declared RADIAL when it contains the origin, UNKNOWN otherwise."""
 
-    def ev(x):
-        return INF if s.member(x) else ZERO
+    def scalar(x: list) -> float:
+        return math.inf if s.member(np.array(x)) else 0.0
 
-    return FunctionOracle(s.dim, ev, meta=DECLARED_UPPER, name="indicator")
+    meta = DECLARED_UPPER if s.contains_origin else RadialityMeta.UNKNOWN
+    return FunctionOracle(s.dim, scalar=scalar, meta=meta, name="indicator")
 
 
 def gauge(s: SetOracle, y, tol: float = DEFAULT_TOL) -> ExtPos:
@@ -272,7 +278,7 @@ def general_transform(a: np.ndarray, alpha: np.ndarray, d: float, dual: Function
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise ValueError("A must be invertible") from exc
-    return _change_of_variables(dual, dual.dim, lambda y: a_inv @ (y - alpha), 1.0 / d, f"fractional({dual.name})")
+    return _change_of_variables(dual, dual.dim, lambda y: (a_inv @ (np.array(y) - alpha)).tolist(), 1.0 / d, f"fractional({dual.name})")
 
 
 def general_point_map(a: np.ndarray, alpha: np.ndarray, d: float, x: np.ndarray, u: float) -> tuple[np.ndarray, float]:

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExtPos
 from .errors import ExpressionRangeError, ParseError
 from .oracle import UNKNOWN_META, FunctionOracle
 from .sets import SetOracle, ball_set, box_set, halfspace_set
@@ -484,16 +483,16 @@ def unparse(node) -> str:
 def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META, name=None) -> FunctionOracle:
     """Build a FunctionOracle from expression source.
 
-    The tree is compiled twice: with the scalar rules for eval and
-    eval_float, and with the numpy rules for eval_many; eval_float and
-    eval_many return floats with 0.0 and inf as the tags.  Without grad the
-    oracle's gradient falls back to finite differences (no analytic
-    composition is attempted); grad, hess, meta and name (default: the
-    unparsed source) are attached as given, so a caller that knows the
-    derivatives or the radiality of an expression declares them here.  A
-    top-level negative or nan value raises ExpressionRangeError pointing at
-    pos(...) rather than clamping implicitly; eval_many names the first
-    offending row.
+    The tree is compiled twice: with the scalar rules for the oracle's
+    scalar callback (FunctionOracle derives eval from it), and with the
+    numpy rules for eval_many; eval_float and eval_many return floats with
+    0.0 and inf as the tags.  Without grad the oracle's gradient falls back
+    to finite differences (no analytic composition is attempted); grad,
+    hess, meta and name (default: the unparsed source) are attached as
+    given, so a caller that knows the derivatives or the radiality of an
+    expression declares them here.  A top-level negative or nan value
+    raises ExpressionRangeError pointing at pos(...) rather than clamping
+    implicitly; eval_many names the first offending row.
     """
     tree = parse(text, dim)
     source = unparse(tree)
@@ -506,14 +505,6 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
             raise ExpressionRangeError(t, x)
         return t + 0.0  # -0.0 is the ZERO tag too
 
-    def _eval(x: np.ndarray) -> ExtPos:
-        # Its own copy of the check: a call through _eval_float would tax
-        # every certified search evaluation.
-        t = scalar(x.tolist())
-        if not t >= 0.0:
-            raise ExpressionRangeError(t, x.tolist())
-        return ExtPos.from_float(t)
-
     def _eval_many(x: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
             # A constant expression compiles to a scalar; adding zeros also turns -0.0 into 0.0.
@@ -524,4 +515,4 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
             raise ExpressionRangeError(float(t[i]), x[i].tolist(), i)
         return t
 
-    return FunctionOracle(dim, _eval, grad, hess, meta, name or source, _eval_many, _eval_float)
+    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=_eval_many, scalar=_eval_float)

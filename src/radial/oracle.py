@@ -39,23 +39,27 @@ DECLARED_UPPER = RadialityMeta.RADIAL
 class FunctionOracle:
     """Evaluation handle for f: R^dim -> {0} | (0, inf) | {inf}.
 
-    eval_fn must accept a 1-D float array of length dim and return ExtPos.
-    The optional batch callback many takes an (m, dim) float array and
-    returns a float array of m values in [0, inf], where 0.0 and inf are
-    the ZERO and INF tags; without it eval_many loops over eval.  The
-    optional scalar callback is its one-point counterpart: it takes a list
-    of dim floats and returns one such float; without it eval_float goes
-    through eval.  Oracles are immutable after construction and callbacks
-    must be reentrant; concurrent evaluation over grids is permitted.
+    f is given by one evaluation callback, in either form (or both): eval_fn
+    takes a 1-D float array of length dim and returns ExtPos; scalar takes
+    a list of dim floats and returns one float in [0, inf], where 0.0 and
+    inf are the ZERO and INF tags.  The missing form is derived here: eval
+    from scalar as ExtPos.from_float(scalar(x.tolist())), and the scalar
+    form from eval_fn through eval, which keeps eval's ExtPos check.  The
+    optional batch callback many takes an (m, dim) float array and returns
+    m such floats; without it eval_many loops over eval.  Oracles are
+    immutable after construction and callbacks must be reentrant;
+    concurrent evaluation over grids is permitted.
     """
 
-    def __init__(self, dim, eval_fn, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None):
+    def __init__(self, dim, eval_fn=None, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None):
         if int(dim) < 1:
             raise ValueError("dim must be >= 1")
+        if eval_fn is None and scalar is None:
+            raise TypeError("FunctionOracle needs eval_fn or scalar")
         self.dim = int(dim)
-        self._eval_fn = eval_fn
+        self._eval_fn = eval_fn if eval_fn is not None else lambda x: ExtPos.from_float(scalar(x.tolist()))
         self._many_fn = many
-        self._scalar_fn = scalar
+        self._scalar_fn = scalar if scalar is not None else lambda x: self.eval(np.array(x)).as_float()
         self.grad = grad
         self.hess = hess
         self.meta = meta
@@ -101,12 +105,9 @@ class FunctionOracle:
 
     def eval_float(self, x: list) -> float:
         """The value at one point x, a list of dim floats, as a float with
-        0.0 and inf for the ZERO and INF tags: the scalar callback's answer,
-        or eval's collapsed to a float."""
+        0.0 and inf for the ZERO and INF tags: the scalar callback's answer."""
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
-        if self._scalar_fn is None:
-            return self.eval(np.array(x)).as_float()
         return self._scalar_fn(x)
 
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":

@@ -157,10 +157,10 @@ def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np
 def _float_profile(f: FunctionOracle, y: list):
     """The profile v -> perspective(f, y, v).as_float() for the search's
     heights, over Python floats: y/v divides as perspective divides it, f
-    answers through its scalar callback (eval_float without one), and the
-    tags and the OverflowRiskError are perspective's."""
-    # The query checked y's length, so a scalar callback is called directly.
-    evaluate = f._scalar_fn or f.eval_float
+    answers through its scalar callback, and the tags and the
+    OverflowRiskError are perspective's."""
+    # The query checked y's length, so the scalar callback is called directly.
+    evaluate = f._scalar_fn
 
     def profile(v: float) -> float:
         value = evaluate([c / v for c in y])
@@ -250,7 +250,6 @@ class DualHandle(FunctionOracle):
         self._native = native and not self.global_scan
         super().__init__(
             base.dim,
-            lambda y: ExtPos.from_float(self._search(y.tolist())),
             meta=DECLARED_UPPER,
             name=f"{sense.value}-transform({base.name or 'f'})",
             many=self._lockstep,

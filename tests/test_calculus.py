@@ -15,11 +15,14 @@ from radial import (
     NormalKind,
     NormalVector,
     OriginNotInSetError,
+    OverflowRiskError,
+    RadialityMeta,
     RadialityRequiredError,
     Sense,
     StrictnessViolatedError,
     ball_set,
     box_set,
+    check_radial,
     dual_gradient,
     dual_hessian,
     dual_subgradient,
@@ -27,7 +30,9 @@ from radial import (
     gauge,
     general_point_map,
     general_transform,
+    halfspace_set,
     indicator_oracle,
+    parse_function,
     rule_kth,
     rule_linear,
     rule_max,
@@ -521,3 +526,119 @@ class TestShapePreservation:
                 lhs = handle.value(mid).as_float()
                 rhs = 0.5 * handle.value(y1).as_float() + 0.5 * handle.value(y2).as_float()
                 assert lhs <= rhs + 2 * TOL, entry.name
+
+
+def at(f, points):
+    return [f(np.array(p)) for p in points]
+
+
+def pinned(values):
+    return [ExtPos.from_float(v) for v in values]
+
+
+class TestPinnedValues:
+    """The bits the rules and gauges gave while their oracles answered in
+    ExtPos; the float callbacks keep them."""
+
+    A = np.array([[1.0, 0.5], [-0.25, 2.0]])
+    PLANE = ([0.3, -0.4], [1.5, 2.0], [0.0, 0.0], [-3.0, 0.7])
+    LINE = ([0.3], [-1.2], [1.7], [2.5])
+
+    def operands(self):
+        return [upper(f) for f in (sqrt_cap(1), constant(2.0), tent())]
+
+    def test_scale(self):
+        assert at(rule_scale(2.5, upper(sqrt_cap(1))).eval, ([0.3], [-1.2], [0.0], [4.0])) == pinned([0.5, 1.264911064039916, 0.4, 4.019950248301029])
+        assert at(rule_scale(0.5, parse_function("pos(1 - x0^2)", 1)).eval, ([0.3], [-1.2], [0.0], [3.0])) == pinned([1.955, 1.28, 2.0, 0.0])
+        assert at(rule_scale(2.0, upper(absval())).eval, ([0.3], [0.6], [-2.0])) == [INF, ZERO, ZERO]
+
+    def test_linear_and_general(self):
+        assert at(rule_linear(self.A, upper(sqrt_cap(2))).eval, self.PLANE) == pinned([1.3325257970718667, 4.515597966965288, 1.0, 3.5559808772522956])
+        rule = general_transform(self.A, np.array([0.5, -0.25]), 1.5, upper(sqrt_cap(2)))
+        assert at(rule.eval, self.PLANE) == pinned([0.6773310810094699, 1.06533942798463, 0.7553474620993559, 2.4381310241296887])
+
+    def test_min_and_max(self):
+        cap, _, tent_handle = self.operands()
+        assert at(rule_min(cap, tent_handle).eval, self.LINE) == pinned([1.0440306508680806, 1.562049935106188, 1.9723082922864705, 2.692582403542474])
+        assert at(rule_max(cap, tent_handle).eval, self.LINE) == pinned([0.6499999999650754, 1.099999999976717, 1.349999999976717, 1.75])
+
+    def test_kth(self):
+        duals = self.operands()
+        assert at(rule_kth(KthKind.KMIN, 1, duals).eval, self.LINE) == pinned([1.0440306508680806, 1.562049935106188, 1.9723082922864705, 2.692582403542474])
+        assert at(rule_kth(KthKind.KMAX, 1, duals).eval, self.LINE) == pinned([0.5] * 4)
+        assert at(rule_kth(KthKind.KMAX, 2, duals).eval, self.LINE) == pinned([0.6499999999650754, 1.099999999976717, 1.349999999976717, 1.75])
+        assert at(rule_kth(KthKind.KMAXAVG, 2, duals).eval, self.LINE) == pinned([0.5749999999534339, 0.7999999999883585, 0.9249999999883585, 1.0])
+        rule = rule_kth(KthKind.KMAXAVG, 2, [upper(f) for f in (sqrt_cap(1), absval(), tent())])
+        assert at(rule.eval, ([0.3], [-1.2], [0.9], [2.5])) == pinned([0.7864881165442057, 1.0, 1.0, 0.0])
+
+    def test_gauges(self):
+        ball, box = ball_set(2, 1.5), box_set(np.array([-1.0, -2.0]), np.array([2.0, 1.0]))
+        halfspace = halfspace_set(np.array([1.0, -2.0]), 1.5)
+        got = at(lambda y: gauge(ball, y), ([3.0, 4.0], [0.1, -0.2], [0.0, 0.0], [-7.0, 1.0]))
+        assert got == pinned([3.333333333255723, 0.1490711984806694, 0.0, 4.714045207481831])
+        assert at(lambda y: gauge(box, y), ([0.5, -2.0], [3.0, 0.25], [-0.3, 0.9])) == pinned([0.9999999999417923, 1.4999999998835847, 0.8999999999650754])
+        assert at(lambda y: gauge(halfspace, y), ([3.0, 0.5], [-1.0, 0.2], [0.7, 0.0])) == pinned([1.3333333332557231, 0.0, 0.46666666661622])
+
+
+class TestFloatCallbacks:
+    @staticmethod
+    def count_evals(*oracles):
+        """Wrap each oracle's eval callback, as perfbench's tracer does;
+        the returned list collects the names of the oracles evaluated."""
+        calls = []
+        for f in oracles:
+
+            def ev(x, f=f, original=f._eval_fn):
+                calls.append(f.name)
+                return original(x)
+
+            f._eval_fn = ev
+        return calls
+
+    def test_searches_over_rules_call_no_operand_eval(self):
+        cap, const, tent_ = parse_function("pos(sqrt(1 - x0^2))", 1, meta=DECLARED_STRICT), constant(2.0), tent()
+        cap2 = sqrt_cap(2)
+        duals = [upper(f) for f in (cap, const, tent_)]
+        dual2 = upper(cap2)
+        line, plane = np.array([0.7]), np.array([0.3, -0.4])
+        rules = [
+            (rule_scale(2.5, duals[0]), line),
+            (rule_scale(0.5, cap), line),
+            (rule_linear(np.array([[1.0, 0.5], [-0.25, 2.0]]), dual2), plane),
+            (general_transform(np.eye(2), np.array([0.5, -0.25]), 1.5, dual2), plane),
+            (rule_min(duals[0], duals[2]), line),
+            (rule_max(duals[0], duals[2]), line),
+            *[(rule_kth(kind, 2, duals), line) for kind in KthKind],
+            (indicator_oracle(ball_set(1, 1.0)), line),
+        ]
+        calls = self.count_evals(cap, const, tent_, cap2, *duals, dual2, *[rule for rule, _ in rules])
+        for rule, y in rules:
+            assert upper(rule).value(y).is_finite, rule.name
+        assert calls == []
+
+    def test_a_scaled_value_that_overflows_raises(self):
+        rule = rule_scale(1e-308, upper(constant(0.5)))
+        for call in (lambda: rule.eval(np.array([1.0])), lambda: rule.eval_float([1.0])):
+            with pytest.raises(OverflowRiskError, match="left the finite range"):
+                call()
+
+    def test_an_average_that_overflows_raises(self):
+        big = [upper(constant(1.5e308)) for _ in range(2)]
+        with pytest.raises(OverflowRiskError, match="left the finite range"):
+            rule_kth(KthKind.KMINAVG, 2, big).eval(np.array([1.0]))
+
+
+class TestIndicator:
+    @pytest.mark.parametrize("s", [ball_set(2, 1.0), box_set(np.array([-1.0, 0.0]), np.array([1.0, 2.0])), halfspace_set(np.array([1.0, 1.0]), 0.0)])
+    def test_a_set_containing_the_origin_is_declared_radial(self, s):
+        assert indicator_oracle(s).meta is RadialityMeta.RADIAL
+
+    @pytest.mark.parametrize("s", [box_set(np.array([1.0]), np.array([2.0])), halfspace_set(np.array([1.0]), -1.0)])
+    def test_a_set_without_the_origin_is_unknown(self, s):
+        """Its profile is not ray-monotone (the sample finds it), so no rule
+        that needs ray-monotone operands takes it."""
+        f = indicator_oracle(s)
+        assert f.meta is RadialityMeta.UNKNOWN
+        assert check_radial(f, 16, 16).meta is RadialityMeta.NOT_RADIAL
+        with pytest.raises(RadialityRequiredError):
+            rule_kth(KthKind.KMAX, 1, [upper(f), upper(sqrt_cap(1))])

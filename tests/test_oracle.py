@@ -227,3 +227,47 @@ class TestEvalFloat:
         want = DualHandle(f.with_meta(RadialityMeta.STRICT), Sense.UPPER).value(np.array([0.5]))
         assert DualHandle(g, Sense.UPPER).value(np.array([0.5])) == want
         assert calls["eval"] == 0 and calls["scalar"] > 30
+
+
+class TestOneCallback:
+    """An oracle is built from one evaluation callback; FunctionOracle
+    derives the other form."""
+
+    def test_needs_a_callback(self):
+        with pytest.raises(TypeError, match="needs eval_fn or scalar"):
+            FunctionOracle(1)
+
+    def test_eval_from_a_scalar_callback_keeps_the_shape_rule(self):
+        f = FunctionOracle(2, scalar=lambda x: x[0] ** 2 + abs(x[1]))
+        assert f.eval(np.array([3.0, -1.0])) == ExtPos.finite(10.0)
+        assert f.eval([0.0, 0.0]) is ZERO and f.eval_float([1.0, 0.5]) == 1.5
+        with pytest.raises(ValueError, match=re.escape("expected a vector of length 2, got shape (3,)")):
+            f.eval(np.zeros(3))
+        g = FunctionOracle(1, scalar=lambda x: math.inf if x[0] > 0.0 else 2.0)
+        assert (g.eval(0.5), g.eval(-0.5)) == (INF, ExtPos.finite(2.0))
+
+    def test_eval_many_from_a_scalar_callback_names_the_row(self):
+        parsed = parse_function("x0 - 1", 1)
+        f = FunctionOracle(1, scalar=parsed.eval_float)
+        assert f.eval_many(np.array([[3.0], [1.0]])).tolist() == [2.0, 0.0]
+        with pytest.raises(ExpressionRangeError, match=re.escape("(row 2)")) as info:
+            f.eval_many(np.array([[2.0], [3.0], [0.5]]))
+        assert info.value.row == 2
+
+    def test_with_meta_keeps_a_scalar_callback(self):
+        calls = []
+
+        def scalar(x):
+            calls.append(x)
+            return 1.0 + x[0] ** 2
+
+        f = FunctionOracle(1, scalar=scalar).with_meta(RadialityMeta.STRICT)
+        assert f.meta is RadialityMeta.STRICT and f._scalar_fn is scalar
+        assert (f.eval(np.array([2.0])), f.eval_float([1.0]), calls) == (ExtPos.finite(5.0), 2.0, [[2.0], [1.0]])
+
+    def test_scalar_from_eval_keeps_the_extpos_check(self):
+        f = FunctionOracle(1, lambda x: 2.0)
+        for call in (lambda: f.eval(np.array([1.0])), lambda: f.eval_float([1.0])):
+            with pytest.raises(TypeError, match="must return ExtPos, got float"):
+                call()
+
