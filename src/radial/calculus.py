@@ -196,8 +196,7 @@ def gauge(s: SetOracle, y, tol: float = DEFAULT_TOL) -> ExtPos:
     """
     if not s.contains_origin:
         raise OriginNotInSetError("gauge requires a set containing the origin")
-    handle = DualHandle(indicator_oracle(s), Sense.UPPER, tol=tol)
-    return handle.value(y)
+    return DualHandle(indicator_oracle(s), Sense.UPPER, tol=tol).value(y)
 
 
 # -- dual derivatives ------------------------------------------------------
@@ -211,16 +210,15 @@ def _dual_preamble(f: FunctionOracle, y, f_dual_y: float):
     f_dual_y = float(f_dual_y)
     if not (f_dual_y > 0.0) or not math.isfinite(f_dual_y):
         raise ValueError("dual value must be finite and > 0")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = y / f_dual_y
-    fx = f.eval(x)
-    if not fx.is_finite:
+    x = f._vector(y) / f_dual_y
+    fx = f.eval_float(x.tolist())
+    if not 0.0 < fx < math.inf:
         raise ValueError("mapped point y / dual(y) lies outside the effective domain")
     g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else gradient(f, x)
-    denom = float(g @ x) - fx.value
+    denom = float(g @ x) - fx
     if denom >= STRICTNESS_FLOOR:
         raise StrictnessViolatedError(f"strictness denominator {denom:g} is not strictly negative")
-    return x, fx.value, g, denom
+    return x, fx, g, denom
 
 
 def dual_gradient(f: FunctionOracle, y, f_dual_y: float) -> np.ndarray:

@@ -44,7 +44,7 @@ class ExtPos:
         if kind == _FINITE_KIND:
             value = float(value)
             if not (0.0 < value < math.inf):
-                raise ValueError(f"finite ExtPos requires 0 < v < inf, got {value!r}")
+                raise finite_error(value)
         elif kind not in (_ZERO_KIND, _INF_KIND):
             raise ValueError(f"bad ExtPos kind {kind!r}")
         else:
@@ -110,6 +110,11 @@ class ExtPos:
         if v == 0.0:
             return ZERO
         return ExtPos.finite(v)
+
+
+def finite_error(value: float) -> ValueError:
+    """The error of a finite ExtPos outside (0, inf); float forms raise it too."""
+    return ValueError(f"finite ExtPos requires 0 < v < inf, got {float(value)!r}")
 
 
 # The slot descriptors store past the frozen __setattr__, cheaper than object.__setattr__.

@@ -78,16 +78,16 @@ def map_stationary(x, f: FunctionOracle) -> tuple[np.ndarray, np.ndarray]:
     """
     if f.meta is not RadialityMeta.STRICT:
         raise RadialityRequiredError("map_stationary requires a strictly ray-monotone function")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    fx = f.eval(x)
-    if not fx.is_finite:
+    x = f._vector(x)
+    fx = f.eval_float(x.tolist())
+    if not 0.0 < fx < math.inf:
         raise NotStationaryError("f(x) must be finite")
     g = gradient(f, x)
     if float(np.linalg.norm(g)) > STATIONARY_TOL:
         raise NotStationaryError(f"gradient norm {float(np.linalg.norm(g)):g} exceeds {STATIONARY_TOL:g}")
     # (y, transform value) = the point map applied to (x, f(x)).
-    y = x / fx.value
-    witness = dual_gradient(f, y, 1.0 / fx.value)
+    y = x / fx
+    witness = dual_gradient(f, y, 1.0 / fx)
     return y, witness
 
 
@@ -166,7 +166,7 @@ def solve_via_dual(
     use_gauge = constraint is not None
 
     def phi(y: np.ndarray) -> float:
-        val = handle.value(y).as_float()
+        val = handle.eval_float(y.tolist())
         if use_gauge:
             val = max(val, gauge(constraint, y, tol=params.tol).as_float())
         return val

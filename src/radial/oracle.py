@@ -4,6 +4,8 @@ A FunctionOracle is an evaluation handle for f mapping vectors to extended
 positive values, total on the whole space (value zero outside the
 effective domain, never an exception), with optional analytic gradient
 and Hessian callbacks that are only queried where the value is finite.
+Inside the library f is read through its float forms (eval_float,
+eval_many); ExtPos is built only where a value leaves it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import ExtPos
+from .core import ExtPos, finite_error
 from .errors import ExpressionRangeError, NotDifferentiableError, OverflowRiskError
 
 
@@ -46,7 +48,7 @@ class FunctionOracle:
     from scalar as ExtPos.from_float(scalar(x.tolist())), and the scalar
     form from eval_fn through eval, which keeps eval's ExtPos check.  The
     optional batch callback many takes an (m, dim) float array and returns
-    m such floats; without it eval_many loops over eval.  Oracles are
+    m such floats; without it eval_many loops over eval_float.  Oracles are
     immutable after construction and callbacks must be reentrant;
     concurrent evaluation over grids is permitted.
     """
@@ -88,27 +90,35 @@ class FunctionOracle:
 
     def eval_many(self, xs) -> np.ndarray:
         """Values at the rows of xs, an (m, dim) array, as floats with 0.0
-        and inf for the ZERO and INF tags.  Without a batch callback, an
-        ExpressionRangeError raised by eval names its row of xs."""
+        and inf for the ZERO and INF tags, with eval_float's range check.
+        Without a batch callback, an ExpressionRangeError raised by
+        eval_float names its row of xs."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected an (m, {self.dim}) array, got shape {xs.shape}")
         if self._many_fn is not None:
-            return self._many_fn(xs)
+            values = self._many_fn(xs)
+            if not np.all(values >= 0.0):  # nan compares false
+                raise finite_error(values[np.argmin(values >= 0.0)])
+            return values
         values = []
-        for i, x in enumerate(xs):
+        for i, x in enumerate(xs.tolist()):
             try:
-                values.append(self.eval(x).as_float())
+                values.append(self.eval_float(x))
             except ExpressionRangeError as exc:
                 raise exc.at_row(i) from exc
         return np.array(values, dtype=float)
 
     def eval_float(self, x: list) -> float:
         """The value at one point x, a list of dim floats, as a float with
-        0.0 and inf for the ZERO and INF tags: the scalar callback's answer."""
+        0.0 and inf for the ZERO and INF tags: the scalar callback's answer,
+        with eval's ValueError for a negative or nan one."""
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
-        return self._scalar_fn(x)
+        value = self._scalar_fn(x)
+        if not value >= 0.0:
+            raise finite_error(value)
+        return value
 
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
         return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn, self._scalar_fn)
@@ -166,20 +176,17 @@ def gradient(f: FunctionOracle, x) -> np.ndarray:
     is not finite.  Boundary points are therefore reported rather than
     extrapolated.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
-    f0 = f.eval(x)
-    if f0.is_infinite:
+    x = f._vector(x)
+    base = f.eval_float(x.tolist())
+    if base == math.inf:
         raise ValueError("gradient requires a point with finite value")
     if f.grad is not None:
         return np.atleast_1d(np.asarray(f.grad(x), dtype=float))
 
     # The zero tag is a legitimate value (kinks like |x| at the origin are
     # reported by the quotient disagreement below, not rejected up front).
-    base = f0.as_float()
     out = np.empty(f.dim)
-    for i, h, fp, fm in difference_probes(lambda z: f.eval(z).as_float(), x):
+    for i, h, fp, fm in difference_probes(lambda z: f.eval_float(z.tolist()), x):
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NotDifferentiableError(f"non-finite probe next to coordinate {i}")
         forward = (fp - base) / h

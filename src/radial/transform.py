@@ -3,31 +3,31 @@
 The upper transform of f at y is sup{v > 0 : v f(y/v) <= 1}; the lower
 transform is inf{v > 0 : v f(y/v) >= 1}.  For ray-monotone functions the
 level-1 crossing of the perspective profile is found by one bracketing
-search.  It holds a bracket (lo, hi) of the crossing, with lo = -inf or
-hi = inf on a side not found yet.  From v = 1 it doubles lo (expanding
-upward) or halves hi (expanding downward), guarding each expansion probe
-against a falling profile, then bisects until hi - lo <= tol * max(lo, 1).
+search.  Its bracket (lo, hi) of the crossing starts open, (-inf, inf),
+and a side not found yet stays open.  It probes v = 1, then doubles lo
+(upward) or halves hi (downward), guarding each expansion probe against a
+fall from the probe before it, then bisects until hi - lo <= tol * max(lo, 1).
 Expansion stops at the caps V_MIN and V_MAX, and a side still open there
 is a tag: hi = inf gives INF, lo = -inf gives ZERO.  Otherwise the upper
 value is lo and the lower value hi.  The caps are search bounds, so a
 crossing beyond one is reported as the tag (an upper value above V_MAX
 as INF).
 
-The search runs in two forms that take the same decisions.  A single query
-(value, eval, value_with_certificate) runs it on one point over Python
-floats.  value and eval evaluate the profile with no ExtPos in the loop:
-the coordinates divide as floats and the base answers through eval_float,
-so a nested handle's query is a float search too.  value_with_certificate
-takes the same steps with one perspective call per evaluation and returns
-a bracket certificate.  DualHandle.values (the handle's eval_many) runs
-it on many points in lockstep over float arrays, one base eval_many per
-step, so a nested handle hands its inner handle one batch per outer step.  A
-global-scan handle starts both forms from the extreme feasible cell of a
-fixed height grid, picked by one cell rule (_scan_cells); its lockstep
-form scans all rows at once.  Row x height profiles (the global scan's
-and check_radial's) are evaluated in blocks of whole rows, at most
-CHECK_BLOCK_ROWS pairs each (_profile_blocks); duality_residual evaluates
-its whole grid in one batch.
+The search runs in two forms that take the same decisions, over floats
+with 0.0 and inf as the tags (ExtPos appears only where a value leaves
+the library).  eval (also named value) and eval_float run it on one point
+over Python floats: the coordinates divide as floats and the base answers
+through eval_float, so a nested handle's query is a float search too.
+value_with_certificate takes the same steps with one perspective call per
+evaluation and returns a bracket certificate.  eval_many (also named
+values) runs it on many points in lockstep over float arrays, one base
+batch per step, so a nested handle hands its inner handle one batch per
+outer step.  A global-scan handle starts both forms from the extreme
+feasible cell of a fixed height grid, picked by one cell rule
+(_scan_cells); its lockstep form scans all rows at once.  Row x height
+profiles (the global scan's and check_radial's) are evaluated in blocks
+of whole rows, at most CHECK_BLOCK_ROWS pairs each (_profile_blocks);
+duality_residual evaluates its whole grid in one batch.
 
 Speculative bisection: the heights of a search's next k steps are fixed
 by its bracket (lo, hi); only the branches taken depend on the profile.
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtPos
+from .core import ExtPos, finite_error
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowRiskError
 from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective
 
@@ -135,19 +135,24 @@ class MonotoneWitness:
 
 def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """perspective(f, ys[i], v[i]) for every row, as floats (0.0 and inf
-    are the tags), with the same OverflowRiskError when a finite product
+    are the tags), with perspective's errors: eval's ValueError for a
+    negative or nan value of f, and OverflowRiskError when a finite product
     leaves the finite range.  rows[i] is the caller's row of pair i; an
     ExpressionRangeError from f names that row."""
+    xs = ys / v[:, None]
     try:
-        value = f.eval_many(ys / v[:, None])
+        # A batch callback's values are checked below, with the products.
+        value = f._many_fn(xs) if f._many_fn is not None else f.eval_many(xs)
     except ExpressionRangeError as exc:
         if exc.row is None:
             raise
         raise exc.at_row(int(rows[exc.row])) from exc
     scaled = v * value
-    # v > 0, so only an underflow adds a zero and only an overflow an inf.
-    underflow = np.count_nonzero(scaled) != np.count_nonzero(value)
-    if underflow or np.count_nonzero(scaled == np.inf) != np.count_nonzero(value == np.inf):
+    # v > 0, so a nonzero value has a positive product unless it is negative
+    # or nan or the product underflows, and only an overflow adds an inf.
+    if np.count_nonzero(scaled > 0.0) != np.count_nonzero(value) or np.count_nonzero(scaled == np.inf) != np.count_nonzero(value == np.inf):
+        if not np.all(value >= 0.0):
+            raise finite_error(value[np.argmin(value >= 0.0)])
         lost = ((scaled == 0.0) != (value == 0.0)) | ((scaled == np.inf) != (value == np.inf))
         i = int(lost.argmax())
         raise OverflowRiskError(f"perspective product {v[i]!r} * {value[i]!r} left the finite range")
@@ -155,19 +160,21 @@ def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np
 
 
 def _float_profile(f: FunctionOracle, y: list):
-    """The profile v -> perspective(f, y, v).as_float() for the search's
-    heights, over Python floats: y/v divides as perspective divides it, f
-    answers through its scalar callback, and the tags and the
-    OverflowRiskError are perspective's."""
-    # The query checked y's length, so the scalar callback is called directly.
+    """The profile v -> perspective(f, y, v).as_float() for heights v > 0,
+    over Python floats: y/v divides as perspective divides it, f answers
+    through its scalar callback, and the tags and the errors are
+    perspective's."""
+    # The caller checked y's length, so the scalar callback is called directly.
     evaluate = f._scalar_fn
 
     def profile(v: float) -> float:
         value = evaluate([c / v for c in y])
-        if value == 0.0 or value == math.inf:
-            return value
         scaled = v * value
-        if scaled == 0.0 or scaled == math.inf:
+        if not 0.0 < scaled < math.inf:
+            if value == 0.0 or value == math.inf:
+                return value
+            if not value > 0.0:
+                raise finite_error(value)
             raise OverflowRiskError(f"perspective product {v!r} * {value!r} left the finite range")
         return scaled
 
@@ -175,10 +182,11 @@ def _float_profile(f: FunctionOracle, y: list):
 
 
 def _next_height(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The search's next height for each bracket (lo, hi): double lo while
-    hi is open, halve hi while lo is open, else bisect; the caps bound the
-    expansion."""
-    return np.where(hi == np.inf, np.minimum(2.0 * lo, V_MAX), np.where(lo == -np.inf, np.maximum(0.5 * hi, V_MIN), 0.5 * (lo + hi)))
+    """The search's next height for each bracket (lo, hi): 1 while both
+    sides are open, then double lo while hi is open, halve hi while lo is
+    open, else bisect; the caps bound the expansion."""
+    open_lo = lo == -np.inf
+    return np.where(hi == np.inf, np.where(open_lo, 1.0, np.minimum(2.0 * lo, V_MAX)), np.where(open_lo, np.maximum(0.5 * hi, V_MIN), 0.5 * (lo + hi)))
 
 
 def _profile_blocks(f: FunctionOracle, ys: np.ndarray, heights: np.ndarray):
@@ -222,8 +230,9 @@ def _scan_cells(profiles: np.ndarray, upper: bool) -> np.ndarray:
 class DualHandle(FunctionOracle):
     """A FunctionOracle representing the upper or lower transform of a base
     oracle, evaluated on demand by bisection: one point at a time through
-    value/eval/eval_float (over floats) or value_with_certificate (through
-    perspective), or many points in lockstep through values/eval_many.
+    eval (also named value) and eval_float, over floats, or
+    value_with_certificate, through perspective; many points in lockstep
+    through eval_many (also named values), whose row i is value(ys[i]).
 
     Handles compose: a DualHandle can be the base of another DualHandle.
     The perspective profile of a transformed function is nondecreasing in
@@ -256,8 +265,8 @@ class DualHandle(FunctionOracle):
             scalar=self._search,
         )
 
-    def value(self, y) -> ExtPos:
-        return ExtPos.from_float(self._search(self._vector(y).tolist()))
+    value = FunctionOracle.eval
+    values = FunctionOracle.eval_many
 
     def value_with_certificate(self, y) -> tuple[ExtPos, BracketCertificate]:
         """value(y) and its bracket certificate, from the same search with
@@ -271,20 +280,6 @@ class DualHandle(FunctionOracle):
             lo, p_lo = hi, p_hi
         mode = "global" if self.global_scan else "monotone"
         return ExtPos.from_float(value), BracketCertificate(lo, hi, p_lo, p_hi, evals, mode)
-
-    def values(self, ys) -> np.ndarray:
-        """The transform at every row of ys, an (m, dim) array, as floats
-        with 0.0 and inf for the ZERO and INF tags.  Row i equals
-        value(ys[i]); the rows are searched in lockstep, so each step costs
-        one eval_many of the base.  A global-scan handle first scans every
-        row's heights, in blocks of whole rows (at most CHECK_BLOCK_ROWS
-        pairs per base eval_many).
-
-        values is the batch form of value for callers that hold a handle;
-        it is the same call as eval_many, the name under which code that
-        takes any FunctionOracle (a nested handle's search included)
-        reaches it."""
-        return self.eval_many(ys)
 
     # -- search ---------------------------------------------------------
 
@@ -301,20 +296,17 @@ class DualHandle(FunctionOracle):
         number of profile evaluations."""
         upper = self.sense is Sense.UPPER
         guarded = not self.base.meta.radial
+        # Both sides open; the guard's comparisons with nan are false.
+        lo, p_lo, hi, p_hi, evals = -math.inf, math.nan, math.inf, math.nan, 0
         if self.global_scan:
             # The scanned cell is bisected by the loop below; an open side
             # sits at a cap, so the loop exits at once on a tag.
             profiles = np.array([[profile(v) for v in _SCAN_HEIGHTS.tolist()]])
             lo, p_lo, hi, p_hi = _scan_cells(profiles, upper)[:, 0].tolist()
             evals = GLOBAL_SCAN_POINTS
-        else:
-            p = profile(1.0)
-            low = p <= 1.0 if upper else p < 1.0
-            lo, p_lo, hi, p_hi = (1.0, p, math.inf, p) if low else (-math.inf, p, 1.0, p)
-            evals = 1
         while hi - lo > self.tol * max(lo, 1.0) and lo < V_MAX and hi > V_MIN:
             if hi == math.inf:
-                v = min(2.0 * lo, V_MAX)
+                v = 1.0 if lo == -math.inf else min(2.0 * lo, V_MAX)
             elif lo == -math.inf:
                 v = max(0.5 * hi, V_MIN)
             else:
@@ -342,11 +334,13 @@ class DualHandle(FunctionOracle):
 
         Every step probes one height per active row, takes the same
         decisions as _solve on it and retires the rows that reach a cap or
-        the tol rule.  A global-scan handle starts every row from its
-        scanned cell, as _solve does; a row with an open side sits at a cap
-        and retires at the first cap test, so the guard cannot fire.  A
-        nested handle over a batch-native base takes up to
-        SPECULATIVE_LEVELS steps per base call (_speculate).
+        the tol rule.  Every row starts with both sides open, as in _solve.
+        A global-scan handle scans every row's heights first, in blocks of
+        whole rows (_profile_blocks), and starts each row from its scanned
+        cell, as _solve does; a row with an open side sits at a cap and
+        retires at the first cap test, so the guard cannot fire.  A nested
+        handle over a batch-native base takes up to SPECULATIVE_LEVELS steps
+        per base call (_speculate), the first one included.
         """
         upper = self.sense is Sense.UPPER
         guarded = not self.base.meta.radial
@@ -358,16 +352,12 @@ class DualHandle(FunctionOracle):
         out = np.empty(ys.shape[0])
         rows = np.arange(ys.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):
+            # Both sides open; the guard's comparisons with nan are false.
+            lo, hi, p = np.full(len(ys), -np.inf), np.full(len(ys), np.inf), np.full(len(ys), np.nan)
             if self.global_scan:
                 cells = [_scan_cells(profiles, upper) for _, profiles in _profile_blocks(self.base, ys, _SCAN_HEIGHTS)]
                 lo, p_lo, hi, p_hi = np.concatenate([np.empty((4, 0)), *cells], axis=1)
                 p = np.where(lo == -np.inf, p_hi, p_lo)  # the probe at an open side
-            else:
-                v = np.ones(ys.shape[0])
-                p = _perspective_many(self.base, ys, v, rows)
-                low = p <= 1.0 if upper else p < 1.0
-                lo = np.where(low, v, -np.inf)
-                hi = np.where(low, np.inf, v)
             # False once every row brackets its crossing.  The cap test, the
             # expansion step and the guard cannot fire after that; skipping
             # them makes a nested search's cheap bisection steps cheaper.
@@ -518,25 +508,24 @@ def check_radial(
 
     if f.grad is not None:
         for x in rng.uniform(lo, hi, size=(4 * rays, f.dim)):
-            fx = f.eval(x)
-            if not fx.is_finite:
+            fx = f.eval_float(x.tolist())
+            if not 0.0 < fx < math.inf:
                 continue
             try:
                 g = np.atleast_1d(np.asarray(f.grad(x), dtype=float))
             except Exception:
                 continue
             informative += 1
-            t = float(g @ x) - fx.value
+            t = float(g @ x) - fx
             if t > MONOTONE_GUARD:
                 # The profile along the ray through x falls at first order;
                 # confirm with an explicit pair before recording.
                 step = 1e-4
-                a = fx.value
-                b = perspective(f, x, 1.0 + step).as_float()
-                if a - b > MONOTONE_GUARD:
+                b = _float_profile(f, x.tolist())(1.0 + step)
+                if fx - b > MONOTONE_GUARD:
                     witness_count += 1
                     if len(witnesses) < KEPT_WITNESSES:
-                        witnesses.append(MonotoneWitness(np.array(x), 1.0, 1.0 + step, a, b))
+                        witnesses.append(MonotoneWitness(np.array(x), 1.0, 1.0 + step, fx, b))
             elif t > -MONOTONE_GUARD:
                 strict_ok = False
 

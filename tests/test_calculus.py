@@ -374,6 +374,38 @@ class TestDualHessian:
             dual_hessian(tent(), np.array([0.5]), 0.75)
 
 
+class TestDualDerivativePins:
+    """The bits the dual derivatives gave while their preamble read f
+    through eval; it reads the float form now and must give the same ones."""
+
+    def test_dual_gradient_over_differences(self):
+        cap2 = parse_function("pos(sqrt(1-x0^2-x1^2))", 2)
+        assert dual_gradient(cap2, [0.3, -0.4], 1.118033988692332).tolist() == [0.268328157310914, -0.3577708763649013]
+        assert dual_gradient(cap2, [1.0, 0.5], 1.5).tolist() == [0.6666666666751868, 0.3333333333375934]
+        bump = parse_function("exp(-abs(x0)) + 0.5", 1)
+        assert dual_gradient(bump, [0.8], 1.0385570478974842).tolist() == [0.3508148893824944]
+
+    def test_dual_gradient_and_hessian_from_callbacks(self):
+        y = [0.3, -0.4]
+        assert dual_gradient(sqrt_cap(2), y, 1.118033988692332).tolist() == [0.26832815731378984, -0.35777087641838645]
+        assert dual_hessian(sqrt_cap(2), y, 1.118033988692332).tolist() == [
+            [0.8300284332306073, 0.08586501034372836],
+            [0.08586501034372836, 0.7799405105300987],
+        ]
+        assert dual_gradient(shifted_parabola(), [0.6], 0.5082762530073524).tolist() == [0.15079291117334487]
+        assert dual_hessian(shifted_parabola(), [0.6], 0.5082762530073524).tolist() == [[1.1108039680760031]]
+
+    def test_the_pinned_dual_values(self):
+        """The dual values the pins above are taken at."""
+        for f, y, want in [
+            (parse_function("pos(sqrt(1-x0^2-x1^2))", 2), [0.3, -0.4], 1.118033988692332),
+            (parse_function("pos(sqrt(1-x0^2-x1^2))", 2), [1.0, 0.5], 1.5),
+            (parse_function("exp(-abs(x0)) + 0.5", 1), [0.8], 1.0385570478974842),
+            (shifted_parabola(), [0.6], 0.5082762530073524),
+        ]:
+            assert upper(f).eval_float(y) == want
+
+
 class TestDualSubgradient:
     def test_matches_gradient_for_smooth_points(self):
         f = sqrt_cap(1)

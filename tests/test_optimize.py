@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,20 @@ class TestMapStationary:
     def test_symmetric_cap(self):
         y, witness = map_stationary(np.array([0.0]), sqrt_cap(1))
         assert y[0] == 0.0 and float(np.linalg.norm(witness)) <= 1e-12
+
+    def test_pinned_bits(self):
+        """The bits map_stationary gave while it read f through eval."""
+        parabola = parse_function("pos(2-(x0-1)^2)", 1, meta=DECLARED_STRICT)
+        cap2 = parse_function("pos(sqrt(1-x0^2-x1^2))", 2, meta=DECLARED_STRICT)
+        for x, f, want in [
+            ([1.0], shifted_parabola(), ([0.5], [0.0])),
+            ([0.0], sqrt_cap(1), ([0.0], [0.0])),
+            ([1.0], parabola, ([0.5], [-0.0])),
+            ([0.0, 0.0], cap2, ([0.0, 0.0], [-0.0, -0.0])),
+        ]:
+            y, witness = map_stationary(np.array(x), f)
+            assert (y.tolist(), witness.tolist()) == want
+            assert [math.copysign(1.0, c) for c in witness] == [math.copysign(1.0, c) for c in want[1]]
 
     def test_not_stationary(self):
         with pytest.raises(NotStationaryError):
@@ -342,3 +357,23 @@ class TestGoldenSolves:
             '"p_star": 1.7499994158644898, "schema": "radial/v1", "status": "step", "x_star": [0.4999994157961996], '
             '"y_star": [0.2857140472525259]}\n',
         )
+
+    def test_a_parsed_solve_builds_only_its_results_extpos(self, capsys):
+        """Inside the solver f is read through its float form: the whole
+        solve builds two ExtPos, d_star and p_star."""
+        built = []
+        init = ExtPos.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        with mock.patch.object(ExtPos, "__init__", counting):
+            code = main(["solve", "--f", "pos(1.234-x0^2)", "--dim", "1", "--y0", "3.7"])
+        assert (code, capsys.readouterr().out) == (
+            0,
+            '{"converged": true, "d_star": 0.8103727714624256, "grad_norm": 8.996945094207103e-11, "iterations": 2501, '
+            '"p_star": 1.2340000000189626, "schema": "radial/v1", "status": "gradient", "x_star": [-1.6473930173860446e-11], '
+            '"y_star": [-1.3350024451869768e-11]}\n',
+        )
+        assert built == [(1, 0.8103727714624256), (1, 1.2340000000189626)]

@@ -17,6 +17,7 @@ from radial import (
     gradient,
     parse_function,
     perspective,
+    rule_scale,
 )
 from radial import catalog
 from radial.catalog import absval, constant, exp_bump, shifted_parabola, sqrt_cap, strict_entries, tent
@@ -117,6 +118,28 @@ class TestGradient:
                 analytic = np.atleast_1d(f.grad(x))
                 scale = max(1.0, float(np.max(np.abs(analytic))))
                 assert float(np.max(np.abs(fd - analytic))) <= 1e-6 * scale
+
+
+class TestGradientPins:
+    """The bits gradient gave while it read f through eval; it reads the
+    float form now and must give the same ones."""
+
+    def test_difference_path_on_parsed_oracles(self):
+        cap2 = parse_function("pos(sqrt(1-x0^2-x1^2))", 2)
+        bump = parse_function("exp(-abs(x0)) + 0.5", 1)
+        quad = parse_function("(x0+1)^2 + 0.5", 1)
+        assert gradient(cap2, [0.3, -0.4]).tolist() == [-0.34641016144476566, 0.46188021535220614]
+        assert gradient(cap2, [0.0, 0.5]).tolist() == [0.0, -0.5773502692041355]
+        assert gradient(cap2, [-0.6, 0.1]).tolist() == [0.7559289460501439, -0.12598815768427585]
+        assert gradient(bump, [0.7]).tolist() == [-0.4965853038219059]
+        assert gradient(bump, [-1.3]).tolist() == [0.2725317930218907]
+        assert gradient(quad, [0.25]).tolist() == [2.4999999999053557]
+        assert gradient(quad, [-3.0]).tolist() == [-4.000000000559112]
+
+    def test_analytic_path_on_catalog_oracles(self):
+        assert gradient(sqrt_cap(2), [0.3, -0.4]).tolist() == [-0.34641016151377546, 0.46188021535170065]
+        assert gradient(exp_bump(), [0.7]).tolist() == [-0.4965853037914095]
+        assert gradient(shifted_parabola(), [0.4]).tolist() == [1.2]
 
 
 class TestMeta:
@@ -270,4 +293,39 @@ class TestOneCallback:
         for call in (lambda: f.eval(np.array([1.0])), lambda: f.eval_float([1.0])):
             with pytest.raises(TypeError, match="must return ExtPos, got float"):
                 call()
+
+
+class TestRangeCheck:
+    """A float callback's negative or nan value is refused on every path
+    that reads it, with eval's ValueError and message; a parsed expression
+    keeps its ExpressionRangeError."""
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("batch", [False, True], ids=["scalar", "many"])
+    def test_every_path_raises_evals_error(self, bad, batch):
+        many = (lambda xs: np.full(len(xs), bad)) if batch else None
+        g = FunctionOracle(1, scalar=lambda x: bad, many=many, meta=RadialityMeta.STRICT)
+        h = DualHandle(g, Sense.UPPER)
+        ys = np.array([[1.0], [2.0]])
+        queries = {
+            "value": lambda: h.value([1.0]),
+            "values": lambda: h.values(ys),
+            "value_with_certificate": lambda: h.value_with_certificate([1.0]),
+            "eval": lambda: g.eval([1.0]),
+            "eval_float": lambda: g.eval_float([1.0]),
+            "eval_many": lambda: g.eval_many(ys),
+            "gradient": lambda: gradient(g, [1.0]),
+            "rule": lambda: rule_scale(2.0, g).eval([1.0]),
+        }
+        for name, query in queries.items():
+            with pytest.raises(ValueError) as raised:
+                query()
+            assert (type(raised.value), str(raised.value)) == (ValueError, f"finite ExtPos requires 0 < v < inf, got {bad!r}"), name
+
+    def test_parsed_expressions_keep_their_error(self):
+        f = parse_function("x0 - 2", 1, meta=RadialityMeta.STRICT)
+        h = DualHandle(f, Sense.UPPER)
+        for query in (lambda: h.value([1.0]), lambda: h.values(np.array([[1.0]])), lambda: f.eval_float([1.0]), lambda: gradient(f, [1.0])):
+            with pytest.raises(ExpressionRangeError, match="wrap it in pos"):
+                query()
 

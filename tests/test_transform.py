@@ -280,6 +280,54 @@ class TestNonMonotone:
 
 
 class TestRadialityChecker:
+    @pytest.mark.parametrize(
+        "f, rays, points, seed, want",
+        [
+            (sqrt_cap(1), 16, 32, 0, ("STRICT", 0, [])),
+            (sqrt_cap(1), 3, 2, 1, ("STRICT", 0, [])),
+            (exp_bump(), 16, 32, 0, ("STRICT", 0, [])),
+            (exp_bump(), 3, 2, 1, ("STRICT", 0, [])),
+            (absval(), 16, 32, 0, ("RADIAL", 0, [])),
+            (absval(), 3, 2, 1, ("RADIAL", 0, [])),
+            (
+                shifted_quadratic(), 16, 32, 0,
+                ("NOT_RADIAL", 283, [
+                    ([0.8217701239287258], 1e-12, 5.9455707085443824e-12, 675306136583.4769, 113581381787.47455),
+                    ([0.8217701239287258], 5.9455707085443824e-12, 3.534981105030109e-11, 113581381787.47455, 19103528889.560513),
+                    ([0.8217701239287258], 3.534981105030109e-11, 2.101748011332487e-10, 19103528889.560513, 3213068994.40874),
+                    ([0.8217701239287258], 2.101748011332487e-10, 1.2496091412919892e-09, 3213068994.40874, 540413891.2887653),
+                    ([0.8217701239287258], 1.2496091412919892e-09, 7.42963950759495e-09, 540413891.2887653, 90893528.29331937),
+                ]),
+            ),
+            (
+                # Two witnesses from the profile pass, then three from the
+                # gradient pass (the pair 1 -> 1.0001).
+                shifted_quadratic(), 3, 2, 1,
+                ("NOT_RADIAL", 7, [
+                    ([2.702782177955612], 1e-12, 1000000000000.0, 7305031501479.889, 1500000000005.4055),
+                    ([-2.135042323682198], 1e-12, 1000000000000.0, 4558405723910.008, 1499999999995.73),
+                    ([2.6918966828234634], 1.0, 1.0001, 14.130101116642892, 14.129526558323624),
+                    ([1.9662155629226508], 1.0, 1.0001, 9.298434765724538, 9.298198204016721),
+                    ([-2.83464532054159], 1.0, 1.0001, 3.865923452185153, 3.8652700111199327),
+                ]),
+            ),
+        ],
+        ids=["sqrt_cap", "sqrt_cap-few", "exp_bump", "exp_bump-few", "absval", "absval-few", "shifted_quadratic", "shifted_quadratic-few"],
+    )
+    def test_reports_are_pinned(self, f, rays, points, seed, want):
+        """The reports check_radial gave while its gradient pass read f
+        through eval and perspective: meta, count and kept witnesses."""
+        r = check_radial(f, rays, points, seed=seed)
+        got = (r.meta.name, r.witness_count, [(w.y.tolist(), w.v_lo, w.v_hi, w.p_lo, w.p_hi) for w in r.witnesses])
+        assert got == want
+
+    def test_an_indicator_the_guard_cannot_see_is_not_radial(self):
+        """The search's guard compares consecutive expansion probes only, so
+        eval on indicator(box 1 2) at 1.5 returns a wrong finite value; the
+        sampled check is the test that catches it, as the README says."""
+        report = check_radial(parse_function("indicator(box 1 2)", 1), rays=64, points_per_ray=64, seed=0)
+        assert (report.meta, report.witness_count) == (RadialityMeta.NOT_RADIAL, 26)
+
     def test_strictly_monotone_verdict(self):
         report = check_radial(sqrt_cap(1), rays=16, points_per_ray=32, seed=0)
         assert report.meta is RadialityMeta.STRICT
@@ -787,6 +835,39 @@ class TestSpeculation:
             _bidual(f).values(ys)
         assert widths and max(widths) <= transform.SPECULATIVE_PAIRS
 
+    def test_the_first_tree_opens_the_bracket(self):
+        """The loop opens its own bracket, so a nested values makes no start
+        call: every call to the inner handle comes from _speculate, and the
+        first tree's level 0 is height 1 on every row."""
+        f = parse_function("pos(sqrt(1 - x0^2))", 1)
+        with mock.patch.object(transform, "SPECULATIVE_LEVELS", 1):
+            plain = _bidual(f).values(self.YS)
+        speculate, lockstep = DualHandle._speculate, DualHandle._lockstep
+        active, trees, inner_calls = [], [], []
+
+        def recording_speculate(h, ys, rows, lo, hi, levels):
+            trees.append((lo.tolist(), hi.tolist(), levels))
+            active.append(h)
+            try:
+                return speculate(h, ys, rows, lo, hi, levels)
+            finally:
+                active.pop()
+
+        def recording_lockstep(h, xs):
+            if h is not outer:
+                inner_calls.append((bool(active), xs.copy()))
+            return lockstep(h, xs)
+
+        with mock.patch.object(DualHandle, "_speculate", recording_speculate), mock.patch.object(DualHandle, "_lockstep", recording_lockstep):
+            outer = _bidual(f)
+            assert np.array_equal(outer.values(self.YS), plain)
+        assert inner_calls and all(inside for inside, _ in inner_calls)
+        lo, hi, levels = trees[0]
+        assert lo == [-math.inf] * len(self.YS) and hi == [math.inf] * len(self.YS)
+        # Each row's tree is one block of the first inner batch; level 0 is
+        # the block's first height.
+        assert np.array_equal(inner_calls[0][1][:: (1 << levels) - 1], self.YS / 1.0)
+
     def _recorded_plain_run(self, f, ys):
         """The plain result and every point the plain lockstep passes to
         the leaf, in order."""
@@ -852,7 +933,7 @@ class TestErrorRows:
         assert raised.value.row == 1
 
     def test_an_oracle_without_a_batch_callback_names_the_row(self):
-        """eval_many loops over eval when no batch callback is given; the
+        """eval_many loops over eval_float when no batch callback is given; the
         error still names the row, directly and through values."""
         f = FunctionOracle(1, parse_function("1 - x0", 1).eval)
         with pytest.raises(ExpressionRangeError, match=r"at \[2.0\] \(row 1\)") as raised:
