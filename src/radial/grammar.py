@@ -1,8 +1,15 @@
 """Expression grammar for CLI-supplied functions.
 
-A parsed tree is compiled once into closures by one compiler with two op
-tables: the scalar table (math functions on Python floats) serves eval and
-eval_float, the numpy table serves eval_many on an (m, n) array of points.
+A parsed tree is compiled by one emitter with two op tables, each into one
+straight-line generated Python function with an assignment per node: the
+scalar table (math functions on Python floats) serves eval and eval_float,
+the numpy table serves eval_many on an (m, n) array of points.  Literals,
+indicator regions and table callables are bound by name in the function's
+namespace, so no source text reaches the generated code and expressions of
+one shape share one compiled code object.  + - *, negation, division by a
+constant and the scalar pos are written inline; every other op is a call
+of the table's function.  Trees deeper than MAX_DEPTH, or nested deeper
+than MAX_NESTING, are parse errors.
 Both follow the same IEEE rules, with nan/inf propagation; where numpy's
 own result differs from the scalar rule (1/-0.0, 0^negative, nan^0,
 hypot(inf, nan)) the numpy table masks it back, so the two agree except for
@@ -27,6 +34,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,14 +66,18 @@ indicator(halfspace a_1 .. a_dim b) the set {x : a.x <= b}.
 _ARITY = dict.fromkeys(("sqrt", "exp", "abs", "sin", "cos", "pos"), (1, 1))
 _ARITY.update(min=(2, math.inf), max=(2, math.inf), norm=(1, math.inf))
 _INDICATOR_KINDS = ("ball", "box", "halfspace")
+#: The deepest syntax tree parse accepts, and the deepest nesting of
+#: parentheses, calls, signs and powers (up to six parser frames a level):
+#: deeper input would exhaust Python's recursion limit in parse or unparse.
+MAX_DEPTH = 500
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),]))"
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "end"
     text: str
     pos: int
@@ -73,17 +85,11 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
         tokens.append(_Token(kind, m.group(kind), m.start(kind)))
-        i = m.end()
     tokens.append(_Token("end", "", len(text)))
     return tokens
 
@@ -128,6 +134,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.dim = dim
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -166,11 +173,17 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", tok.pos)
+        self.nesting += 1
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             child = self.unary()
-            return Neg(child) if tok.text == "-" else child
-        return self.power()
+            node = Neg(child) if tok.text == "-" else child
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -275,7 +288,11 @@ def parse(text: str, dim: int):
         raise ParseError("empty expression", 0)
     if int(dim) < 1:
         raise ValueError("dim must be >= 1")
-    return _Parser(text, int(dim)).parse()
+    parser = _Parser(text, int(dim))
+    tree = parser.parse()
+    if len(parser.tokens) > MAX_DEPTH:  # each level of a tree has a token of its own
+        _postorder(tree)
+    return tree
 
 
 def _safe_pow(a: float, b: float) -> float:
@@ -397,73 +414,99 @@ _NUMPY_OPS = {
 }
 
 
-def _constant(node) -> bool:
-    """Whether a subtree holds no variable and no indicator."""
-    if isinstance(node, (Var, Indicator)):
-        return False
-    if isinstance(node, Neg):
-        return _constant(node.child)
-    if isinstance(node, Bin):
-        return _constant(node.left) and _constant(node.right)
-    if isinstance(node, Call):
-        return all(map(_constant, node.args))
-    return True
+#: Op table entries written inline, where Python's operator is the same
+#: IEEE operation as the table's callable; every other op is a call.
+_INLINE = {"neg": "-{0}", "+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/c": "{0} / {1}"}
+_MATH_INLINE = {**_INLINE, "var": "x[{0}]", "pos": "{0} if {0} > 0.0 else 0.0"}
+_NUMPY_INLINE = {**_INLINE, "var": "x[:, {0}]"}
 
 
-def _compile(node, ops):
-    """Turn a syntax tree into a closure over one op table, so that an
-    evaluation no longer dispatches on node types.
-
-    A constant subtree is folded: its closure runs once, here, and its value
-    is what every evaluation would have computed.  A constant right operand
-    that cannot reach the general rule's special cases, a divisor that is
-    neither zero nor nan or a positive exponent, compiles to the plain op
-    ("/c", "^c"), which gives the same bits."""
-    if isinstance(node, Var):
-        return ops["var"](node.index)
-    if isinstance(node, Indicator):
-        return ops["indicator"](node.region)
-    if isinstance(node, Num):
-        value = node.value
-    else:
-        closure = _compile_op(node, ops)
-        if not _constant(node):
-            return closure
-        with np.errstate(all="ignore"):
-            value = closure(None)
-    return lambda x: value
+def _postorder(tree) -> list:
+    """The nodes of a tree, each after its children, left to right.  A tree
+    deeper than MAX_DEPTH is a ParseError (its deepest node is a leaf)."""
+    order, stack = [], [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind is Bin:
+            stack += (node.left, depth + 1), (node.right, depth + 1)
+        elif kind is Neg:
+            stack.append((node.child, depth + 1))
+        elif kind is Call:
+            stack += [(arg, depth + 1) for arg in node.args]
+        elif depth > MAX_DEPTH:
+            raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
+    return order[::-1]
 
 
-def _compile_op(node, ops):
-    if isinstance(node, Neg):
-        child, neg = _compile(node.child, ops), ops["neg"]
-        return lambda x: neg(child(x))
-    if isinstance(node, Bin):
-        left, right = _compile(node.left, ops), _compile(node.right, ops)
-        if node.op in ("/", "^") and _constant(node.right):
-            c = right(None)
-            if (c != 0.0 and c == c) if node.op == "/" else c > 0.0:
-                op = ops[node.op + "c"]
-                return lambda x: op(left(x), c)
-        op = ops[node.op]
-        return lambda x: op(left(x), right(x))
-    if isinstance(node, Call):
-        args, func = [_compile(arg, ops) for arg in node.args], ops[node.func]
-        if len(args) == 1:
-            (arg,) = args
-            return lambda x: func(arg(x))
-        return lambda x: func(*[arg(x) for arg in args])
-    raise AssertionError(f"unhandled node {type(node).__name__}")
+_compiled = functools.lru_cache(maxsize=256)(compile)  # one code object per kernel source
+#: parse_function's scalar return: negative or nan raises, -0.0 is the ZERO tag.
+_CHECKED = "if not {0} >= 0.0:\n        raise range_error({0}, x)\n    return {0} + 0.0"
+
+
+def _kernel(nodes, ops, inline, tail="return {0}"):
+    """Compile a syntax tree, given as its _postorder nodes, over one op
+    table into a straight-line function of x, one assignment per node (see
+    the module docstring).  A constant subtree is folded: its ops run once,
+    here.  A constant right operand that cannot reach the general rule's
+    special cases, a divisor neither zero nor nan or a positive exponent,
+    takes the plain op ("/c", "^c"), which gives the same bits.  tail
+    formats the return statement from the result's name."""
+    namespace, lines = {"range_error": ExpressionRangeError}, []
+
+    def bind(value, prefix):
+        name = f"{prefix}{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    stack = []  # operands: a constant as its value, a computed one by name
+    for node in nodes:
+        kind = type(node)
+        if kind is Num:
+            stack.append(node.value)
+            continue
+        if kind is Var:
+            text = inline["var"].format(node.index)
+        elif kind is Indicator:
+            text = f"{bind(ops['indicator'](node.region), 'f')}(x)"
+        else:
+            key, n = ("neg", 1) if kind is Neg else (node.op, 2) if kind is Bin else (node.func, len(node.args))
+            args = stack[-n:]
+            del stack[-n:]
+            if (key == "/" or key == "^") and type(args[1]) is not str:
+                c = args[1]
+                if (c != 0.0 and c == c) if key == "/" else c > 0.0:
+                    key += "c"
+            if str not in map(type, args):
+                with np.errstate(all="ignore"):
+                    stack.append(ops[key](*args))
+                continue
+            names = []
+            for arg in args:
+                if type(arg) is not str:  # a constant, bound by name
+                    name = f"c{len(namespace)}"
+                    namespace[name], arg = arg, name
+                names.append(arg)
+            text = inline[key].format(*names) if key in inline else f"{bind(ops[key], 'f')}({', '.join(names)})"
+        stack.append(f"t{len(lines)}")
+        lines.append(f"    t{len(lines)} = {text}")
+    (result,) = stack
+    lines.append("    " + tail.format(result if type(result) is str else bind(result, "c")))
+    source = "\n".join(["def kernel(x):", *lines])
+    exec(_compiled(source, "<radial kernel>", "exec"), namespace)
+    return namespace.pop("kernel")  # no function-globals cycle for the collector
 
 
 def evaluate(node, x: np.ndarray) -> float:
     """Evaluate a syntax tree at one point x with the scalar IEEE rules."""
-    return _compile(node, _MATH_OPS)(np.asarray(x, dtype=float).tolist())
+    return _kernel(_postorder(node), _MATH_OPS, _MATH_INLINE)(np.asarray(x, dtype=float).tolist())
 
 
 def unparse(node) -> str:
     """Render a tree back to source, fully parenthesized so that reparsing
-    reconstructs the identical tree."""
+    reconstructs the identical tree (if those parentheses nest within
+    MAX_NESTING: a long chain of + or * nests one level per operator)."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -483,10 +526,10 @@ def unparse(node) -> str:
 def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META, name=None) -> FunctionOracle:
     """Build a FunctionOracle from expression source.
 
-    The tree is compiled twice: with the scalar rules for the oracle's
-    scalar callback (FunctionOracle derives eval from it), and with the
-    numpy rules for eval_many; eval_float and eval_many return floats with
-    0.0 and inf as the tags.  Without grad the oracle's gradient falls back
+    The tree is compiled twice: with the scalar rules and the range check
+    into the scalar callback (FunctionOracle derives eval from it), and with
+    the numpy rules for eval_many; eval_float and eval_many return floats
+    with 0.0 and inf as the tags.  Without grad the gradient falls back
     to finite differences (no analytic composition is attempted); grad,
     hess, meta and name (default: the unparsed source) are attached as
     given, so a caller that knows the derivatives or the radiality of an
@@ -495,15 +538,8 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
     implicitly; eval_many names the first offending row.
     """
     tree = parse(text, dim)
-    source = unparse(tree)
-    scalar = _compile(tree, _MATH_OPS)
-    batch = _compile(tree, _NUMPY_OPS)
-
-    def _eval_float(x: list) -> float:
-        t = scalar(x)
-        if not t >= 0.0:
-            raise ExpressionRangeError(t, x)
-        return t + 0.0  # -0.0 is the ZERO tag too
+    source, nodes = unparse(tree), _postorder(tree)
+    batch = _kernel(nodes, _NUMPY_OPS, _NUMPY_INLINE)
 
     def _eval_many(x: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -515,4 +551,4 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
             raise ExpressionRangeError(float(t[i]), x[i].tolist(), i)
         return t
 
-    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=_eval_many, scalar=_eval_float)
+    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=_eval_many, scalar=_kernel(nodes, _MATH_OPS, _MATH_INLINE, _CHECKED))

@@ -304,13 +304,12 @@ class DualHandle(FunctionOracle):
             profiles = np.array([[profile(v) for v in _SCAN_HEIGHTS.tolist()]])
             lo, p_lo, hi, p_hi = _scan_cells(profiles, upper)[:, 0].tolist()
             evals = GLOBAL_SCAN_POINTS
-        while hi - lo > self.tol * max(lo, 1.0) and lo < V_MAX and hi > V_MIN:
+        # While a side is open the stop rule cannot hold: expand to a cap.
+        while (hi == math.inf or lo == -math.inf) and lo < V_MAX and hi > V_MIN:
             if hi == math.inf:
                 v = 1.0 if lo == -math.inf else min(2.0 * lo, V_MAX)
-            elif lo == -math.inf:
-                v = max(0.5 * hi, V_MIN)
             else:
-                v = 0.5 * (lo + hi)
+                v = max(0.5 * hi, V_MIN)
             p = profile(v)
             evals += 1
             if guarded and hi == math.inf and p_lo - p > MONOTONE_GUARD:
@@ -321,13 +320,18 @@ class DualHandle(FunctionOracle):
                 lo, p_lo = v, p
             else:
                 hi, p_hi = v, p
-        if hi == math.inf:
-            value = math.inf
-        elif lo == -math.inf:
-            value = 0.0
-        else:
-            value = lo if upper else hi
-        return value, lo, hi, p_lo, p_hi, evals
+        if hi == math.inf or lo == -math.inf:
+            return (math.inf if hi == math.inf else 0.0), lo, hi, p_lo, p_hi, evals
+        # Bracketed: the cap tests, the expansion and the guard cannot fire.
+        while hi - lo > self.tol * (lo if lo > 1.0 else 1.0):
+            v = 0.5 * (lo + hi)
+            p = profile(v)
+            evals += 1
+            if p <= 1.0 if upper else p < 1.0:
+                lo, p_lo = v, p
+            else:
+                hi, p_hi = v, p
+        return (lo if upper else hi), lo, hi, p_lo, p_hi, evals
 
     def _lockstep(self, ys: np.ndarray) -> np.ndarray:
         """The search of _solve run on all rows at once, over float arrays.

@@ -92,6 +92,23 @@ class TestEval:
         assert code == 0
         assert out.splitlines()[0] == "0"
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 300 + "x0" + ")" * 300, "^".join(["x0"] * 1000 + ["1"]), "+".join(["x0"] * 1000)],
+        ids=["300 parentheses", "1000 powers", "1000-term sum"],
+    )
+    def test_deep_expression_is_a_parse_error(self, expr, capsys):
+        """Input deeper than the grammar's limits ends in exit 2 and one
+        error line, not a RecursionError traceback."""
+        code, out, err = run_cli(["eval", "--f", expr, "--dim", "1", "--at", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: expression ") and "deeper than" in err
+
+    def test_a_400_term_sum_still_evaluates(self, capsys):
+        code, out, _ = run_cli(["eval", "--f", "+".join(["x0"] * 400), "--dim", "1", "--at", "1"], capsys)
+        assert code == 0
+        assert "perspective [400, 400]" in out
+
     def test_tol_flag_changes_display(self, capsys):
         code, out, _ = run_cli(
             ["--tol", "1e-6", "eval", "--f", "pos(sqrt(1-x0^2))", "--dim", "1", "--at", "1"], capsys

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import expressions, overflowing_expressions
-from radial import INF, ZERO, ExpressionRangeError, ExtPos, ParseError, parse_function
+from radial import INF, ZERO, DualHandle, ExpressionRangeError, ExtPos, ParseError, grammar, parse_function
+from radial.oracle import DECLARED_STRICT
 from radial.grammar import _MATH_OPS, _NUMPY_OPS, Bin, Call, Indicator, Neg, Num, Var, evaluate, parse, unparse
 
 # Expressions that are total (never negative/nan at the top level) so the
@@ -120,6 +122,39 @@ class TestParsing:
         f = parse_function("indicator(box, -1, 1)", 1)
         assert f.eval(np.array([0.0])) is INF
         assert f.eval(np.array([3.0])) is ZERO
+
+
+class TestDepth:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "(" * 300 + "x0" + ")" * 300,
+            "^".join(["x0"] * 1000 + ["1"]),
+            "+".join(["x0"] * 1000),
+            "+".join(["x0"] * (grammar.MAX_DEPTH + 1)),
+            "-" * grammar.MAX_NESTING + "x0",
+            "sqrt(" * 101 + "x0" + ")" * 101,
+            "(" + "+".join(["x0"] * 300) + ")*" + "+".join(["x0"] * 300),
+        ],
+        ids=["parentheses", "powers", "sum", "longest sum", "signs", "calls", "chains"],
+    )
+    def test_too_deep_is_a_parse_error(self, source):
+        with pytest.raises(ParseError, match="deeper than"):
+            parse(source, 1)
+        with pytest.raises(ParseError, match="deeper than"):
+            parse_function(source, 1)
+
+    def test_the_deepest_accepted_input_parses_and_evaluates(self):
+        """A sum of MAX_DEPTH terms and MAX_NESTING levels of signs,
+        parentheses, calls and powers (two levels for each "-(") parse,
+        unparse and evaluate, in both forms."""
+        assert grammar.MAX_NESTING == 100
+        total = "+".join(["x0"] * grammar.MAX_DEPTH)
+        nested = "-(" * 24 + "+" + "abs(" * 49 + "x0^2" + ")" * 73
+        for source, want in ((total, 2.0 * grammar.MAX_DEPTH), (nested, 4.0)):
+            f = parse_function(source, 1)
+            assert f.name == unparse(parse(source, 1))
+            assert f.eval_float([2.0]) == f.eval_many(np.array([[2.0]]))[0] == want
 
 
 class TestEvaluation:
@@ -371,3 +406,71 @@ def test_compiled_kernels_match_the_general_rules(expr, dim):
     error on the same row, and eval the same value or error, at the
     special points in 1-D and 2-D."""
     _assert_kernels_match_walk(_in_dim(expr, dim), dim)
+
+
+# -- one kernel source per shape ----------------------------------------------
+
+
+def _sources(monkeypatch, *exprs):
+    """The oracles of exprs and the kernel sources compiled for them."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(grammar, "_compiled", spy)
+    return [parse_function(expr, 1) for expr in exprs], sources
+
+
+def test_kernel_source_holds_no_literal(monkeypatch):
+    (f,), sources = _sources(monkeypatch, "pos(1.2345 - x0^3.75) + min(x0, 6.5e-7) / 2.5")
+    assert len(sources) == 2  # the numpy and the scalar kernel
+    for source in sources:
+        assert not any(literal in source for literal in ("1.2345", "3.75", "6.5", "2.5", "e-07")), source
+    assert f.eval_float([0.5]) == (1.2345 - 0.5**3.75) + 6.5e-7 / 2.5
+
+
+def test_one_shape_shares_its_source_and_keeps_its_constants(monkeypatch):
+    (f, g), sources = _sources(monkeypatch, "pos(1.2-x0^2)", "pos(1.5-x0^2)")
+    assert sources[:2] == sources[2:]
+    xs = np.array([[0.0], [0.5], [1.1], [1.3]])
+    for x in xs.tolist():
+        assert (f.eval_float(x), g.eval_float(x)) == (max(1.2 - x[0] ** 2, 0.0), max(1.5 - x[0] ** 2, 0.0))
+    assert f.eval_many(xs).tolist() == [1.2, 1.2 - 0.25, 0.0, 0.0]
+    assert g.eval_many(xs).tolist() == [1.5, 1.5 - 0.25, 1.5 - 1.1**2, 0.0]
+    monkeypatch.undo()
+    kernels = [parse_function(expr, 1)._scalar_fn for expr in ("pos(1.2-x0^2)", "pos(1.5-x0^2)")]
+    assert kernels[0].__code__ is kernels[1].__code__  # one memoized compile
+
+
+def test_indicators_of_one_shape_keep_their_regions(monkeypatch):
+    (small, big), sources = _sources(monkeypatch, "indicator(ball 1)", "indicator(ball 2)")
+    assert sources[:2] == sources[2:]
+    xs = np.array([[0.5], [1.5], [2.5]])
+    for x, inside_small, inside_big in zip(xs.tolist(), (True, False, False), (True, True, False)):
+        assert small.eval_float(x) == (math.inf if inside_small else 0.0)
+        assert big.eval_float(x) == (math.inf if inside_big else 0.0)
+    assert small.eval_many(xs).tolist() == [math.inf, 0.0, 0.0]
+    assert big.eval_many(xs).tolist() == [math.inf, math.inf, 0.0]
+
+
+def test_a_scalar_transform_query_makes_few_python_calls():
+    """A count of Python-level calls is a regression signal that does not
+    depend on the machine: the README cap's 35 evaluations cost 180 calls
+    (425 with the closure compiler).  Python 3.12 inlines comprehensions,
+    so the bound is an upper one."""
+    h = DualHandle(parse_function("pos(sqrt(1-x0^2))", 1, meta=DECLARED_STRICT))
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        value = h.eval_float([0.6])
+    finally:
+        sys.setprofile(None)
+    assert abs(value - math.sqrt(1.36)) <= 1e-9
+    assert calls <= 180

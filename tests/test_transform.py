@@ -649,6 +649,56 @@ def test_float_profile_matches_perspective(case):
         assert fast == value and len(fast_points) == certificate.evaluations, (fast, value, certificate)
 
 
+def _one_loop(h, y, profile):
+    """DualHandle._solve as one loop that makes the cap tests, the choice of
+    the next height and the guard's tests on every step: the reference for
+    its bisection-only phase.  A guard trip raises without a witness."""
+    upper, guarded = h.sense is Sense.UPPER, not h.base.meta.radial
+    lo, p_lo, hi, p_hi, evals = -math.inf, math.nan, math.inf, math.nan, 0
+    if h.global_scan:
+        profiles = np.array([[profile(v) for v in transform._SCAN_HEIGHTS.tolist()]])
+        lo, p_lo, hi, p_hi = transform._scan_cells(profiles, upper)[:, 0].tolist()
+        evals = transform.GLOBAL_SCAN_POINTS
+    while hi - lo > h.tol * max(lo, 1.0) and lo < transform.V_MAX and hi > transform.V_MIN:
+        if hi == math.inf:
+            v = 1.0 if lo == -math.inf else min(2.0 * lo, transform.V_MAX)
+        elif lo == -math.inf:
+            v = max(0.5 * hi, transform.V_MIN)
+        else:
+            v = 0.5 * (lo + hi)
+        p = profile(v)
+        evals += 1
+        drop = p_lo - p if hi == math.inf else p - p_hi if lo == -math.inf else 0.0
+        if guarded and drop > transform.MONOTONE_GUARD:
+            raise NonMonotonePerspectiveError("guard")
+        if p <= 1.0 if upper else p < 1.0:
+            lo, p_lo = v, p
+        else:
+            hi, p_hi = v, p
+    value = math.inf if hi == math.inf else 0.0 if lo == -math.inf else lo if upper else hi
+    return value, lo, hi, p_lo, p_hi, evals
+
+
+@given(case=_queries())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_bisection_phase_matches_one_loop(case):
+    """Once the bracket closes, _solve bisects in a loop that tests only
+    the stop rule.  Its value, final bracket, end values and evaluation
+    count are the one-loop search's, bit for bit, and it raises where that
+    search raises."""
+    f, y, sense, tol, global_scan, bidual = case
+    h = DualHandle(f, sense, tol=tol, global_scan=global_scan)
+    if bidual:
+        h = DualHandle(h, Sense.UPPER, tol=tol)
+    outcomes = []
+    for solve in (h._solve, lambda y, profile: _one_loop(h, y, profile)):
+        try:
+            outcomes.append(repr(solve(y.tolist(), transform._float_profile(h.base, y.tolist()))))
+        except RadialError as exc:
+            outcomes.append(type(exc).__name__)
+    assert outcomes[0] == outcomes[1], outcomes
+
+
 class TestLockstep:
     def test_global_scan_rows(self):
         f = shifted_quadratic()
