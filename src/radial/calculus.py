@@ -32,7 +32,8 @@ from .oracle import (
     DECLARED_UPPER,
     FunctionOracle,
     RadialityMeta,
-    gradient,
+    difference_gradient,
+    gradient,  # unused here; perfbench/tracing.py spans calculus.gradient
 )
 from .sets import NormalVector, SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense
@@ -205,16 +206,17 @@ def gauge(s: SetOracle, y, tol: float = DEFAULT_TOL) -> ExtPos:
 def _dual_preamble(f: FunctionOracle, y, f_dual_y: float):
     """What both dual derivatives start from: the mapped point x = y /
     dual(y), f(x), grad f(x) (the analytic callback, else gradient's
-    differences) and the strictness denominator grad f(x).x - f(x), which
-    must be strictly negative."""
+    differences around that f(x)) and the strictness denominator
+    grad f(x).x - f(x), which must be strictly negative."""
     f_dual_y = float(f_dual_y)
     if not (f_dual_y > 0.0) or not math.isfinite(f_dual_y):
         raise ValueError("dual value must be finite and > 0")
     x = f._vector(y) / f_dual_y
-    fx = f.eval_float(x.tolist())
+    xs = x.tolist()
+    fx = f.eval_float(xs)
     if not 0.0 < fx < math.inf:
         raise ValueError("mapped point y / dual(y) lies outside the effective domain")
-    g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else gradient(f, x)
+    g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else difference_gradient(f.eval_float, xs, fx)
     denom = float(g @ x) - fx
     if denom >= STRICTNESS_FLOOR:
         raise StrictnessViolatedError(f"strictness denominator {denom:g} is not strictly negative")

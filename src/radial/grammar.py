@@ -1,14 +1,20 @@
 """Expression grammar for CLI-supplied functions.
 
 A parsed tree is compiled by one emitter with two op tables, each into one
-straight-line generated Python function with an assignment per node: the
-scalar table (math functions on Python floats) serves eval and eval_float,
-the numpy table serves eval_many on an (m, n) array of points.  Literals,
+straight-line generated Python function with an assignment per node.  The
+scalar table (math functions on Python floats) gives the perspective
+profile kernel(y, v) = v f(y / v) over a list y: each variable reads
+y[i] / v and the tail makes the range check, the product and its tag and
+overflow rules, so a search pays one generated call per evaluation; at
+the default v = 1.0 it is f(y) bit for bit and serves eval and eval_float.
+The numpy table serves eval_many on an (m, n) array of points.  Literals,
 indicator regions and table callables are bound by name in the function's
 namespace, so no source text reaches the generated code and expressions of
 one shape share one compiled code object.  + - *, negation, division by a
-constant and the scalar pos are written inline; every other op is a call
-of the table's function.  Trees deeper than MAX_DEPTH, or nested deeper
+constant and the scalar pos are written inline; the scalar power by a
+positive constant, sqrt, exp, sin and cos call the math function and the
+table's rule only where it raises; every other op is a call of the
+table's function.  Trees deeper than MAX_DEPTH, or nested deeper
 than MAX_NESTING, are parse errors.
 Both follow the same IEEE rules, with nan/inf propagation; where numpy's
 own result differs from the scalar rule (1/-0.0, 0^negative, nan^0,
@@ -39,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExpressionRangeError, ParseError
-from .oracle import UNKNOWN_META, FunctionOracle
+from .oracle import UNKNOWN_META, FunctionOracle, profile_tag
 from .sets import SetOracle, ball_set, box_set, halfspace_set
 
 GRAMMAR_EBNF = """
@@ -415,10 +421,18 @@ _NUMPY_OPS = {
 
 
 #: Op table entries written inline, where Python's operator is the same
-#: IEEE operation as the table's callable; every other op is a call.
+#: IEEE operation as the table's callable; every other op is a call.  "def"
+#: is the kernel's signature, "var" reads a variable and "point" is the
+#: point an indicator tests.  The scalar kernel is a function of a list y
+#: and a height v that reads f at y / v, divided as Python floats; at the
+#: default v = 1.0 that is f(y) bit for bit, since c / 1.0 == c.
 _INLINE = {"neg": "-{0}", "+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/c": "{0} / {1}"}
-_MATH_INLINE = {**_INLINE, "var": "x[{0}]", "pos": "{0} if {0} > 0.0 else 0.0"}
-_NUMPY_INLINE = {**_INLINE, "var": "x[:, {0}]"}
+_MATH_INLINE = {**_INLINE, "def": "kernel(y, v=1.0)", "var": "y[{0}] / v", "point": "[c / v for c in y]", "pos": "{0} if {0} > 0.0 else 0.0"}
+_NUMPY_INLINE = {**_INLINE, "def": "kernel(x)", "var": "x[:, {0}]", "point": "x"}
+#: Scalar rules that are a math function with the IEEE value where it
+#: raises: the kernel calls the math function and the rule only where it
+#: raises, which gives the rule's bits with no Python frame on the way.
+_MATH_RAISING = {"^c": math.pow, "sqrt": math.sqrt, "exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
 def _postorder(tree) -> list:
@@ -441,19 +455,27 @@ def _postorder(tree) -> list:
 
 
 _compiled = functools.lru_cache(maxsize=256)(compile)  # one code object per kernel source
-#: parse_function's scalar return: negative or nan raises, -0.0 is the ZERO tag.
-_CHECKED = "if not {0} >= 0.0:\n        raise range_error({0}, x)\n    return {0} + 0.0"
+#: parse_function's scalar return, the perspective profile v f(y / v): a
+#: negative or nan f(y / v) raises at the point y / v, and a product out of
+#: (0, inf) takes profile_tag's rules (-0.0 is the ZERO tag).
+_PROFILE = """if not {0} >= 0.0:
+        raise range_error({0}, [c / v for c in y])
+    s = v * {0}
+    return s if 0.0 < s < inf else profile_tag(v, {0} + 0.0)"""
 
 
-def _kernel(nodes, ops, inline, tail="return {0}"):
+def _kernel(nodes, ops, inline, tail="return {0}", raising=()):
     """Compile a syntax tree, given as its _postorder nodes, over one op
-    table into a straight-line function of x, one assignment per node (see
-    the module docstring).  A constant subtree is folded: its ops run once,
-    here.  A constant right operand that cannot reach the general rule's
-    special cases, a divisor neither zero nor nan or a positive exponent,
-    takes the plain op ("/c", "^c"), which gives the same bits.  tail
-    formats the return statement from the result's name."""
-    namespace, lines = {"range_error": ExpressionRangeError}, []
+    table into a straight-line function with the signature inline["def"],
+    one assignment per node (see the module docstring).  A constant subtree
+    is folded: its ops run once, here.  A constant right operand that
+    cannot reach the general rule's special cases, a divisor neither zero
+    nor nan or a positive exponent, takes the plain op ("/c", "^c"), which
+    gives the same bits.  An op that raising maps to a function calls it
+    and falls back to the table's rule where it raises ValueError or
+    OverflowError.
+    tail formats the return statement from the result's name."""
+    namespace, lines = {"range_error": ExpressionRangeError, "profile_tag": profile_tag, "inf": math.inf}, []
 
     def bind(value, prefix):
         name = f"{prefix}{len(namespace)}"
@@ -469,7 +491,7 @@ def _kernel(nodes, ops, inline, tail="return {0}"):
         if kind is Var:
             text = inline["var"].format(node.index)
         elif kind is Indicator:
-            text = f"{bind(ops['indicator'](node.region), 'f')}(x)"
+            text = f"{bind(ops['indicator'](node.region), 'f')}({inline['point']})"
         else:
             key, n = ("neg", 1) if kind is Neg else (node.op, 2) if kind is Bin else (node.func, len(node.args))
             args = stack[-n:]
@@ -488,25 +510,36 @@ def _kernel(nodes, ops, inline, tail="return {0}"):
                     name = f"c{len(namespace)}"
                     namespace[name], arg = arg, name
                 names.append(arg)
-            text = inline[key].format(*names) if key in inline else f"{bind(ops[key], 'f')}({', '.join(names)})"
+            call = f"({', '.join(names)})"
+            if key in raising:
+                target = f"t{len(lines)}"
+                stack.append(target)
+                lines += ["    try:", f"        {target} = {bind(raising[key], 'f')}{call}", "    except (ValueError, OverflowError):", f"        {target} = {bind(ops[key], 'f')}{call}"]
+                continue
+            text = inline[key].format(*names) if key in inline else f"{bind(ops[key], 'f')}{call}"
         stack.append(f"t{len(lines)}")
         lines.append(f"    t{len(lines)} = {text}")
     (result,) = stack
     lines.append("    " + tail.format(result if type(result) is str else bind(result, "c")))
-    source = "\n".join(["def kernel(x):", *lines])
+    source = "\n".join([f"def {inline['def']}:", *lines])
     exec(_compiled(source, "<radial kernel>", "exec"), namespace)
     return namespace.pop("kernel")  # no function-globals cycle for the collector
 
 
 def evaluate(node, x: np.ndarray) -> float:
     """Evaluate a syntax tree at one point x with the scalar IEEE rules."""
-    return _kernel(_postorder(node), _MATH_OPS, _MATH_INLINE)(np.asarray(x, dtype=float).tolist())
+    return _kernel(_postorder(node), _MATH_OPS, _MATH_INLINE, raising=_MATH_RAISING)(np.asarray(x, dtype=float).tolist())
+
+
+#: The binary operators that associate to the left, by precedence level.
+_LEFT_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}
 
 
 def unparse(node) -> str:
-    """Render a tree back to source, fully parenthesized so that reparsing
-    reconstructs the identical tree (if those parentheses nest within
-    MAX_NESTING: a long chain of + or * nests one level per operator)."""
+    """Render a tree back to source so that reparsing reconstructs the
+    identical tree: every operation is parenthesized except a left operand
+    of the same precedence, + - or * /, so that a chain such as a - b + c
+    prints as (a - b + c) and nests one level, not one per operator."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):
@@ -514,7 +547,11 @@ def unparse(node) -> str:
     if isinstance(node, Neg):
         return f"(-{unparse(node.child)})"
     if isinstance(node, Bin):
-        return f"({unparse(node.left)} {node.op} {unparse(node.right)})"
+        left = unparse(node.left)
+        level = _LEFT_LEVEL.get(node.op)
+        if level is not None and type(node.left) is Bin and _LEFT_LEVEL.get(node.left.op) == level:
+            left = left[1:-1]  # the chain's own parentheses
+        return f"({left} {node.op} {unparse(node.right)})"
     if isinstance(node, Call):
         return f"{node.func}({', '.join(unparse(a) for a in node.args)})"
     if isinstance(node, Indicator):
@@ -527,9 +564,10 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
     """Build a FunctionOracle from expression source.
 
     The tree is compiled twice: with the scalar rules and the range check
-    into the scalar callback (FunctionOracle derives eval from it), and with
-    the numpy rules for eval_many; eval_float and eval_many return floats
-    with 0.0 and inf as the tags.  Without grad the gradient falls back
+    into the perspective profile kernel(y, v), which is both the scalar
+    callback (at v = 1.0; FunctionOracle derives eval from it) and the
+    profile callback, and with the numpy rules for eval_many; eval_float
+    and eval_many return floats with 0.0 and inf as the tags.  Without grad the gradient falls back
     to finite differences (no analytic composition is attempted); grad,
     hess, meta and name (default: the unparsed source) are attached as
     given, so a caller that knows the derivatives or the radiality of an
@@ -551,4 +589,5 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
             raise ExpressionRangeError(float(t[i]), x[i].tolist(), i)
         return t
 
-    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=_eval_many, scalar=_kernel(nodes, _MATH_OPS, _MATH_INLINE, _CHECKED))
+    profile = _kernel(nodes, _MATH_OPS, _MATH_INLINE, _PROFILE, _MATH_RAISING)
+    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=_eval_many, scalar=profile, profile=profile)

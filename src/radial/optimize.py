@@ -112,13 +112,13 @@ class SolveParams:
         checked_tol(self.tol)
 
 
-def _fd_grad(phi, y: np.ndarray, base: float) -> np.ndarray:
+def _fd_grad(phi, y: list, base: float) -> np.ndarray:
     """Difference quotients of the float dual objective over the probes
     oracle.gradient takes.  Unlike oracle.gradient it returns a quotient at a
     kink (an active gauge) instead of raising: descent still needs a
     direction there, so a coordinate with one infinite probe takes the
     one-sided quotient of the other."""
-    out = np.empty(y.shape[0])
+    out = np.empty(len(y))
     for i, h, fp, fm in difference_probes(phi, y):
         if math.isfinite(fp) and math.isfinite(fm):
             out[i] = (fp - fm) / (2.0 * h)
@@ -165,8 +165,8 @@ def solve_via_dual(
     handle = DualHandle(f, Sense.UPPER, tol=params.tol)
     use_gauge = constraint is not None
 
-    def phi(y: np.ndarray) -> float:
-        val = handle.eval_float(y.tolist())
+    def phi(y: list) -> float:
+        val = handle.eval_float(y)
         if use_gauge:
             val = max(val, gauge(constraint, y, tol=params.tol).as_float())
         return val
@@ -180,10 +180,10 @@ def solve_via_dual(
                 return dual_gradient(f, y, fy), True
             except (StrictnessViolatedError, NotDifferentiableError, ValueError):
                 pass
-        return _fd_grad(phi, y, fy), False
+        return _fd_grad(phi, y.tolist(), fy), False
 
     y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    fy = phi(y)
+    fy = phi(y.tolist())
     if not math.isfinite(fy) or fy <= 0.0:
         raise ValueError(f"dual objective at the start point is {fy!r}; provide a feasible y0")
 
@@ -200,7 +200,7 @@ def solve_via_dual(
         accepted = False
         while step >= STEP_MIN:
             cand = y - step * g
-            fc = phi(cand)
+            fc = phi(cand.tolist())
             decrease = ARMIJO * step * grad_norm**2
             if math.isfinite(fc):
                 if analytic and decrease <= noise:

@@ -46,14 +46,19 @@ class FunctionOracle:
     a list of dim floats and returns one float in [0, inf], where 0.0 and
     inf are the ZERO and INF tags.  The missing form is derived here: eval
     from scalar as ExtPos.from_float(scalar(x.tolist())), and the scalar
-    form from eval_fn through eval, which keeps eval's ExtPos check.  The
-    optional batch callback many takes an (m, dim) float array and returns
-    m such floats; without it eval_many loops over eval_float.  Oracles are
-    immutable after construction and callbacks must be reentrant;
-    concurrent evaluation over grids is permitted.
+    form from eval_fn through eval, which keeps eval's ExtPos check.  Two
+    optional callbacks are accelerators.  The batch callback many takes an
+    (m, dim) float array and returns m such floats; without it eval_many
+    loops over eval_float.  The profile callback profile(y, v) takes a list
+    of dim floats and a height v > 0 and returns perspective(f, y,
+    v).as_float(), with perspective's tags and errors; without it the
+    profile is derived from the scalar form (profile_over), and a search
+    calls it once per evaluation.  Oracles are immutable after construction
+    and callbacks must be reentrant; concurrent evaluation over grids is
+    permitted.
     """
 
-    def __init__(self, dim, eval_fn=None, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None):
+    def __init__(self, dim, eval_fn=None, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None, profile=None):
         if int(dim) < 1:
             raise ValueError("dim must be >= 1")
         if eval_fn is None and scalar is None:
@@ -62,6 +67,7 @@ class FunctionOracle:
         self._eval_fn = eval_fn if eval_fn is not None else lambda x: ExtPos.from_float(scalar(x.tolist()))
         self._many_fn = many
         self._scalar_fn = scalar if scalar is not None else lambda x: self.eval(np.array(x)).as_float()
+        self._profile_fn = profile if profile is not None else profile_over(self._scalar_fn)
         self.grad = grad
         self.hess = hess
         self.meta = meta
@@ -121,7 +127,7 @@ class FunctionOracle:
         return value
 
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
-        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn, self._scalar_fn)
+        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn, self._scalar_fn, self._profile_fn)
 
     def __repr__(self):
         label = self.name or "<callback>"
@@ -144,8 +150,39 @@ def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
         return value
     scaled = v * value.value
     if scaled == 0.0 or math.isinf(scaled):
-        raise OverflowRiskError(f"perspective product {v!r} * {value.value!r} left the finite range")
+        raise product_error(v, value.value)
     return ExtPos.finite(scaled)
+
+
+def product_error(v: float, value) -> OverflowRiskError:
+    """The error of a finite value whose perspective product v * value
+    leaves the finite range."""
+    return OverflowRiskError(f"perspective product {v!r} * {value!r} left the finite range")
+
+
+def profile_tag(v: float, value: float) -> float:
+    """perspective's answer where the product v * value is not in (0, inf):
+    a tag (0.0 or inf) stays the tag whatever v is, a negative or nan value
+    raises eval's ValueError, and a finite value raises product_error."""
+    if value == 0.0 or value == math.inf:
+        return value
+    if not value > 0.0:
+        raise finite_error(value)
+    raise product_error(v, value)
+
+
+def profile_over(scalar):
+    """The profile callback (y, v) -> perspective(f, y, v).as_float() over
+    f's scalar callback: y / v divides as Python floats, as perspective
+    divides it, and a product out of (0, inf) goes to profile_tag.  y is a
+    list of floats whose length the caller has checked."""
+
+    def profile(y: list, v: float = 1.0) -> float:
+        value = scalar([c / v for c in y])
+        scaled = v * value
+        return scaled if 0.0 < scaled < math.inf else profile_tag(v, value)
+
+    return profile
 
 
 #: Relative disagreement between one-sided difference quotients above which
@@ -153,16 +190,17 @@ def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
 FD_AGREEMENT = 1e-3
 
 
-def difference_probes(fn, x: np.ndarray):
+def difference_probes(fn, x: list):
     """Yield (i, h, fn(x + h e_i), fn(x - h e_i)) for each coordinate i of
-    x, with step h = max(1e-6, 1e-8 |x_i|); fn maps a vector to a float.
-    Lazy, so a caller that stops at a coordinate probes no further."""
-    for i in range(x.shape[0]):
-        h = max(1e-6, 1e-8 * abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
+    x, a list of floats, with step h = max(1e-6, 1e-8 |x_i|); fn maps a
+    list of floats to a float.  Lazy, so a caller that stops at a
+    coordinate probes no further."""
+    for i, c in enumerate(x):
+        h = max(1e-6, 1e-8 * abs(c))
+        xp = list(x)
+        xp[i] = c + h
+        xm = list(x)
+        xm[i] = c - h
         yield i, h, fn(xp), fn(xm)
 
 
@@ -182,11 +220,17 @@ def gradient(f: FunctionOracle, x) -> np.ndarray:
         raise ValueError("gradient requires a point with finite value")
     if f.grad is not None:
         return np.atleast_1d(np.asarray(f.grad(x), dtype=float))
+    return difference_gradient(f.eval_float, x.tolist(), base)
 
+
+def difference_gradient(fn, x: list, base: float) -> np.ndarray:
+    """gradient's central differences of fn over difference_probes at x, a
+    list of floats at which fn has the finite value base (the caller's, so
+    f(x) is not evaluated twice), with gradient's NotDifferentiableError."""
     # The zero tag is a legitimate value (kinks like |x| at the origin are
     # reported by the quotient disagreement below, not rejected up front).
-    out = np.empty(f.dim)
-    for i, h, fp, fm in difference_probes(lambda z: f.eval_float(z.tolist()), x):
+    out = np.empty(len(x))
+    for i, h, fp, fm in difference_probes(fn, x):
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NotDifferentiableError(f"non-finite probe next to coordinate {i}")
         forward = (fp - base) / h

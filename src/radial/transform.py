@@ -16,8 +16,12 @@ as INF).
 The search runs in two forms that take the same decisions, over floats
 with 0.0 and inf as the tags (ExtPos appears only where a value leaves
 the library).  eval (also named value) and eval_float run it on one point
-over Python floats: the coordinates divide as floats and the base answers
-through eval_float, so a nested handle's query is a float search too.
+over Python floats, one call of the base's profile callback per
+evaluation: a parsed expression's is its compiled kernel, which divides
+the coordinates and applies perspective's rules in one generated
+function, and any other base's divides them as floats and answers through
+the base's scalar callback, so a nested handle's query is a float search
+too.
 value_with_certificate takes the same steps with one perspective call per
 evaluation and returns a bracket certificate.  eval_many (also named
 values) runs it on many points in lockstep over float arrays, one base
@@ -48,6 +52,7 @@ are asymmetric; see the package README.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -55,8 +60,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ExtPos, finite_error
-from .errors import ExpressionRangeError, NonMonotonePerspectiveError, OverflowRiskError
-from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective
+from .errors import ExpressionRangeError, NonMonotonePerspectiveError
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective, product_error
 
 DEFAULT_TOL = 1e-10
 #: The finest tol accepted.  Since ulp(v) <= MIN_TOL * max(v, 1), the stop
@@ -155,30 +160,15 @@ def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np
             raise finite_error(value[np.argmin(value >= 0.0)])
         lost = ((scaled == 0.0) != (value == 0.0)) | ((scaled == np.inf) != (value == np.inf))
         i = int(lost.argmax())
-        raise OverflowRiskError(f"perspective product {v[i]!r} * {value[i]!r} left the finite range")
+        raise product_error(v[i], value[i])
     return scaled
 
 
 def _float_profile(f: FunctionOracle, y: list):
     """The profile v -> perspective(f, y, v).as_float() for heights v > 0,
-    over Python floats: y/v divides as perspective divides it, f answers
-    through its scalar callback, and the tags and the errors are
-    perspective's."""
-    # The caller checked y's length, so the scalar callback is called directly.
-    evaluate = f._scalar_fn
-
-    def profile(v: float) -> float:
-        value = evaluate([c / v for c in y])
-        scaled = v * value
-        if not 0.0 < scaled < math.inf:
-            if value == 0.0 or value == math.inf:
-                return value
-            if not value > 0.0:
-                raise finite_error(value)
-            raise OverflowRiskError(f"perspective product {v!r} * {value!r} left the finite range")
-        return scaled
-
-    return profile
+    over Python floats: f's profile callback at y (the query checked y's
+    length), with perspective's division, tags and errors."""
+    return functools.partial(f._profile_fn, y)
 
 
 def _next_height(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

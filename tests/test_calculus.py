@@ -395,6 +395,15 @@ class TestDualDerivativePins:
         assert dual_gradient(shifted_parabola(), [0.6], 0.5082762530073524).tolist() == [0.15079291117334487]
         assert dual_hessian(shifted_parabola(), [0.6], 0.5082762530073524).tolist() == [[1.1108039680760031]]
 
+    def test_the_difference_gradient_reads_f_once_at_the_mapped_point(self):
+        """The preamble's f(x) is the base of the difference quotients: one
+        evaluation at x and two probes per coordinate."""
+        cap2 = parse_function("pos(sqrt(1-x0^2-x1^2))", 2)
+        points = []
+        recording = FunctionOracle(2, scalar=lambda x: points.append(x) or cap2.eval_float(x))
+        assert dual_gradient(recording, [0.3, -0.4], 1.118033988692332).tolist() == [0.268328157310914, -0.3577708763649013]
+        assert len(points) == 5 and points[0] == (np.array([0.3, -0.4]) / 1.118033988692332).tolist()
+
     def test_the_pinned_dual_values(self):
         """The dual values the pins above are taken at."""
         for f, y, want in [

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import expressions, overflowing_expressions
 from radial import INF, ZERO, DualHandle, ExpressionRangeError, ExtPos, ParseError, grammar, parse_function
+from radial import RadialError, perspective, transform
 from radial.oracle import DECLARED_STRICT
+from radial.transform import V_MAX, V_MIN
 from radial.grammar import _MATH_OPS, _NUMPY_OPS, Bin, Call, Indicator, Neg, Num, Var, evaluate, parse, unparse
 
 # Expressions that are total (never negative/nan at the top level) so the
@@ -200,6 +202,23 @@ class TestRoundTrip:
             x = rng.uniform(-3.0, 3.0, size=dim)
             a, b = evaluate(tree, x), evaluate(tree2, x)
             assert (a == b) or (math.isnan(a) and math.isnan(b))
+
+    @pytest.mark.parametrize(
+        "source,name",
+        [
+            ("+".join(["x0"] * 150), "(" + " + ".join(["x0"] * 150) + ")"),
+            ("x0 - 1 - 2/x0/3*4 + x0", "(x0 - 1.0 - (2.0 / x0 / 3.0 * 4.0) + x0)"),
+            ("x0 - (1 - x0) / (2 / x0) * x0^2^3", "(x0 - ((1.0 - x0) / (2.0 / x0) * (x0 ^ (2.0 ^ 3.0))))"),
+            ("-x0 * 2 - (-x0 / 2 - 1)", "(((-x0) * 2.0) - (((-x0) / 2.0) - 1.0))"),
+        ],
+    )
+    def test_a_chain_reparses_from_its_name(self, source, name):
+        """A left operand of the same precedence prints without its own
+        parentheses, so a 150-term sum, longer than MAX_NESTING, and mixed
+        - and / chains reparse from their names to the same tree."""
+        f = parse_function(source, 1)
+        assert f.name == name
+        assert parse(f.name, 1) == parse(source, 1)
 
 
 @given(expr=overflowing_expressions)
@@ -457,9 +476,11 @@ def test_indicators_of_one_shape_keep_their_regions(monkeypatch):
 
 def test_a_scalar_transform_query_makes_few_python_calls():
     """A count of Python-level calls is a regression signal that does not
-    depend on the machine: the README cap's 35 evaluations cost 180 calls
-    (425 with the closure compiler).  Python 3.12 inlines comprehensions,
-    so the bound is an upper one."""
+    depend on the machine: the README cap's 35 evaluations cost 40 calls,
+    one generated profile call each (425 with the closure compiler, 180
+    with a profile closure around the kernel and calls of the sqrt and pow
+    rules).  Python 3.12 inlines comprehensions, so the bound is an upper
+    one."""
     h = DualHandle(parse_function("pos(sqrt(1-x0^2))", 1, meta=DECLARED_STRICT))
     calls = 0
 
@@ -473,4 +494,53 @@ def test_a_scalar_transform_query_makes_few_python_calls():
     finally:
         sys.setprofile(None)
     assert abs(value - math.sqrt(1.36)) <= 1e-9
-    assert calls <= 180
+    assert calls <= 40
+
+
+# -- the scalar kernel is the perspective profile ------------------------------
+
+#: The caps, a height below any normal product, a subnormal one, and heights
+#: at which y / v overflows for the large coordinates.
+_HEIGHTS = [V_MIN, V_MAX, 1e-300, 5e-324, 0.5, 1.0, 3.0]
+_PROFILE_POINTS = [*_SPECIAL_POINTS, 1e300, -1e300]
+
+
+def _float_or_error(fn, *args):
+    """A float as its hex, an error as its type and message."""
+    try:
+        return fn(*args).hex()
+    except (RadialError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(expr=expressions | overflowing_expressions, dim=st.sampled_from([1, 2]), data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_the_scalar_kernel_is_the_perspective_profile(expr, dim, data):
+    """The fused kernel of a parsed expression at (y, v) is perspective(f,
+    y, v) as a float bit for bit, or raises the same error with the same
+    message: the range check at the point y / v, the tags, and the
+    OverflowRiskError of a product that leaves the finite range."""
+    f = parse_function(_in_dim(expr, dim), dim)
+    y = data.draw(st.lists(st.sampled_from(_PROFILE_POINTS), min_size=dim, max_size=dim))
+    for v in _HEIGHTS:
+        want = _float_or_error(lambda: perspective(f, y, v).as_float())
+        assert _float_or_error(f._profile_fn, y, v) == want, (expr, y, v)
+        assert _float_or_error(transform._float_profile(f, y), v) == want, (expr, y, v)
+
+
+@given(expr=expressions | overflowing_expressions, dim=st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_eval_float_is_the_profile_at_height_one(expr, dim):
+    f = parse_function(_in_dim(expr, dim), dim)
+    for x in _rows(dim).tolist():
+        assert _float_or_error(f.eval_float, x) == _float_or_error(f._profile_fn, x) == _float_or_error(f._profile_fn, x, 1.0), (expr, x)
+
+
+def test_with_meta_keeps_the_fused_profile():
+    """One scalar kernel serves eval_float and the search's profile, and
+    with_meta passes it on."""
+    f = parse_function("pos(1.234-x0^2)", 1)
+    g = f.with_meta(DECLARED_STRICT)
+    assert f._profile_fn is f._scalar_fn and g._profile_fn is f._profile_fn and g._scalar_fn is f._scalar_fn
+    assert transform._float_profile(g, [0.6]).func is f._profile_fn
+    assert DualHandle(g).value([0.6]) == DualHandle(f.with_meta(DECLARED_STRICT)).value_with_certificate([0.6])[0]

@@ -294,6 +294,22 @@ class TestOneCallback:
             with pytest.raises(TypeError, match="must return ExtPos, got float"):
                 call()
 
+    def test_a_profile_callback_serves_the_search(self):
+        """A profile= callback is what a scalar search evaluates, once per
+        evaluation, and with_meta keeps it; without one the profile is
+        derived from the scalar callback."""
+        cap = FunctionOracle(1, scalar=lambda x: max(1.0 - x[0] ** 2, 0.0), meta=RadialityMeta.STRICT)
+        heights = []
+
+        def profile(y, v=1.0):
+            heights.append(v)
+            return cap._profile_fn(y, v)
+
+        f = FunctionOracle(1, scalar=cap._scalar_fn, profile=profile).with_meta(RadialityMeta.STRICT)
+        assert f._profile_fn is profile and cap._profile_fn(_y := [0.6], 0.75) == perspective(cap, _y, 0.75).as_float()
+        value, certificate = DualHandle(cap).value_with_certificate([0.6])
+        assert DualHandle(f).value([0.6]) == value and len(heights) == certificate.evaluations
+
 
 class TestRangeCheck:
     """A float callback's negative or nan value is refused on every path
