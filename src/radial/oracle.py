@@ -135,8 +135,8 @@ class FunctionOracle:
 
 
 def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
-    """The profile v * f(y/v) for v > 0, with tag conventions:
-    f(y/v) = inf gives inf and f(y/v) = 0 gives 0 regardless of v."""
+    """The profile v * f(y/v) for v > 0, one f.eval per call; a product out
+    of (0, inf) takes profile_tag's tags and errors."""
     v = float(v)
     if not (v > 0.0) or not math.isfinite(v):
         raise ValueError(f"perspective height must be finite and > 0, got {v!r}")
@@ -145,30 +145,22 @@ def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
         y = f._vector(y)  # eval's rule: a scalar is a vector of length one, other shapes raise
     # Python float division overflows to inf with no warning and gives
     # numpy's bits; the search's float profile divides the same way.
-    value = f.eval(np.array([c / v for c in y.tolist()]))
-    if not value.is_finite:
-        return value
-    scaled = v * value.value
-    if scaled == 0.0 or math.isinf(scaled):
-        raise product_error(v, value.value)
-    return ExtPos.finite(scaled)
-
-
-def product_error(v: float, value) -> OverflowRiskError:
-    """The error of a finite value whose perspective product v * value
-    leaves the finite range."""
-    return OverflowRiskError(f"perspective product {v!r} * {value!r} left the finite range")
+    value = f.eval(np.array([c / v for c in y.tolist()])).as_float()
+    s = v * value
+    return ExtPos.from_float(s if 0.0 < s < math.inf else profile_tag(v, value))
 
 
 def profile_tag(v: float, value: float) -> float:
-    """perspective's answer where the product v * value is not in (0, inf):
-    a tag (0.0 or inf) stays the tag whatever v is, a negative or nan value
-    raises eval's ValueError, and a finite value raises product_error."""
+    """The answer of every form of the profile (perspective, profile_over,
+    the parsed kernels, the batch profile) where the product v * value is
+    not in (0, inf): a tag (0.0 or inf) stays the tag whatever v is, a
+    negative or nan value raises eval's ValueError, and a finite value
+    raises OverflowRiskError, its product having left the float range."""
     if value == 0.0 or value == math.inf:
         return value
     if not value > 0.0:
         raise finite_error(value)
-    raise product_error(v, value)
+    raise OverflowRiskError(f"perspective product {v!r} * {value!r} left the finite range")
 
 
 def profile_over(scalar):

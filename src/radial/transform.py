@@ -59,9 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtPos, finite_error
+from .core import ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError
-from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective, product_error
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective, profile_tag
 
 DEFAULT_TOL = 1e-10
 #: The finest tol accepted.  Since ulp(v) <= MIN_TOL * max(v, 1), the stop
@@ -140,9 +140,9 @@ class MonotoneWitness:
 
 def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """perspective(f, ys[i], v[i]) for every row, as floats (0.0 and inf
-    are the tags), with perspective's errors: eval's ValueError for a
-    negative or nan value of f, and OverflowRiskError when a finite product
-    leaves the finite range.  rows[i] is the caller's row of pair i; an
+    are the tags), with perspective's errors: the first pair whose product
+    is out of (0, inf) and whose value is no tag raises through
+    profile_tag.  rows[i] is the caller's row of pair i; an
     ExpressionRangeError from f names that row."""
     xs = ys / v[:, None]
     try:
@@ -156,19 +156,10 @@ def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np
     # v > 0, so a nonzero value has a positive product unless it is negative
     # or nan or the product underflows, and only an overflow adds an inf.
     if np.count_nonzero(scaled > 0.0) != np.count_nonzero(value) or np.count_nonzero(scaled == np.inf) != np.count_nonzero(value == np.inf):
-        if not np.all(value >= 0.0):
-            raise finite_error(value[np.argmin(value >= 0.0)])
-        lost = ((scaled == 0.0) != (value == 0.0)) | ((scaled == np.inf) != (value == np.inf))
-        i = int(lost.argmax())
-        raise product_error(v[i], value[i])
+        broken = ~((0.0 < scaled) & (scaled < np.inf)) & (value != 0.0) & (value != np.inf)
+        i = int(broken.argmax())
+        profile_tag(float(v[i]), float(value[i]))  # raises: value[i] is no tag
     return scaled
-
-
-def _float_profile(f: FunctionOracle, y: list):
-    """The profile v -> perspective(f, y, v).as_float() for heights v > 0,
-    over Python floats: f's profile callback at y (the query checked y's
-    length), with perspective's division, tags and errors."""
-    return functools.partial(f._profile_fn, y)
 
 
 def _next_height(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -275,9 +266,9 @@ class DualHandle(FunctionOracle):
 
     def _search(self, y: list) -> float:
         """The transform at y, a list of dim floats, as a float with 0.0 and
-        inf for the ZERO and INF tags: the search over _float_profile.  It
-        is the handle's scalar callback, so a nested search stays in floats."""
-        return self._solve(y, _float_profile(self.base, y))[0]
+        inf for the ZERO and INF tags, searched over the base's profile; as
+        the handle's scalar callback, it keeps a nested search in floats."""
+        return self._solve(y, functools.partial(self.base._profile_fn, y))[0]
 
     def _solve(self, y: list, profile) -> tuple[float, float, float, float, float, int]:
         """The search on one point y, a list of floats, over a float profile
@@ -350,8 +341,7 @@ class DualHandle(FunctionOracle):
             lo, hi, p = np.full(len(ys), -np.inf), np.full(len(ys), np.inf), np.full(len(ys), np.nan)
             if self.global_scan:
                 cells = [_scan_cells(profiles, upper) for _, profiles in _profile_blocks(self.base, ys, _SCAN_HEIGHTS)]
-                lo, p_lo, hi, p_hi = np.concatenate([np.empty((4, 0)), *cells], axis=1)
-                p = np.where(lo == -np.inf, p_hi, p_lo)  # the probe at an open side
+                lo, _, hi, _ = np.concatenate([np.empty((4, 0)), *cells], axis=1)
             # False once every row brackets its crossing.  The cap test, the
             # expansion step and the guard cannot fire after that; skipping
             # them makes a nested search's cheap bisection steps cheaper.
@@ -515,7 +505,7 @@ def check_radial(
                 # The profile along the ray through x falls at first order;
                 # confirm with an explicit pair before recording.
                 step = 1e-4
-                b = _float_profile(f, x.tolist())(1.0 + step)
+                b = f._profile_fn(x.tolist(), 1.0 + step)
                 if fx - b > MONOTONE_GUARD:
                     witness_count += 1
                     if len(witnesses) < KEPT_WITNESSES:

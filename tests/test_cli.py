@@ -674,6 +674,16 @@ class TestExitCodes:
         assert main([a.format(dir=tmp_path) for a in argv]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_an_overflowing_product_reads_the_same_in_grid_and_eval(self, tmp_path, capsys):
+        """At y = 2 the upper search probes v = 2, where f(y/v) = 1e308 and
+        the product overflows; the batch and the scalar search report it in
+        the same words, with plain floats."""
+        f = ["--f", "min(indicator(ball 1), 1e308)", "--dim", "1"]
+        line = "error: perspective product 2.0 * 1e+308 left the finite range\n"
+        for argv in (["grid", *f, "--grid=2:3:2", "--out", str(tmp_path / "x.csv")], ["eval", *f, "--at", "2"]):
+            code, _, err = run_cli(argv, capsys)
+            assert (code, err) == (1, line), argv[0]
+
 
 @given(expr=expressions, at=st.sampled_from(["-2", "-0.5", "0", "0.25", "3"]))
 @settings(max_examples=60, deadline=None, derandomize=True)

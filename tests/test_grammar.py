@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import expressions, overflowing_expressions
 from radial import INF, ZERO, DualHandle, ExpressionRangeError, ExtPos, ParseError, grammar, parse_function
-from radial import RadialError, perspective, transform
+from radial import RadialError, perspective
 from radial.oracle import DECLARED_STRICT
 from radial.transform import V_MAX, V_MIN
 from radial.grammar import _MATH_OPS, _NUMPY_OPS, Bin, Call, Indicator, Neg, Num, Var, evaluate, parse, unparse
@@ -525,7 +525,6 @@ def test_the_scalar_kernel_is_the_perspective_profile(expr, dim, data):
     for v in _HEIGHTS:
         want = _float_or_error(lambda: perspective(f, y, v).as_float())
         assert _float_or_error(f._profile_fn, y, v) == want, (expr, y, v)
-        assert _float_or_error(transform._float_profile(f, y), v) == want, (expr, y, v)
 
 
 @given(expr=expressions | overflowing_expressions, dim=st.sampled_from([1, 2]))
@@ -542,5 +541,4 @@ def test_with_meta_keeps_the_fused_profile():
     f = parse_function("pos(1.234-x0^2)", 1)
     g = f.with_meta(DECLARED_STRICT)
     assert f._profile_fn is f._scalar_fn and g._profile_fn is f._profile_fn and g._scalar_fn is f._scalar_fn
-    assert transform._float_profile(g, [0.6]).func is f._profile_fn
     assert DualHandle(g).value([0.6]) == DualHandle(f.with_meta(DECLARED_STRICT)).value_with_certificate([0.6])[0]

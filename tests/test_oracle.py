@@ -12,6 +12,7 @@ from radial import (
     ExtPos,
     FunctionOracle,
     NotDifferentiableError,
+    OverflowRiskError,
     RadialityMeta,
     Sense,
     gradient,
@@ -21,6 +22,7 @@ from radial import (
 )
 from radial import catalog
 from radial.catalog import absval, constant, exp_bump, shifted_parabola, sqrt_cap, strict_entries, tent
+from radial.transform import _perspective_many
 
 
 def sqrt_cap_no_grad():
@@ -345,3 +347,66 @@ class TestRangeCheck:
             with pytest.raises(ExpressionRangeError, match="wrap it in pos"):
                 query()
 
+
+def _bits_or_error(fn):
+    """A float as its hex, an error as its type and message."""
+    try:
+        return fn().hex()
+    except (OverflowRiskError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _profile_many(f, heights):
+    """_perspective_many at y = 0.5 and each of the heights, under the
+    errstate its callers set."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _perspective_many(f, np.full((len(heights), 1), 0.5), np.array(heights), np.arange(len(heights)))
+
+
+class TestOneProfileRule:
+    """Where the product v * f(y/v) is not in (0, inf), every form of the
+    profile answers by profile_tag's rule: the same float bits, or the same
+    error type and message."""
+
+    # (f(y/v), v, the expression of f where the grammar can write it, outcome)
+    CASES = {
+        "zero tag": (0.0, 2.0, "0", 0.0),
+        "inf tag": (math.inf, 2.0, "inf", math.inf),
+        "negative": (-1.0, 2.0, None, (ValueError, "finite ExtPos requires 0 < v < inf, got -1.0")),
+        "nan": (math.nan, 2.0, None, (ValueError, "finite ExtPos requires 0 < v < inf, got nan")),
+        "underflow": (1e-300, 1e-30, "1e-300", (OverflowRiskError, "perspective product 1e-30 * 1e-300 left the finite range")),
+        "overflow": (1e308, 2.0, "1e308", (OverflowRiskError, "perspective product 2.0 * 1e+308 left the finite range")),
+        "in range": (0.5, 3.0, "0.5", 1.5),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_form_gives_the_same_outcome(self, case):
+        value, v, expr, outcome = self.CASES[case]
+        want = outcome.hex() if isinstance(outcome, float) else outcome
+        oracles = {
+            # The profile of these two is profile_over's, derived from the scalar callback.
+            "plain": FunctionOracle(1, scalar=lambda x: value),
+            "batched": FunctionOracle(1, scalar=lambda x: value, many=lambda xs: np.full(len(xs), value)),
+        }
+        if expr is not None:
+            oracles["parsed"] = parse_function(expr, 1)
+        for name, f in oracles.items():
+            forms = {
+                "perspective": lambda: perspective(f, [0.5], v).as_float(),
+                "profile": lambda: f._profile_fn([0.5], v),
+                "many": lambda: float(_profile_many(f, [v])[0]),
+            }
+            for form, call in forms.items():
+                assert _bits_or_error(call) == want, (name, form)
+
+    @pytest.mark.parametrize(
+        "pairs, want",
+        [
+            ([(1e308, 2.0), (-1.0, 2.0)], (OverflowRiskError, "perspective product 2.0 * 1e+308 left the finite range")),
+            ([(-1.0, 2.0), (1e308, 2.0)], (ValueError, "finite ExtPos requires 0 < v < inf, got -1.0")),
+            ([(0.5, 2.0), (1e-300, 1e-30), (math.nan, 2.0)], (OverflowRiskError, "perspective product 1e-30 * 1e-300 left the finite range")),
+        ],
+    )
+    def test_the_first_pair_out_of_the_rule_decides_a_batch(self, pairs, want):
+        f = FunctionOracle(1, scalar=lambda x: 1.0, many=lambda xs: np.array([value for value, _ in pairs]))
+        assert _bits_or_error(lambda: _profile_many(f, [v for _, v in pairs])) == want

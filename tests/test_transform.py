@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -693,7 +694,7 @@ def test_bisection_phase_matches_one_loop(case):
     outcomes = []
     for solve in (h._solve, lambda y, profile: _one_loop(h, y, profile)):
         try:
-            outcomes.append(repr(solve(y.tolist(), transform._float_profile(h.base, y.tolist()))))
+            outcomes.append(repr(solve(y.tolist(), functools.partial(h.base._profile_fn, y.tolist()))))
         except RadialError as exc:
             outcomes.append(type(exc).__name__)
     assert outcomes[0] == outcomes[1], outcomes
