@@ -7,7 +7,11 @@ profile kernel(y, v) = v f(y / v) over a list y: each variable reads
 y[i] / v and the tail makes the range check, the product and its tag and
 overflow rules, so a search pays one generated call per evaluation; at
 the default v = 1.0 it is f(y) bit for bit and serves eval and eval_float.
-The numpy table serves eval_many on an (m, n) array of points.  Literals,
+The numpy table gives its batch counterpart kernel(x, v=None) over an
+(m, n) array x: with heights v it first divides each row by its height,
+x / v[:, None], and its tail makes the same checks column-wise, so a
+lockstep search pays one generated call per step; without v it is f at
+the rows of x and serves eval_many.  Literals,
 indicator regions and table callables are bound by name in the function's
 namespace, so no source text reaches the generated code and expressions of
 one shape share one compiled code object.  + - *, negation, division by a
@@ -15,7 +19,8 @@ constant and the scalar pos are written inline; the scalar power by a
 positive constant, sqrt, exp, sin and cos call the math function and the
 table's rule only where it raises; every other op is a call of the
 table's function.  Trees deeper than MAX_DEPTH, or nested deeper
-than MAX_NESTING, are parse errors.
+than MAX_NESTING, are parse errors; tree equality and hashing walk the
+tree without recursion.
 Both follow the same IEEE rules, with nan/inf propagation; where numpy's
 own result differs from the scalar rule (1/-0.0, 0^negative, nan^0,
 hypot(inf, nan)) the numpy table masks it back, so the two agree except for
@@ -45,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExpressionRangeError, ParseError
-from .oracle import UNKNOWN_META, FunctionOracle, profile_tag
+from .oracle import UNKNOWN_META, FunctionOracle, products_in_range, profile_products, profile_tag
 from .sets import SetOracle, ball_set, box_set, halfspace_set
 
 GRAMMAR_EBNF = """
@@ -100,39 +105,65 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """A syntax tree node.  Two trees are equal when their _postorder walks
+    are, node by node, each node compared without its children (an
+    indicator by its kind and parameters, not its region), and the hash
+    follows the same walk, so neither recurses, however deep the tree."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _shape(self) == _shape(other)
+
+    def __hash__(self):
+        return hash(_shape(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     index: int
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     child: object
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, eq=False)
+class Bin(_Node):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False)
+class Call(_Node):
     func: str
     args: tuple
 
 
-@dataclass(frozen=True)
-class Indicator:
+@dataclass(frozen=True, eq=False)
+class Indicator(_Node):
     kind: str
     params: tuple[float, ...]
-    region: SetOracle = field(compare=False, repr=False)
+    region: SetOracle = field(repr=False)
+
+
+#: Each node type's own fields: everything but its children and a region.
+_OWN_FIELDS = {Num: lambda node: node.value, Var: lambda node: node.index, Neg: lambda node: None, Bin: lambda node: node.op}
+_OWN_FIELDS.update({Call: lambda node: (node.func, len(node.args)), Indicator: lambda node: (node.kind, node.params)})
+
+
+def _shape(tree) -> tuple:
+    """The tree as its _postorder nodes, each as its type and own fields;
+    with the arities in it, the sequence determines the tree."""
+    return tuple((type(node), _OWN_FIELDS[type(node)](node)) for node in _postorder(tree, math.inf))
 
 
 class _Parser:
@@ -421,23 +452,24 @@ _NUMPY_OPS = {
 
 
 #: Op table entries written inline, where Python's operator is the same
-#: IEEE operation as the table's callable; every other op is a call.  "def"
-#: is the kernel's signature, "var" reads a variable and "point" is the
-#: point an indicator tests.  The scalar kernel is a function of a list y
-#: and a height v that reads f at y / v, divided as Python floats; at the
-#: default v = 1.0 that is f(y) bit for bit, since c / 1.0 == c.
+#: IEEE operation as the table's callable; every other op is a call.  "var"
+#: reads a variable and "point" is the point an indicator tests.  The
+#: scalar kernel is a function of a list y and a height v that reads f at
+#: y / v, divided as Python floats; at the default v = 1.0 that is f(y) bit
+#: for bit, since c / 1.0 == c.  The numpy kernel reads the rows of x, which
+#: with heights v given are the rows of its argument divided by them.
 _INLINE = {"neg": "-{0}", "+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/c": "{0} / {1}"}
-_MATH_INLINE = {**_INLINE, "def": "kernel(y, v=1.0)", "var": "y[{0}] / v", "point": "[c / v for c in y]", "pos": "{0} if {0} > 0.0 else 0.0"}
-_NUMPY_INLINE = {**_INLINE, "def": "kernel(x)", "var": "x[:, {0}]", "point": "x"}
+_MATH_INLINE = {**_INLINE, "var": "y[{0}] / v", "point": "[c / v for c in y]", "pos": "{0} if {0} > 0.0 else 0.0"}
+_NUMPY_INLINE = {**_INLINE, "var": "x[:, {0}]", "point": "x"}
 #: Scalar rules that are a math function with the IEEE value where it
 #: raises: the kernel calls the math function and the rule only where it
 #: raises, which gives the rule's bits with no Python frame on the way.
 _MATH_RAISING = {"^c": math.pow, "sqrt": math.sqrt, "exp": math.exp, "sin": math.sin, "cos": math.cos}
 
 
-def _postorder(tree) -> list:
+def _postorder(tree, max_depth=MAX_DEPTH) -> list:
     """The nodes of a tree, each after its children, left to right.  A tree
-    deeper than MAX_DEPTH is a ParseError (its deepest node is a leaf)."""
+    deeper than max_depth is a ParseError (its deepest node is a leaf)."""
     order, stack = [], [(tree, 1)]
     while stack:
         node, depth = stack.pop()
@@ -449,33 +481,65 @@ def _postorder(tree) -> list:
             stack.append((node.child, depth + 1))
         elif kind is Call:
             stack += [(arg, depth + 1) for arg in node.args]
-        elif depth > MAX_DEPTH:
+        elif depth > max_depth:
             raise ParseError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
     return order[::-1]
 
 
 _compiled = functools.lru_cache(maxsize=256)(compile)  # one code object per kernel source
-#: parse_function's scalar return, the perspective profile v f(y / v): a
+#: The plain scalar function of a tree: f(y) with no range check.
+_VALUE = """def kernel(y, v=1.0):
+    {body}
+    return {0}"""
+#: parse_function's scalar kernel, the perspective profile v f(y / v): a
 #: negative or nan f(y / v) raises at the point y / v, and a product out of
-#: (0, inf) takes profile_tag's rules (-0.0 is the ZERO tag).
-_PROFILE = """if not {0} >= 0.0:
+#: (0, inf) takes profile_tag's rules.
+_PROFILE = """def kernel(y, v=1.0):
+    {body}
+    if not {0} >= 0.0:
         raise range_error({0}, [c / v for c in y])
     s = v * {0}
-    return s if 0.0 < s < inf else profile_tag(v, {0} + 0.0)"""
+    return s if 0.0 < s < inf else profile_tag(v, {0})"""
+#: parse_function's numpy kernel: without heights f at the rows of x
+#: (eval_many), with heights v the batch perspective profile, v[i] f(x[i] /
+#: v[i]) row by row.  A negative or nan value raises at its row's point,
+#: with the kernel's row number, before any product's error; the products
+#: take profile_products's rule.  products_in_range fails on a negative or
+#: nan value too, so a batch with nothing to raise makes that one check.
+#: A constant expression compiles to a scalar, and adding zeros also turns
+#: -0.0 into 0.0.
+_BATCH_PROFILE = """def kernel(x, v=None):
+    with errstate(all="ignore"):
+        if v is not None:
+            x = x / v[:, None]
+        {body}
+        t = {0} + zeros(len(x))
+        if v is not None:
+            s = v * t
+            if products_in_range(s, t):
+                return s
+        valid = t >= 0.0
+        if count_nonzero(valid) != t.size:
+            i = int(argmin(valid))
+            raise range_error(float(t[i]), x[i].tolist(), i)
+        return t if v is None else profile_products(v, t)"""
+#: The names the frames read.
+_KERNEL_NAMES = {"range_error": ExpressionRangeError, "profile_tag": profile_tag, "profile_products": profile_products, "inf": math.inf}
+_KERNEL_NAMES.update(products_in_range=products_in_range, errstate=np.errstate, zeros=np.zeros, count_nonzero=np.count_nonzero, argmin=np.argmin)
 
 
-def _kernel(nodes, ops, inline, tail="return {0}", raising=()):
+def _kernel(nodes, ops, inline, frame, raising=()):
     """Compile a syntax tree, given as its _postorder nodes, over one op
-    table into a straight-line function with the signature inline["def"],
-    one assignment per node (see the module docstring).  A constant subtree
-    is folded: its ops run once, here.  A constant right operand that
-    cannot reach the general rule's special cases, a divisor neither zero
-    nor nan or a positive exponent, takes the plain op ("/c", "^c"), which
-    gives the same bits.  An op that raising maps to a function calls it
-    and falls back to the table's rule where it raises ValueError or
-    OverflowError.
-    tail formats the return statement from the result's name."""
-    namespace, lines = {"range_error": ExpressionRangeError, "profile_tag": profile_tag, "inf": math.inf}, []
+    table into a straight-line function, one assignment per node (see the
+    module docstring).  A constant subtree is folded: its ops run once,
+    here.  A constant right operand that cannot reach the general rule's
+    special cases, a divisor neither zero nor nan or a positive exponent,
+    takes the plain op ("/c", "^c"), which gives the same bits.  An op
+    that raising maps to a function calls it and falls back to the table's
+    rule where it raises ValueError or OverflowError.
+    frame is the function's source, with {body} where the assignments go,
+    at their indentation, and {0} for the result's name."""
+    namespace, lines = dict(_KERNEL_NAMES), []
 
     def bind(value, prefix):
         name = f"{prefix}{len(namespace)}"
@@ -514,21 +578,21 @@ def _kernel(nodes, ops, inline, tail="return {0}", raising=()):
             if key in raising:
                 target = f"t{len(lines)}"
                 stack.append(target)
-                lines += ["    try:", f"        {target} = {bind(raising[key], 'f')}{call}", "    except (ValueError, OverflowError):", f"        {target} = {bind(ops[key], 'f')}{call}"]
+                lines += ["try:", f"    {target} = {bind(raising[key], 'f')}{call}", "except (ValueError, OverflowError):", f"    {target} = {bind(ops[key], 'f')}{call}"]
                 continue
             text = inline[key].format(*names) if key in inline else f"{bind(ops[key], 'f')}{call}"
         stack.append(f"t{len(lines)}")
-        lines.append(f"    t{len(lines)} = {text}")
+        lines.append(f"t{len(lines)} = {text}")
     (result,) = stack
-    lines.append("    " + tail.format(result if type(result) is str else bind(result, "c")))
-    source = "\n".join([f"def {inline['def']}:", *lines])
+    pad = frame[: frame.index("{body}")].rpartition("\n")[2]
+    source = frame.format(result if type(result) is str else bind(result, "c"), body=f"\n{pad}".join(lines))
     exec(_compiled(source, "<radial kernel>", "exec"), namespace)
     return namespace.pop("kernel")  # no function-globals cycle for the collector
 
 
 def evaluate(node, x: np.ndarray) -> float:
     """Evaluate a syntax tree at one point x with the scalar IEEE rules."""
-    return _kernel(_postorder(node), _MATH_OPS, _MATH_INLINE, raising=_MATH_RAISING)(np.asarray(x, dtype=float).tolist())
+    return _kernel(_postorder(node), _MATH_OPS, _MATH_INLINE, _VALUE, _MATH_RAISING)(np.asarray(x, dtype=float).tolist())
 
 
 #: The binary operators that associate to the left, by precedence level.
@@ -563,31 +627,22 @@ def unparse(node) -> str:
 def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META, name=None) -> FunctionOracle:
     """Build a FunctionOracle from expression source.
 
-    The tree is compiled twice: with the scalar rules and the range check
-    into the perspective profile kernel(y, v), which is both the scalar
-    callback (at v = 1.0; FunctionOracle derives eval from it) and the
-    profile callback, and with the numpy rules for eval_many; eval_float
-    and eval_many return floats with 0.0 and inf as the tags.  Without grad the gradient falls back
-    to finite differences (no analytic composition is attempted); grad,
-    hess, meta and name (default: the unparsed source) are attached as
-    given, so a caller that knows the derivatives or the radiality of an
-    expression declares them here.  A top-level negative or nan value
-    raises ExpressionRangeError pointing at pos(...) rather than clamping
-    implicitly; eval_many names the first offending row.
+    The tree is compiled twice, each time into a perspective profile: with
+    the scalar rules into kernel(y, v), which is both the scalar callback
+    (at v = 1.0; FunctionOracle derives eval from it) and the profile
+    callback, and with the numpy rules into kernel(x, v=None), which is
+    both the batch callback (without v) and the batch profile callback.
+    eval_float and eval_many return floats with 0.0 and inf as the tags.
+    Without grad the gradient falls back to finite differences (no
+    analytic composition is attempted); grad, hess, meta and name
+    (default: the unparsed source) are attached as given, so a caller that
+    knows the derivatives or the radiality of an expression declares them
+    here.  A top-level negative or nan value raises ExpressionRangeError
+    pointing at pos(...) rather than clamping implicitly; eval_many names
+    the first offending row.
     """
     tree = parse(text, dim)
     source, nodes = unparse(tree), _postorder(tree)
-    batch = _kernel(nodes, _NUMPY_OPS, _NUMPY_INLINE)
-
-    def _eval_many(x: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            # A constant expression compiles to a scalar; adding zeros also turns -0.0 into 0.0.
-            t = batch(x) + np.zeros(x.shape[0])
-        valid = t >= 0.0  # False for nan too
-        if np.count_nonzero(valid) != t.size:
-            i = int(np.argmin(valid))
-            raise ExpressionRangeError(float(t[i]), x[i].tolist(), i)
-        return t
-
+    batch = _kernel(nodes, _NUMPY_OPS, _NUMPY_INLINE, _BATCH_PROFILE)
     profile = _kernel(nodes, _MATH_OPS, _MATH_INLINE, _PROFILE, _MATH_RAISING)
-    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=_eval_many, scalar=profile, profile=profile)
+    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=batch, scalar=profile, profile=profile, profile_many=batch)

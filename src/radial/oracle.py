@@ -53,12 +53,16 @@ class FunctionOracle:
     of dim floats and a height v > 0 and returns perspective(f, y,
     v).as_float(), with perspective's tags and errors; without it the
     profile is derived from the scalar form (profile_over), and a search
-    calls it once per evaluation.  Oracles are immutable after construction
+    calls it once per evaluation.  The batch profile callback
+    profile_many(ys, v) is its counterpart on an (m, dim) array ys and m
+    heights v > 0, one float per row; without it the batch profile is
+    derived from the batch form (profile_many_over), and a lockstep search
+    calls it once per step.  Oracles are immutable after construction
     and callbacks must be reentrant; concurrent evaluation over grids is
     permitted.
     """
 
-    def __init__(self, dim, eval_fn=None, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None, profile=None):
+    def __init__(self, dim, eval_fn=None, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None, profile=None, profile_many=None):
         if int(dim) < 1:
             raise ValueError("dim must be >= 1")
         if eval_fn is None and scalar is None:
@@ -68,6 +72,7 @@ class FunctionOracle:
         self._many_fn = many
         self._scalar_fn = scalar if scalar is not None else lambda x: self.eval(np.array(x)).as_float()
         self._profile_fn = profile if profile is not None else profile_over(self._scalar_fn)
+        self._profile_many_fn = profile_many if profile_many is not None else profile_many_over(many if many is not None else self.eval_many)
         self.grad = grad
         self.hess = hess
         self.meta = meta
@@ -107,6 +112,11 @@ class FunctionOracle:
             if not np.all(values >= 0.0):  # nan compares false
                 raise finite_error(values[np.argmin(values >= 0.0)])
             return values
+        return self._each_row(xs)
+
+    def _each_row(self, xs: np.ndarray) -> np.ndarray:
+        """eval_float at each row of xs, an (m, dim) array, in order; an
+        ExpressionRangeError names its row."""
         values = []
         for i, x in enumerate(xs.tolist()):
             try:
@@ -127,7 +137,7 @@ class FunctionOracle:
         return value
 
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
-        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn, self._scalar_fn, self._profile_fn)
+        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn, self._scalar_fn, self._profile_fn, self._profile_many_fn)
 
     def __repr__(self):
         label = self.name or "<callback>"
@@ -152,12 +162,13 @@ def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
 
 def profile_tag(v: float, value: float) -> float:
     """The answer of every form of the profile (perspective, profile_over,
-    the parsed kernels, the batch profile) where the product v * value is
-    not in (0, inf): a tag (0.0 or inf) stays the tag whatever v is, a
-    negative or nan value raises eval's ValueError, and a finite value
-    raises OverflowRiskError, its product having left the float range."""
+    the parsed kernels, the batch profiles) where the product v * value is
+    not in (0, inf): a tag (0.0 or inf) stays the tag whatever v is, -0.0
+    turning into 0.0, a negative or nan value raises eval's ValueError, and
+    a finite value raises OverflowRiskError, its product having left the
+    float range."""
     if value == 0.0 or value == math.inf:
-        return value
+        return value + 0.0
     if not value > 0.0:
         raise finite_error(value)
     raise OverflowRiskError(f"perspective product {v!r} * {value!r} left the finite range")
@@ -175,6 +186,43 @@ def profile_over(scalar):
         return scaled if 0.0 < scaled < math.inf else profile_tag(v, value)
 
     return profile
+
+
+def profile_products(v: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """v * value pair by pair, for heights v > 0 and values of f, with
+    profile_tag's rule column-wise: the first pair whose product is out of
+    (0, inf) and whose value is no tag raises through profile_tag.  The
+    caller ignores numpy's overflow warning."""
+    scaled = v * value
+    if not products_in_range(scaled, value):
+        broken = ~((0.0 < scaled) & (scaled < np.inf)) & (value != 0.0) & (value != np.inf)
+        i = int(broken.argmax())
+        profile_tag(float(v[i]), float(value[i]))  # raises: value[i] is no tag
+    return scaled
+
+
+def products_in_range(scaled, value) -> bool:
+    """Whether no pair of value and its product scaled = v * value (v > 0)
+    is out of profile_tag's rule: every product in (0, inf) or its value a
+    tag."""
+    # v > 0, so a nonzero value has a positive product unless it is negative
+    # or nan or the product underflows, and only an overflow adds an inf:
+    # with no inf product, nothing overflowed.
+    infs = np.count_nonzero(scaled == np.inf)
+    return np.count_nonzero(scaled > 0.0) == np.count_nonzero(value) and (not infs or infs == np.count_nonzero(value == np.inf))
+
+
+def profile_many_over(many):
+    """The batch profile callback (ys, v) -> [perspective(f, ys[i],
+    v[i]).as_float() for each row i] over f's batch callback many: ys / v
+    divides row by row, and the products take profile_products's rule
+    (-0.0 turning into 0.0).  ys is an (m, dim) array and v m heights."""
+
+    def profile_many(ys: np.ndarray, v: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return profile_products(v, many(ys / v[:, None]) + 0.0)
+
+    return profile_many
 
 
 #: Relative disagreement between one-sided difference quotients above which

@@ -24,14 +24,20 @@ the base's scalar callback, so a nested handle's query is a float search
 too.
 value_with_certificate takes the same steps with one perspective call per
 evaluation and returns a bracket certificate.  eval_many (also named
-values) runs it on many points in lockstep over float arrays, one base
-batch per step, so a nested handle hands its inner handle one batch per
-outer step.  A global-scan handle starts both forms from the extreme
-feasible cell of a fixed height grid, picked by one cell rule
-(_scan_cells); its lockstep form scans all rows at once.  Row x height
-profiles (the global scan's and check_radial's) are evaluated in blocks
-of whole rows, at most CHECK_BLOCK_ROWS pairs each (_profile_blocks);
-duality_residual evaluates its whole grid in one batch.
+values) runs it on many points in lockstep over float arrays, one call of
+the base's batch profile per step: a parsed expression's is its numpy
+kernel, which divides the rows and applies perspective's rules column-wise
+in one generated function, and any other base's divides them and answers
+through the base's batch callback, so a nested handle hands its inner
+handle one batch per outer step.  A batch of fewer than LOCKSTEP_MIN_ROWS
+rows costs less as scalar searches, so values runs those row by row,
+unless a global scan is on the handle or below it.  A global-scan handle
+starts both forms from the extreme feasible cell of a fixed height grid,
+picked by one cell rule (_scan_cells); its lockstep form scans all rows
+at once.  Row x height profiles (the global scan's and check_radial's)
+are evaluated in blocks of whole rows, at most CHECK_BLOCK_ROWS pairs
+each (_profile_blocks); duality_residual evaluates its whole grid in one
+values call.
 
 Speculative bisection: the heights of a search's next k steps are fixed
 by its bracket (lo, hi); only the branches taken depend on the profile.
@@ -61,7 +67,7 @@ import numpy as np
 
 from .core import ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError
-from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective, profile_tag
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective
 
 DEFAULT_TOL = 1e-10
 #: The finest tol accepted.  Since ulp(v) <= MIN_TOL * max(v, 1), the stop
@@ -86,6 +92,12 @@ CHECK_BLOCK_ROWS = 1 << 16
 #: batches, none from SPECULATIVE_PAIRS rows on).
 SPECULATIVE_LEVELS = 4
 SPECULATIVE_PAIRS = 512
+
+#: The fewest rows that values searches in lockstep: a smaller batch runs
+#: the scalar search row by row, which costs less there, unless a global
+#: scan is on the handle or on a handle below it (its lockstep scans all
+#: rows' heights in one batch; the scalar form scans one height a call).
+LOCKSTEP_MIN_ROWS = 16
 
 #: Violations that check_radial keeps as witnesses; it counts them all.
 KEPT_WITNESSES = 5
@@ -140,26 +152,15 @@ class MonotoneWitness:
 
 def _perspective_many(f: FunctionOracle, ys: np.ndarray, v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """perspective(f, ys[i], v[i]) for every row, as floats (0.0 and inf
-    are the tags), with perspective's errors: the first pair whose product
-    is out of (0, inf) and whose value is no tag raises through
-    profile_tag.  rows[i] is the caller's row of pair i; an
+    are the tags), with perspective's errors: one call of f's batch
+    profile.  rows[i] is the caller's row of pair i; an
     ExpressionRangeError from f names that row."""
-    xs = ys / v[:, None]
     try:
-        # A batch callback's values are checked below, with the products.
-        value = f._many_fn(xs) if f._many_fn is not None else f.eval_many(xs)
+        return f._profile_many_fn(ys, v)
     except ExpressionRangeError as exc:
         if exc.row is None:
             raise
         raise exc.at_row(int(rows[exc.row])) from exc
-    scaled = v * value
-    # v > 0, so a nonzero value has a positive product unless it is negative
-    # or nan or the product underflows, and only an overflow adds an inf.
-    if np.count_nonzero(scaled > 0.0) != np.count_nonzero(value) or np.count_nonzero(scaled == np.inf) != np.count_nonzero(value == np.inf):
-        broken = ~((0.0 < scaled) & (scaled < np.inf)) & (value != 0.0) & (value != np.inf)
-        i = int(broken.argmax())
-        profile_tag(float(v[i]), float(value[i]))  # raises: value[i] is no tag
-    return scaled
 
 
 def _next_height(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -238,6 +239,7 @@ class DualHandle(FunctionOracle):
         # where each probe of the base is such a lockstep.
         native = base._native if isinstance(base, DualHandle) else base._many_fn is not None
         self._native = native and not self.global_scan
+        self._scans = self.global_scan or (isinstance(base, DualHandle) and base._scans)
         super().__init__(
             base.dim,
             meta=DECLARED_UPPER,
@@ -317,16 +319,23 @@ class DualHandle(FunctionOracle):
     def _lockstep(self, ys: np.ndarray) -> np.ndarray:
         """The search of _solve run on all rows at once, over float arrays.
 
-        Every step probes one height per active row, takes the same
-        decisions as _solve on it and retires the rows that reach a cap or
-        the tol rule.  Every row starts with both sides open, as in _solve.
-        A global-scan handle scans every row's heights first, in blocks of
-        whole rows (_profile_blocks), and starts each row from its scanned
-        cell, as _solve does; a row with an open side sits at a cap and
-        retires at the first cap test, so the guard cannot fire.  A nested
-        handle over a batch-native base takes up to SPECULATIVE_LEVELS steps
-        per base call (_speculate), the first one included.
+        Every step probes one height per active row, through one call of
+        the base's batch profile, takes the same decisions as _solve on it
+        and retires the rows that reach a cap or the tol rule.  Every row
+        starts with both sides open, as in _solve.  A global-scan handle
+        scans every row's heights first, in blocks of whole rows
+        (_profile_blocks), and starts each row from its scanned cell, as
+        _solve does; a row with an open side sits at a cap and retires at
+        the first cap test, so the guard cannot fire.  A nested handle over
+        a batch-native base takes up to SPECULATIVE_LEVELS steps per base
+        call (_speculate), the first one included.
+        A batch of fewer than LOCKSTEP_MIN_ROWS rows, with no global scan
+        on this handle or below it, runs the scalar search row by row
+        instead, in row order: eval_float's values, and the first row that
+        raises decides the error, named by its row.
         """
+        if len(ys) < LOCKSTEP_MIN_ROWS and not self._scans:
+            return self._each_row(ys)
         upper = self.sense is Sense.UPPER
         guarded = not self.base.meta.radial
         # The guard is the one decision that needs the previous probe, so a
@@ -553,7 +562,9 @@ def duality_residual(
     upper-semicontinuous functions; the gap is the non-duality witness
     otherwise.  global_scan is forwarded to the inner transform so that
     non-monotone examples can be explored; the outer transform is always
-    monotone-searchable.  The whole grid is one lockstep search.
+    monotone-searchable.  The whole grid is one values call: one lockstep
+    search, or on fewer than LOCKSTEP_MIN_ROWS points (and no global scan)
+    the scalar search point by point.
     """
     points = np.asarray(grid, dtype=float)
     if points.ndim == 1 and f.dim == 1:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import expressions, overflowing_expressions
 from radial import INF, ZERO, DualHandle, ExpressionRangeError, ExtPos, ParseError, grammar, parse_function
 from radial import RadialError, perspective
-from radial.oracle import DECLARED_STRICT
+from radial.oracle import DECLARED_STRICT, profile_tag
 from radial.transform import V_MAX, V_MIN
 from radial.grammar import _MATH_OPS, _NUMPY_OPS, Bin, Call, Indicator, Neg, Num, Var, evaluate, parse, unparse
 
@@ -145,6 +145,23 @@ class TestDepth:
             parse(source, 1)
         with pytest.raises(ParseError, match="deeper than"):
             parse_function(source, 1)
+
+    def test_deep_trees_compare_and_hash_without_recursion(self):
+        """Tree equality and hashing walk the tree, so two parses of a sum
+        of MAX_DEPTH terms compare equal and hash equal; a change of one
+        leaf makes them unequal.  An indicator compares by its kind and
+        parameters, not by its region."""
+        total = "+".join(["x0"] * grammar.MAX_DEPTH)
+        assert parse(total, 1) == parse(total, 1) and hash(parse(total, 1)) == hash(parse(total, 1))
+        changed = "+".join(["x0"] * (grammar.MAX_DEPTH - 1) + ["x1"])
+        assert parse(changed, 2) != parse(total, 2)
+        ball = "min(indicator(ball 1), x0)"
+        assert parse(ball, 1) == parse(ball, 1) and hash(parse(ball, 1)) == hash(parse(ball, 1))
+        assert parse(ball, 1) != parse("min(indicator(ball 2), x0)", 1) != parse("min(indicator(box -1 1), x0)", 1)
+        built = [Var(0), Var(0)]  # deeper than parse builds and than the recursion limit
+        for _ in range(5000):
+            built = [Neg(tree) for tree in built]
+        assert built[0] == built[1] and hash(built[0]) == hash(built[1]) and built[0] != Neg(built[1])
 
     def test_the_deepest_accepted_input_parses_and_evaluates(self):
         """A sum of MAX_DEPTH terms and MAX_NESTING levels of signs,
@@ -377,13 +394,13 @@ def _rows(dim):
 
 
 def _in_dim(expr, dim):
-    """The expression over dim variables: in 2-D every other x0 becomes x1
-    and the halfspace gains a normal coordinate."""
+    """The expression over dim variables: its x0s take x0 ... x{dim-1} in
+    turn, and the halfspace gains normal coordinates (-1, then 2)."""
     if dim == 1:
         return expr
     turn = itertools.count()
-    expr = re.sub(r"x0", lambda _: "x1" if next(turn) % 2 else "x0", expr)
-    return expr.replace("halfspace 1 0.5", "halfspace 1 -1 0.5")
+    expr = re.sub(r"x0", lambda _: f"x{next(turn) % dim}", expr)
+    return expr.replace("halfspace 1 0.5", f"halfspace {' '.join(['1', '-1', '2'][:dim])} 0.5")
 
 
 def _assert_kernels_match_walk(expr, dim):
@@ -535,10 +552,53 @@ def test_eval_float_is_the_profile_at_height_one(expr, dim):
         assert _float_or_error(f.eval_float, x) == _float_or_error(f._profile_fn, x) == _float_or_error(f._profile_fn, x, 1.0), (expr, x)
 
 
+# -- the numpy kernel is the batch perspective profile -------------------------
+
+_BATCH_HEIGHTS = [V_MIN, 1e-8, 0.5, 1.0, 3.0, 1e8, V_MAX]
+_BATCH_POINTS = [0.0, -0.0, 3.0, -3.0, 1e300]
+
+
+def _plain_profile_many(f, ys, v):
+    """v[i] f(ys[i] / v[i]) row by row the plain way: eval_many at the
+    divided rows, then each product by profile_tag's rule, in row order."""
+    with np.errstate(over="ignore"):
+        values = f.eval_many(ys / v[:, None])
+    out = []
+    for height, value in zip(v.tolist(), values.tolist()):
+        s = height * value
+        out.append(s if 0.0 < s < math.inf else profile_tag(height, value))
+    return np.array(out)
+
+
+def _bytes_or_error(fn, *args):
+    """A batch as its bytes, an error as its type, message and row."""
+    try:
+        return fn(*args).tobytes()
+    except (RadialError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+@given(expr=expressions | overflowing_expressions, dim=st.sampled_from([1, 2, 3]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_numpy_kernel_is_the_batch_profile(expr, dim):
+    """The numpy kernel of a parsed expression, given heights, is eval_many
+    at the divided rows times the heights under profile_tag's rule: the
+    same bytes, or the same error with the same message and row.  Each
+    height meets every row, one batch a height and one batch of all pairs."""
+    f = parse_function(_in_dim(expr, dim), dim)
+    rows = np.array(list(itertools.product(_BATCH_POINTS, repeat=dim)))
+    batches = [(rows, np.full(len(rows), v)) for v in _BATCH_HEIGHTS]
+    batches.append((np.repeat(rows, len(_BATCH_HEIGHTS), axis=0), np.tile(_BATCH_HEIGHTS, len(rows))))
+    for ys, v in batches:
+        assert _bytes_or_error(f._profile_many_fn, ys, v) == _bytes_or_error(_plain_profile_many, f, ys, v), (expr, dim, v[:2])
+
+
 def test_with_meta_keeps_the_fused_profile():
-    """One scalar kernel serves eval_float and the search's profile, and
-    with_meta passes it on."""
+    """One scalar kernel serves eval_float and the search's profile, one
+    numpy kernel eval_many and the lockstep's batch profile, and with_meta
+    passes both on."""
     f = parse_function("pos(1.234-x0^2)", 1)
     g = f.with_meta(DECLARED_STRICT)
     assert f._profile_fn is f._scalar_fn and g._profile_fn is f._profile_fn and g._scalar_fn is f._scalar_fn
+    assert f._profile_many_fn is f._many_fn and g._profile_many_fn is f._profile_many_fn and g._many_fn is f._many_fn
     assert DualHandle(g).value([0.6]) == DualHandle(f.with_meta(DECLARED_STRICT)).value_with_certificate([0.6])[0]

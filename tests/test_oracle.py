@@ -22,6 +22,7 @@ from radial import (
 )
 from radial import catalog
 from radial.catalog import absval, constant, exp_bump, shifted_parabola, sqrt_cap, strict_entries, tent
+from radial.grammar import evaluate, parse
 from radial.transform import _perspective_many
 
 
@@ -410,3 +411,23 @@ class TestOneProfileRule:
     def test_the_first_pair_out_of_the_rule_decides_a_batch(self, pairs, want):
         f = FunctionOracle(1, scalar=lambda x: 1.0, many=lambda xs: np.array([value for value, _ in pairs]))
         assert _bits_or_error(lambda: _profile_many(f, [v for _, v in pairs])) == want
+
+    def test_the_zero_tag_has_one_sign(self):
+        """A value of -0.0 is the ZERO tag, and every form of the profile
+        answers it as +0.0: perspective, the scalar profile derived from a
+        float callback, the batch profile derived from a batch callback or
+        from eval_many, and both compiled kernels (x0 * 0 is -0.0 at a
+        negative x0)."""
+        y, v = [-0.5], 2.0
+        plain = FunctionOracle(1, scalar=lambda x: -0.0)
+        batched = FunctionOracle(1, scalar=lambda x: -0.0, many=lambda xs: np.full(len(xs), -0.0))
+        parsed = parse_function("x0 * 0", 1)
+        assert math.copysign(1.0, evaluate(parse("x0 * 0", 1), [-0.25])) == -1.0
+        for name, f in {"plain": plain, "batched": batched, "parsed": parsed}.items():
+            forms = {
+                "perspective": perspective(f, y, v).as_float(),
+                "profile": f._profile_fn(y, v),
+                "batch profile": float(f._profile_many_fn(np.array([y]), np.array([v]))[0]),
+            }
+            for form, value in forms.items():
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, (name, form)

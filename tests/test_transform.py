@@ -102,7 +102,8 @@ class TestLowerValue:
 # and a nested handle's, for both senses and a global scan.
 _FINEST_TOL_SCRIPT = """
 import json, numpy as np
-from radial import DualHandle, Sense, parse_function
+from radial import DualHandle, Sense, parse_function, transform
+transform.LOCKSTEP_MIN_ROWS = 0  # values runs the four rows in lockstep
 f = parse_function("pos(sqrt(1 - x0^2))", 1)
 ys = np.array([[0.0], [0.5], [1.0], [3.0]])
 out = {}
@@ -261,7 +262,7 @@ class TestNonMonotone:
         with pytest.raises(NonMonotonePerspectiveError) as scalar:
             h.value([0.5])
         assert str(scalar.value).startswith(message)
-        with pytest.raises(NonMonotonePerspectiveError) as batch:
+        with _in_lockstep(), pytest.raises(NonMonotonePerspectiveError) as batch:
             h.values(np.array([[0.5]]))
         assert str(batch.value) == str(scalar.value)
 
@@ -525,6 +526,12 @@ def _scalar_values(h, ys):
     return np.array([h.value(y).as_float() for y in ys])
 
 
+def _in_lockstep():
+    """Patches LOCKSTEP_MIN_ROWS to 0, so that values runs every batch in
+    lockstep, however few its rows."""
+    return mock.patch.object(transform, "LOCKSTEP_MIN_ROWS", 0)
+
+
 def _assert_same(got, want, tol):
     assert np.array_equal(got == 0.0, want == 0.0) and np.array_equal(got == math.inf, want == math.inf), (got, want)
     finite = (0.0 < want) & (want < math.inf)
@@ -533,6 +540,7 @@ def _assert_same(got, want, tol):
 
 @given(case=_searches(_RAY_MONOTONE))
 @settings(max_examples=60, deadline=None, derandomize=True)
+@_in_lockstep()
 def test_values_match_value_on_ray_monotone_inputs(case):
     """values(Y) is [value(y) for y in Y]: identical tags, finite values
     within tol * max(1, |v|); for a global-scan handle and a bidual handle
@@ -549,6 +557,7 @@ def test_values_match_value_on_ray_monotone_inputs(case):
 
 @given(case=_searches(_NOT_MONOTONE))
 @settings(max_examples=30, deadline=None, derandomize=True)
+@_in_lockstep()
 def test_values_raise_where_value_raises(case):
     """On a function not declared ray-monotone the lockstep search raises
     NonMonotonePerspectiveError exactly when some row's scalar search does.
@@ -731,7 +740,7 @@ class TestLockstep:
         h = DualHandle(shifted_quadratic(), Sense.UPPER)
         with pytest.raises(NonMonotonePerspectiveError) as scalar:
             h.value(np.array([-3.0]))
-        with pytest.raises(NonMonotonePerspectiveError) as batch:
+        with _in_lockstep(), pytest.raises(NonMonotonePerspectiveError) as batch:
             h.values(np.array([[0.0], [-3.0]]))
         assert str(batch.value) == str(scalar.value)
         fields = ("v_lo", "v_hi", "p_lo", "p_hi")
@@ -753,7 +762,7 @@ class TestLockstep:
         h = DualHandle(FunctionOracle(1, ev, meta=DECLARED_UPPER), Sense.UPPER)
         with pytest.raises(OverflowRiskError):
             h.value(np.array([1.0]))
-        with pytest.raises(OverflowRiskError):
+        with _in_lockstep(), pytest.raises(OverflowRiskError):
             h.values(np.array([[0.0], [1.0]]))
 
     def test_overflowing_product_raises_as_perspective_raises(self):
@@ -822,6 +831,7 @@ def _bidual_cases(draw):
 
 @given(case=_bidual_cases())
 @settings(max_examples=40, deadline=None, derandomize=True)
+@_in_lockstep()
 def test_speculation_is_invisible(case):
     """A bidual handle's values are bit-identical with speculation off and
     on (2-4 levels), or raise the same message; over a global-scan inner
@@ -844,6 +854,12 @@ def test_speculation_is_invisible(case):
 class TestSpeculation:
     #: Finite values and one ZERO tag (1.7) for the sqrt cap's bidual.
     YS = np.array([[0.3], [-0.5], [0.8], [1.7], [-0.05]])
+
+    @pytest.fixture(autouse=True)
+    def _every_batch_in_lockstep(self):
+        """Every batch of these tests runs in lockstep, YS's five rows too."""
+        with _in_lockstep():
+            yield
 
     @pytest.mark.parametrize("entry", strict_entries(), ids=lambda entry: entry.name)
     @pytest.mark.parametrize("sense", [Sense.UPPER, Sense.LOWER])
@@ -967,6 +983,68 @@ class TestSpeculation:
         assert calls.called and str(fast.value) == str(plain.value) and fast.value.row is not None
 
 
+# -- small batches run the scalar search ----------------------------------------
+
+
+def _counting(f):
+    """f with a many= callback that counts its calls: f's own profiles, so
+    only a lockstep over it calls the callback."""
+    calls = []
+
+    def many(xs):
+        calls.append(len(xs))
+        return f.eval_many(xs)
+
+    return FunctionOracle(f.dim, meta=f.meta, many=many, scalar=f._scalar_fn, profile=f._profile_fn), calls
+
+
+class TestSmallBatches:
+    @pytest.mark.parametrize("name", sorted(_RAY_MONOTONE))
+    @pytest.mark.parametrize("sense", [Sense.UPPER, Sense.LOWER])
+    @pytest.mark.parametrize("nested", [False, True], ids=["single", "nested"])
+    def test_below_the_threshold_values_is_the_scalar_search(self, name, sense, nested):
+        """Below LOCKSTEP_MIN_ROWS rows, values(ys) is [h.eval_float(y) for y
+        in ys] bit for bit and never calls the base's batch callback; at
+        LOCKSTEP_MIN_ROWS rows it runs the lockstep, which does."""
+        f, calls = _counting(_RAY_MONOTONE[name])
+        h = DualHandle(f, sense, tol=1e-6)
+        if nested:
+            h = DualHandle(h, Sense.UPPER, tol=1e-6)
+        n = transform.LOCKSTEP_MIN_ROWS
+        ys = np.random.default_rng(n).uniform(-1.5, 1.5, (n, f.dim))
+        for rows in (ys[:1], ys[: n - 1]):
+            got = h.values(rows)
+            assert got.tobytes() == np.array([h.eval_float(y) for y in rows.tolist()]).tobytes() and not calls
+        h.values(ys)
+        assert calls
+
+    def test_global_scans_stay_in_lockstep(self):
+        """A global-scan handle, and a bidual over one, runs two rows in
+        lockstep: one scan of both rows' heights, not a scalar search."""
+        f, calls = _counting(parse_function("(x0+1)^2 + 0.5", 1))
+        ys = np.array([[-1.0], [0.0]])
+        for h in (upper(f, global_scan=True), _bidual(f, global_scan=True)):
+            calls[:] = []
+            with mock.patch.object(DualHandle, "_search", autospec=True, side_effect=DualHandle._search) as search:
+                got = h.values(ys)
+            assert not search.called and calls and max(calls) >= len(ys) * transform.GLOBAL_SCAN_POINTS
+            assert got.tolist() == [h.value(y).as_float() for y in ys]
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["single", "nested"])
+    def test_errors_name_the_callers_row(self, nested):
+        """The scalar loop names the row that raised, as the lockstep does;
+        in a batch with several failing rows the first row decides."""
+        f = parse_function("1 - x0", 1)
+        h = _bidual(f) if nested else upper(f)
+        for ys, row in (([[0.5], [3.0]], 1), ([[5.0], [0.5], [3.0]], 0)):
+            with pytest.raises(ExpressionRangeError, match=rf"\(row {row}\)") as scalar:
+                h.values(np.array(ys))
+            assert scalar.value.row == row
+        with _in_lockstep(), pytest.raises(ExpressionRangeError, match=r"\(row 1\)") as batch:
+            h.values(np.array([[0.5], [3.0]]))
+        assert batch.value.row == 1
+
+
 class TestErrorRows:
     def test_compacted_rows_are_named_as_the_caller_numbers_them(self):
         """Row 0 retires after a few steps; the leaf then sees row 1 as its
@@ -979,7 +1057,7 @@ class TestErrorRows:
             return f.eval_many(xs)
 
         h = DualHandle(FunctionOracle(1, f.eval, meta=DECLARED_UPPER, many=many), Sense.UPPER, tol=0.5)
-        with pytest.raises(ExpressionRangeError, match=r"\(row 1\)") as raised:
+        with _in_lockstep(), pytest.raises(ExpressionRangeError, match=r"\(row 1\)") as raised:
             h.values(np.array([[0.0], [2.0]]))
         assert raised.value.row == 1
 
@@ -1000,7 +1078,7 @@ class TestErrorRows:
         def many(xs):
             raise error
 
-        with pytest.raises(ExpressionRangeError) as raised:
+        with _in_lockstep(), pytest.raises(ExpressionRangeError) as raised:
             upper(FunctionOracle(1, f.eval, meta=DECLARED_UPPER, many=many)).values(np.array([[0.0], [2.0]]))
         assert raised.value is error and raised.value.row is None
 
