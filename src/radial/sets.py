@@ -4,19 +4,23 @@ vocabulary of constraints.
 Lifted sets (vectors paired with positive heights) are closed under the
 projective point transform.  The transforms here are exact formulas, not
 sampling approximations; membership predicates use strict arithmetic with
-tolerance zero and serve as the sampling oracles in the test suite.
+tolerance zero and serve as the sampling oracles in the test suite.  The
+three lifted types (a halfspace, an ellipsoid, and a polyhedron, whose
+parts are halfspaces) are listed once, in _LIFTED_TYPES, with their
+document "type" and their image; membership, transform_set and
+set_to_json read that table and refuse any other object.
 
-Decision-space sets (ball, box, halfspace) are membership handles: the
-grammar's indicator(...), constraint gauges and `solve --constraint` all
-build them through the constructors below.  Both halves of the radial/v1
-JSON schema are decoded here.
+Decision-space sets (ball, box, halfspace over flat vectors) are
+membership handles: the grammar's indicator(...), constraint gauges and
+`solve --constraint` all build them through the constructors below.  Both
+halves of the radial/v1 JSON schema are decoded here.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -159,6 +163,8 @@ class Polyhedron:
 
     def __post_init__(self):
         hs = tuple(self.halfspaces)
+        if not all(type(h) is Halfspace for h in hs):
+            raise ValueError("a polyhedron's parts must be halfspaces")
         dims = {h.dim for h in hs}
         if len(dims) > 1:
             raise ValueError("halfspaces have mixed dimensions")
@@ -260,11 +266,26 @@ def transform_ellipsoid(e: Ellipsoid) -> Ellipsoid:
     return Ellipsoid(LiftedPoint(c[:n], float(c[n])), g / denom)
 
 
+#: The lifted set types, each with its document "type" and its image under
+#: the point transform.  Lookup is by exact type.
+_LIFTED_TYPES = {
+    Halfspace: ("halfspace", transform_halfspace),
+    Ellipsoid: ("ellipsoid", transform_ellipsoid),
+    Polyhedron: ("polyhedron", transform_polyhedron),
+}
+
+
+def _lifted_type(s) -> tuple[str, Callable]:
+    """The entry of s's type in _LIFTED_TYPES; TypeError for any other object."""
+    if type(s) not in _LIFTED_TYPES:
+        raise TypeError(f"unsupported set type {type(s).__name__}")
+    return _LIFTED_TYPES[type(s)]
+
+
 def membership(p: LiftedPoint, s) -> bool:
     """Exact membership predicate (tolerance 0, boundary included)."""
-    if isinstance(s, (Halfspace, Ellipsoid, Polyhedron)):
-        return s.contains(p)
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    _lifted_type(s)
+    return s.contains(p)
 
 
 # --- decision-space sets ---
@@ -303,6 +324,8 @@ def ball_set(dim: int, radius: float) -> SetOracle:
 def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    if lo.ndim != 1 or hi.ndim != 1:
+        raise ValueError("box requires flat vectors lo and hi")
     if lo.shape != hi.shape or not np.all(lo < hi):
         raise ValueError("box requires lo < hi componentwise")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
@@ -312,6 +335,8 @@ def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
 
 def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.ndim != 1:
+        raise ValueError("halfspace requires a flat vector a")
     if not (np.all(np.isfinite(a)) and math.isfinite(b)):
         raise ValueError("halfspace requires finite a and b")
     scale = float(np.max(np.abs(a), initial=0.0)) or 1.0
@@ -330,10 +355,6 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
 # --- constraints for solve --constraint ---
 
 
-def _point_to_json(p: LiftedPoint) -> dict:
-    return {"x": [float(v) for v in p.x], "u": p.u}
-
-
 def _point_from_json(obj) -> LiftedPoint:
     try:
         return LiftedPoint(np.asarray(obj["x"], dtype=float), float(obj["u"]))
@@ -342,29 +363,20 @@ def _point_from_json(obj) -> LiftedPoint:
 
 
 def set_to_json(s) -> dict:
-    """Encode a set as a radial/v1 JSON document (matrices row-major)."""
-    if isinstance(s, Halfspace):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "halfspace",
-            "normal_x": [float(v) for v in s.normal_x],
-            "normal_u": s.normal_u,
-            "anchor": _point_to_json(s.anchor),
-        }
-    if isinstance(s, Ellipsoid):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "ellipsoid",
-            "center": _point_to_json(s.center),
-            "shape": [[float(v) for v in row] for row in s.shape],
-        }
-    if isinstance(s, Polyhedron):
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "polyhedron",
-            "halfspaces": [set_to_json(h) for h in s.halfspaces],
-        }
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+    """Encode a lifted set as a radial/v1 JSON document: the header, then
+    each dataclass field under its own name."""
+    doc = {"schema": SCHEMA_VERSION, "type": _lifted_type(s)[0]}
+    return doc | {field.name: _field_to_json(getattr(s, field.name)) for field in fields(s)}
+
+
+def _field_to_json(v):
+    """A lifted set's field in its document: a point as {"x", "u"}, arrays
+    as lists (matrices row-major), a polyhedron's parts as documents."""
+    if isinstance(v, LiftedPoint):
+        return {"x": v.x.tolist(), "u": v.u}
+    if isinstance(v, tuple):
+        return [set_to_json(h) for h in v]
+    return v.tolist() if isinstance(v, np.ndarray) else v
 
 
 def _document_type(obj, what: str):
@@ -426,13 +438,8 @@ def transform_set(s):
     """Image of a decoded set.  A set whose image fails validation lies
     too close to the containment boundary to transform in floating point;
     that is reported as a SchemaError against the document."""
+    kind, image = _lifted_type(s)
     try:
-        if isinstance(s, Halfspace):
-            return transform_halfspace(s)
-        if isinstance(s, Ellipsoid):
-            return transform_ellipsoid(s)
-        if isinstance(s, Polyhedron):
-            return transform_polyhedron(s)
+        return image(s)
     except ValueError as exc:
-        raise SchemaError(f"cannot transform {type(s).__name__.lower()}: {exc}") from exc
-    raise TypeError(f"unsupported set type {type(s).__name__}")
+        raise SchemaError(f"cannot transform {kind}: {exc}") from exc

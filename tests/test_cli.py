@@ -285,6 +285,20 @@ class TestGrid:
         assert f"argument --grid: {message}\n" in capsys.readouterr().err
 
 
+ELLIPSOID_IN_POLYHEDRON = {
+    "schema": "radial/v1",
+    "type": "polyhedron",
+    "halfspaces": [
+        {"schema": "radial/v1", "type": "ellipsoid", "center": {"x": [0], "u": 1}, "shape": [[1, 0], [0, 4]]}
+    ],
+}
+POLYHEDRON_IN_POLYHEDRON = {
+    "schema": "radial/v1",
+    "type": "polyhedron",
+    "halfspaces": [{"schema": "radial/v1", "type": "polyhedron", "halfspaces": []}],
+}
+
+
 class TestSetTransform:
     def test_ellipsoid_instance(self, capsys, tmp_path):
         src = tmp_path / "in.json"
@@ -367,6 +381,17 @@ class TestSetTransform:
         code, _, err = run_cli(["set-transform", "--in", str(src), "--out", str(tmp_path / "o.json")], capsys)
         assert code == 2 and "contained" in err
 
+    @pytest.mark.parametrize(
+        "doc", [ELLIPSOID_IN_POLYHEDRON, POLYHEDRON_IN_POLYHEDRON], ids=["ellipsoid-part", "polyhedron-part"]
+    )
+    def test_a_polyhedron_of_other_sets_exit_2(self, doc, capsys, tmp_path):
+        src, dst = tmp_path / "p.json", tmp_path / "o.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run_cli(["set-transform", "--in", str(src), "--out", str(dst)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: bad polyhedron document: a polyhedron's parts must be halfspaces\n"
+        assert not dst.exists()
+
 
 class TestCheck:
     def test_strictly_radial_exit_0(self, capsys):
@@ -448,6 +473,22 @@ class TestSolve:
             ["solve", "--f", "pos(2 - (x0-1)^2)", "--dim", "1", "--y0", "2", "--constraint", str(cpath)], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc,line",
+        [
+            ({"type": "halfspace", "a": [[1]], "b": 1}, "bad halfspace constraint: halfspace requires a flat vector a"),
+            ({"type": "box", "lo": [[-1]], "hi": [[1]]}, "bad box constraint: box requires flat vectors lo and hi"),
+        ],
+        ids=["halfspace", "box"],
+    )
+    def test_nested_constraint_vectors_exit_2(self, doc, line, capsys, tmp_path):
+        cpath = tmp_path / "c.json"
+        cpath.write_text(json.dumps({"schema": "radial/v1", **doc}))
+        code, out, err = run_cli(
+            ["solve", "--f", "pos(2-(x0-1)^2)", "--dim", "1", "--y0", "0.3", "--constraint", str(cpath)], capsys
+        )
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 class TestEntryPointAndEnvironment:
@@ -565,9 +606,9 @@ EDGE_ELLIPSOID = {
     "center": {"x": [0.0], "u": 1.0},
     "shape": [[1.0, 0.0], [0.0, 1.0000000000001]],
 }
-# The files CONTRACT reads as {dir}/name.  The last five are constraint
-# documents that json.load reads (it accepts NaN and Infinity) and the
-# schema refuses.
+# The files CONTRACT reads as {dir}/name.  The five from nan_a.json on are
+# constraint documents that json.load reads (it accepts NaN and Infinity)
+# and the schema refuses; the last four are refused by their shape.
 CONTRACT_FILES = {
     "box2.json": BOX_2D,
     "edge.json": EDGE_ELLIPSOID,
@@ -576,6 +617,10 @@ CONTRACT_FILES = {
     "frac_dim.json": {"schema": "radial/v1", "type": "ball", "dim": 1.7, "radius": 1.0},
     "inf_radius.json": {"schema": "radial/v1", "type": "ball", "radius": math.inf},
     "inf_lo.json": {"schema": "radial/v1", "type": "box", "lo": [-math.inf], "hi": [0.5]},
+    "ellipsoid_part.json": ELLIPSOID_IN_POLYHEDRON,
+    "polyhedron_part.json": POLYHEDRON_IN_POLYHEDRON,
+    "nested_a.json": {"schema": "radial/v1", "type": "halfspace", "a": [[1]], "b": 1},
+    "nested_lo.json": {"schema": "radial/v1", "type": "box", "lo": [[-1]], "hi": [[1]]},
 }
 
 # argv -> exit code.  {dir} is a writable scratch directory, {missing} a
@@ -621,6 +666,11 @@ CONTRACT = [
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/inf_lo.json"], 2),
     (["eval", "--f", "min(x0, indicator(ball 1e999))", "--dim", "1", "--at", "1"], 2),
     (["eval", "--f", "min(x0, indicator(box -1e999 1))", "--dim", "1", "--at", "1"], 2),
+    # A polyhedron holds halfspaces only; constraint vectors are flat.
+    (["set-transform", "--in", "{dir}/ellipsoid_part.json", "--out", "{dir}/o.json"], 2),
+    (["set-transform", "--in", "{dir}/polyhedron_part.json", "--out", "{dir}/o.json"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/nested_a.json"], 2),
+    (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/nested_lo.json"], 2),
     # Grid, box and point specifications refused before any search.
     (["grid", "--f", "x0", "--dim", "3", "--grid=0:1:2", "--out", "{dir}/o.csv"], 2),
     (["grid", "--f", "x0", "--dim", "1", "--grid=0:1:2,0:1:2", "--out", "{dir}/o.csv"], 2),

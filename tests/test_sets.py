@@ -30,6 +30,7 @@ from radial import (
     transform_halfspace,
     transform_normal,
     transform_polyhedron,
+    transform_set,
 )
 from radial.catalog import sqrt_cap
 from radial.sets import _certified_pivots, _dual_ellipsoid_pieces, positive_definite_pivots
@@ -322,6 +323,85 @@ class TestJson:
             set_from_json({"schema": "radial/v1", "type": "ellipsoid", "center": {"x": [0.0]}})
 
 
+ELLIPSOID_1D = Ellipsoid(lifted([0.0], 2.0), np.eye(2))
+# The cube |x0| <= 1, |x1| <= 1, 1 <= u <= 3 and an ellipsoid in the 2-D
+# lifted space.
+CUBE_2D = Polyhedron(
+    tuple(Halfspace(np.array(n[:2], dtype=float), n[2], lifted(n[:2], 2.0 + n[2])) for n in np.vstack([np.eye(3), -np.eye(3)]))
+)
+ELLIPSOID_2D = Ellipsoid(lifted([0.5, -0.5], 2.0), np.diag([1.0, 2.0, 1.0]))
+
+# (set, its type's own transform, the lifted dimension to sample); None
+# marks an object that is not a lifted set.
+LIFTED_CASES = [
+    pytest.param(Halfspace(np.array([1.0]), -1.0, lifted([0.0], 1.0)), transform_halfspace, 1, id="halfspace-1d"),
+    pytest.param(Halfspace(np.array([0.7, -1.2]), 0.4, lifted([0.3, 2.0], 1.6)), transform_halfspace, 2, id="halfspace-2d"),
+    pytest.param(ELLIPSOID_1D, transform_ellipsoid, 1, id="ellipsoid-1d"),
+    pytest.param(ELLIPSOID_2D, transform_ellipsoid, 2, id="ellipsoid-2d"),
+    pytest.param(UNIT_SQUARE, transform_polyhedron, 1, id="polyhedron-1d"),
+    pytest.param(CUBE_2D, transform_polyhedron, 2, id="polyhedron-2d"),
+    pytest.param(Polyhedron(()), transform_polyhedron, 2, id="polyhedron-empty"),
+    pytest.param(NormalVector(np.array([1.0]), 0.0, NormalKind.CONVEX, lifted([2.0], 1.0)), None, 1, id="foreign-normal"),
+    pytest.param(ball_set(1, 1.0), None, 1, id="foreign-constraint"),
+]
+
+
+class TestLiftedTypes:
+    """membership, transform_set and set_to_json read one table of the
+    lifted types; any other object is refused by all three alike."""
+
+    @pytest.mark.parametrize("s,image,dim", LIFTED_CASES)
+    def test_one_table(self, s, image, dim):
+        points = random_lifted(np.random.default_rng(43), 500, dim, (-2.0, 2.0), (0.2, 4.0))
+        if image is None:
+            message = f"^unsupported set type {type(s).__name__}$"
+            for call in (lambda: membership(points[0], s), lambda: transform_set(s), lambda: set_to_json(s)):
+                with pytest.raises(TypeError, match=message):
+                    call()
+            return
+        doc = set_to_json(s)
+        assert set_to_json(set_from_json(json.loads(json.dumps(doc)))) == doc
+        assert set_to_json(transform_set(s)) == set_to_json(image(s))
+        verdicts = [membership(p, s) for p in points]
+        assert verdicts == [s.contains(p) for p in points]
+        assert any(verdicts) and (not all(verdicts) or s == Polyhedron(()))
+
+    def test_documents_keep_their_fields(self):
+        assert set_to_json(UNIT_SQUARE.halfspaces[0]) == {
+            "schema": "radial/v1",
+            "type": "halfspace",
+            "normal_x": [1.0],
+            "normal_u": 0.0,
+            "anchor": {"x": [1.0], "u": 2.0},
+        }
+        assert set_to_json(ELLIPSOID_1D) == {
+            "schema": "radial/v1",
+            "type": "ellipsoid",
+            "center": {"x": [0.0], "u": 2.0},
+            "shape": [[1.0, 0.0], [0.0, 1.0]],
+        }
+        assert set_to_json(UNIT_SQUARE)["halfspaces"] == [set_to_json(h) for h in UNIT_SQUARE.halfspaces]
+
+    @pytest.mark.parametrize(
+        "part", [ELLIPSOID_1D, Polyhedron(()), UNIT_SQUARE, ball_set(1, 1.0)], ids=["ellipsoid", "empty", "square", "ball"]
+    )
+    def test_a_polyhedron_holds_only_halfspaces(self, part):
+        with pytest.raises(ValueError, match="^a polyhedron's parts must be halfspaces$"):
+            Polyhedron((UNIT_SQUARE.halfspaces[0], part))
+        with pytest.raises(ValueError, match="^a polyhedron's parts must be halfspaces$"):
+            Polyhedron((part,))
+
+    @pytest.mark.parametrize(
+        "part",
+        [set_to_json(ELLIPSOID_1D), {"schema": "radial/v1", "type": "polyhedron", "halfspaces": []}],
+        ids=["ellipsoid", "empty-polyhedron"],
+    )
+    def test_a_polyhedron_document_holds_only_halfspaces(self, part):
+        doc = {"schema": "radial/v1", "type": "polyhedron", "halfspaces": [part]}
+        with pytest.raises(SchemaError, match="^bad polyhedron document: a polyhedron's parts must be halfspaces$"):
+            set_from_json(doc)
+
+
 class TestConstraintJson:
     def doc(self, **fields):
         return {"schema": "radial/v1", **fields}
@@ -434,6 +514,25 @@ class TestConstraintJson:
         doc = json.loads(json.dumps(self.doc(**fields)))
         with pytest.raises(SchemaError, match=message):
             constraint_from_json(doc, 1)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"type": "halfspace", "a": [[1.0]], "b": 1.0}, "bad halfspace constraint: halfspace requires a flat vector a"),
+            ({"type": "box", "lo": [[-1.0]], "hi": [[1.0]]}, "bad box constraint: box requires flat vectors lo and hi"),
+            ({"type": "box", "lo": [-1.0], "hi": [[1.0]]}, "bad box constraint: box requires flat vectors lo and hi"),
+        ],
+        ids=["halfspace", "box", "box-hi"],
+    )
+    def test_constraint_vectors_are_flat(self, fields, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            constraint_from_json(self.doc(**fields), 1)
+
+    def test_constructors_refuse_nested_vectors(self):
+        with pytest.raises(ValueError, match="^halfspace requires a flat vector a$"):
+            halfspace_set(np.array([[1.0]]), 1.0)
+        with pytest.raises(ValueError, match="^box requires flat vectors lo and hi$"):
+            box_set(np.array([[-1.0]]), np.array([[1.0]]))
 
     @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1"], ids=["fraction", "float", "bool", "string"])
     def test_ball_dim_must_be_a_json_integer(self, bad):
