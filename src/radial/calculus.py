@@ -32,11 +32,12 @@ from .oracle import (
     DECLARED_UPPER,
     FunctionOracle,
     RadialityMeta,
+    as_vector,
     difference_gradient,
     gradient,  # unused here; perfbench/tracing.py spans calculus.gradient
 )
 from .sets import NormalVector, SetOracle
-from .transform import DEFAULT_TOL, DualHandle, Sense
+from .transform import DEFAULT_TOL, DualHandle, Sense, checked_tol
 
 #: Denominators this close to zero (or positive) violate the strictness
 #: precondition of the dual derivative formulas.
@@ -188,15 +189,25 @@ def indicator_oracle(s: SetOracle) -> FunctionOracle:
 
 
 def gauge(s: SetOracle, y, tol: float = DEFAULT_TOL) -> ExtPos:
-    """inf{lam > 0 : y in lam S}, evaluated by the same bracketing as the
-    upper transform applied to the indicator oracle.
+    """inf{lam > 0 : y in lam S} for a set S containing the origin.
 
-    Zero exactly when y stays inside every shrinking copy of S down to the
-    search floor (in particular at y = 0); infinite when y is outside every
-    enlarged copy up to the cap.
+    The one place that picks how: at a finite point, a set with a
+    closed-form gauge (ball_set, box_set, halfspace_set) answers from its
+    formula, exact beyond the search caps, and a positive gauge that leaves
+    the float range raises OverflowRiskError.  A set built from a
+    membership predicate alone, and a point with a nan or infinite
+    coordinate, take the upper transform of the indicator oracle by
+    bisection: zero when y stays inside every shrinking copy of S down to
+    the search floor, infinite when it is outside every enlarged copy up
+    to the cap.
     """
     if not s.contains_origin:
         raise OriginNotInSetError("gauge requires a set containing the origin")
+    if s.gauge is not None:
+        checked_tol(tol)
+        point = as_vector(y, s.dim).tolist()
+        if all(map(math.isfinite, point)):
+            return ExtPos.from_float(s.gauge(point))
     return DualHandle(indicator_oracle(s), Sense.UPPER, tol=tol).value(y)
 
 
@@ -211,7 +222,7 @@ def _dual_preamble(f: FunctionOracle, y, f_dual_y: float):
     f_dual_y = float(f_dual_y)
     if not (f_dual_y > 0.0) or not math.isfinite(f_dual_y):
         raise ValueError("dual value must be finite and > 0")
-    x = f._vector(y) / f_dual_y
+    x = as_vector(y, f.dim) / f_dual_y
     xs = x.tolist()
     fx = f.eval_float(xs)
     if not 0.0 < fx < math.inf:

@@ -22,7 +22,7 @@ from .errors import (
     RadialityRequiredError,
     StrictnessViolatedError,
 )
-from .oracle import FunctionOracle, RadialityMeta, difference_probes, gradient
+from .oracle import FunctionOracle, RadialityMeta, as_vector, difference_probes, gradient
 from .sets import SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial, checked_tol
 
@@ -78,7 +78,7 @@ def map_stationary(x, f: FunctionOracle) -> tuple[np.ndarray, np.ndarray]:
     """
     if f.meta is not RadialityMeta.STRICT:
         raise RadialityRequiredError("map_stationary requires a strictly ray-monotone function")
-    x = f._vector(x)
+    x = as_vector(x, f.dim)
     fx = f.eval_float(x.tolist())
     if not 0.0 < fx < math.inf:
         raise NotStationaryError("f(x) must be finite")

@@ -78,20 +78,10 @@ class FunctionOracle:
         self.meta = meta
         self.name = name
 
-    def _vector(self, x) -> np.ndarray:
-        """x as the float vector eval takes (a scalar is a vector of length
-        one); ValueError unless it has length dim."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            x = x[None]
-        if x.shape != (self.dim,):
-            raise ValueError(f"expected a vector of length {self.dim}, got shape {x.shape}")
-        return x
-
     def eval(self, x) -> ExtPos:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.shape[0] != self.dim:
-            x = self._vector(x)  # a scalar is a vector of length one; other shapes raise
+            x = as_vector(x, self.dim)  # a scalar is a vector of length one; other shapes raise
         value = self._eval_fn(x)
         if not isinstance(value, ExtPos):
             raise TypeError(f"oracle callback must return ExtPos, got {type(value).__name__}")
@@ -144,6 +134,17 @@ class FunctionOracle:
         return f"FunctionOracle(dim={self.dim}, {label})"
 
 
+def as_vector(x, dim: int) -> np.ndarray:
+    """x as a float vector of length dim (a scalar is a vector of length
+    one); ValueError for any other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        x = x[None]
+    if x.shape != (dim,):
+        raise ValueError(f"expected a vector of length {dim}, got shape {x.shape}")
+    return x
+
+
 def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
     """The profile v * f(y/v) for v > 0, one f.eval per call; a product out
     of (0, inf) takes profile_tag's tags and errors."""
@@ -152,7 +153,7 @@ def perspective(f: FunctionOracle, y, v: float) -> ExtPos:
         raise ValueError(f"perspective height must be finite and > 0, got {v!r}")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
-        y = f._vector(y)  # eval's rule: a scalar is a vector of length one, other shapes raise
+        y = as_vector(y, f.dim)  # eval's rule: a scalar is a vector of length one, other shapes raise
     # Python float division overflows to inf with no warning and gives
     # numpy's bits; the search's float profile divides the same way.
     value = f.eval(np.array([c / v for c in y.tolist()])).as_float()
@@ -254,7 +255,7 @@ def gradient(f: FunctionOracle, x) -> np.ndarray:
     is not finite.  Boundary points are therefore reported rather than
     extrapolated.
     """
-    x = f._vector(x)
+    x = as_vector(x, f.dim)
     base = f.eval_float(x.tolist())
     if base == math.inf:
         raise ValueError("gradient requires a point with finite value")

@@ -11,22 +11,26 @@ document "type" and their image; membership, transform_set and
 set_to_json read that table and refuse any other object.
 
 Decision-space sets (ball, box, halfspace over flat vectors) are
-membership handles: the grammar's indicator(...), constraint gauges and
-`solve --constraint` all build them through the constructors below.  Both
+membership handles with closed-form gauges: the grammar's indicator(...),
+constraint gauges and `solve --constraint` all build them through the
+constructors below.  Both
 halves of the radial/v1 JSON schema are decoded here.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .core import LiftedPoint, _readonly, gamma_point
-from .errors import SchemaError
+from .errors import OverflowRiskError, SchemaError
 
 SCHEMA_VERSION = "radial/v1"
 
@@ -64,6 +68,8 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
         raise ValueError(f"{name} must be symmetric")
@@ -197,8 +203,10 @@ class NormalVector:
 
 
 def _dual_normal(zeta: np.ndarray, delta: float, at: LiftedPoint) -> tuple[np.ndarray, float]:
-    # (zeta, delta) at (x, u)  ->  (zeta, -(zeta, delta)^T (x, u))
-    return zeta, -(float(zeta @ at.x) + delta * at.u)
+    # (zeta, delta) at (x, u)  ->  (zeta, -(zeta, delta)^T (x, u)); a
+    # pairing that overflows is refused by the image's finiteness check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return zeta, -(float(zeta @ at.x) + delta * at.u)
 
 
 def transform_halfspace(h: Halfspace) -> Halfspace:
@@ -293,15 +301,32 @@ def membership(p: LiftedPoint, s) -> bool:
 
 @dataclass(frozen=True)
 class SetOracle:
-    """Membership handle for a set in decision space.  Gauge evaluation
-    requires contains_origin (the caller asserts convexity)."""
+    """A set in decision space: its membership predicate and, optionally,
+    its gauge inf{lam > 0 : y in lam S} in closed form.  The gauge callback
+    takes a finite point as a list of dim floats and returns one float, 0.0
+    and inf being the tags; it holds for a set containing the origin, and
+    a positive finite gauge out of the float range raises
+    OverflowRiskError.  ball_set, box_set and halfspace_set supply it; a
+    set built from a predicate alone has its gauge bisected
+    (calculus.gauge).  Gauge evaluation requires contains_origin (the
+    caller asserts convexity)."""
 
     dim: int
     member: Callable[[np.ndarray], bool]
+    gauge: Callable[[list], float] | None = None
 
-    @property
+    @functools.cached_property
     def contains_origin(self) -> bool:
         return bool(self.member(np.zeros(self.dim)))
+
+
+def _in_range(value: float, positive: bool) -> float:
+    """value, a closed-form gauge of a finite point whose true gauge is
+    positive and finite exactly when `positive`; OverflowRiskError where it
+    overflowed to inf or underflowed to 0."""
+    if positive and not 0.0 < value < math.inf:
+        raise OverflowRiskError(f"gauge {value!r} of a finite point left the finite range")
+    return value
 
 
 def ball_set(dim: int, radius: float) -> SetOracle:
@@ -318,7 +343,11 @@ def ball_set(dim: int, radius: float) -> SetOracle:
             z = x / radius
             return float(z.dot(z)) <= 1.0
 
-    return SetOracle(dim, member)
+    def gauge(y: list) -> float:
+        # |y| / radius, in units of the radius as member measures it.
+        return _in_range(math.hypot(*[c / radius for c in y]), any(y))
+
+    return SetOracle(dim, member, gauge)
 
 
 def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
@@ -330,7 +359,17 @@ def box_set(lo: np.ndarray, hi: np.ndarray) -> SetOracle:
         raise ValueError("box requires lo < hi componentwise")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError("box requires finite lo and hi")
-    return SetOracle(lo.shape[0], lambda x: bool(np.all((x >= lo) & (x <= hi))))
+    bounds = list(zip(lo.tolist(), hi.tolist()))
+
+    def gauge(y: list) -> float:
+        # The largest ratio of a nonzero coordinate to the bound it faces;
+        # no multiple of the box reaches past a bound of 0.
+        facing = [(c, h if c > 0.0 else l) for c, (l, h) in zip(y, bounds) if c != 0.0]
+        if any(bound == 0.0 for _, bound in facing):
+            return math.inf
+        return _in_range(max([c / bound for c, bound in facing], default=0.0), bool(facing))
+
+    return SetOracle(lo.shape[0], lambda x: bool(np.all((x >= lo) & (x <= hi))), gauge)
 
 
 def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
@@ -340,6 +379,7 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     if not (np.all(np.isfinite(a)) and math.isfinite(b)):
         raise ValueError("halfspace requires finite a and b")
     scale = float(np.max(np.abs(a), initial=0.0)) or 1.0
+    normal = a.tolist()
 
     def member(x: np.ndarray) -> bool:
         # A non-finite a.x may hide inf - inf (nan, or inf from a fused dot
@@ -348,7 +388,25 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
             ax = float(a @ x)
             return ax <= b if math.isfinite(ax) else float((a / scale) @ x) <= b / scale
 
-    return SetOracle(a.shape[0], member)
+    def gauge(y: list) -> float:
+        # max(a.y, 0) / b; for b = 0 the tags.  Where the float a.y cancels
+        # more than 12 bits (its sign or size in doubt), or leaves the normal
+        # range, a.y and the quotient are taken exactly.
+        terms = list(map(operator.mul, normal, y))
+        ay = sum(terms)
+        if not abs(ay) > max(2.0**-12 * sum(map(abs, terms)), 2.0**-1000):
+            ay = sum(map(operator.mul, map(Fraction, normal), map(Fraction, y)))
+        if not ay > 0:
+            return 0.0
+        if b == 0.0:
+            return math.inf
+        try:
+            q = ay / b if type(ay) is float else float(ay / Fraction(b))
+        except OverflowError:  # the exact quotient is beyond the largest float
+            q = math.inf
+        return _in_range(q, True)
+
+    return SetOracle(a.shape[0], member, gauge)
 
 
 # --- JSON schemas (radial/v1): lifted sets for set-transform, decision-space

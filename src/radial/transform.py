@@ -67,7 +67,7 @@ import numpy as np
 
 from .core import ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError
-from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, perspective
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, as_vector, perspective
 
 DEFAULT_TOL = 1e-10
 #: The finest tol accepted.  Since ulp(v) <= MIN_TOL * max(v, 1), the stop
@@ -254,7 +254,7 @@ class DualHandle(FunctionOracle):
     def value_with_certificate(self, y) -> tuple[ExtPos, BracketCertificate]:
         """value(y) and its bracket certificate, from the same search with
         perspective as its profile: one perspective call per evaluation."""
-        y = self._vector(y)
+        y = as_vector(y, self.dim)
         value, lo, hi, p_lo, p_hi, evals = self._solve(y.tolist(), lambda v: perspective(self.base, y, v).as_float())
         # A tag's certificate records the cap probe at both ends.
         if hi == math.inf:

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radial import (
     INF,
@@ -19,6 +22,7 @@ from radial import (
     RadialityMeta,
     RadialityRequiredError,
     Sense,
+    SetOracle,
     StrictnessViolatedError,
     ball_set,
     box_set,
@@ -302,6 +306,146 @@ class TestGauge:
 
         s = halfspace_set(np.array([1.0]), 1.0)
         assert gauge(s, np.array([-5.0])) is ZERO
+
+
+_SIZES = st.floats(1e-3, 1e3)
+_COORDINATES = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.floats(-10.0, -1e-6))
+
+
+@st.composite
+def closed_form_sets(draw):
+    """(set, true_tag): a ball, a box (bounds of 0 included) or a halfspace
+    (b > 0 and b = 0) in 1-3 dimensions, containing the origin, and
+    true_tag(y), the exact gauge's tag at a finite point y (ZERO, INF, or
+    None where it is finite and positive)."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["ball", "box", "halfspace"]))
+    if kind == "ball":
+        return ball_set(dim, draw(_SIZES)), lambda y: None if any(y) else ZERO
+    if kind == "box":
+        lo = draw(st.lists(st.one_of(st.just(0.0), _SIZES.map(lambda c: -c)), min_size=dim, max_size=dim))
+        hi = [draw(_SIZES) if bound == 0.0 else draw(st.one_of(st.just(0.0), _SIZES)) for bound in lo]
+
+        def box_tag(y):
+            if any(c > 0.0 and h == 0.0 or c < 0.0 and bound == 0.0 for c, bound, h in zip(y, lo, hi)):
+                return INF
+            return None if any(y) else ZERO
+
+        return box_set(np.array(lo), np.array(hi)), box_tag
+    a = draw(st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim))
+    b = draw(st.one_of(st.just(0.0), _SIZES))
+
+    def halfspace_tag(y):
+        ay = sum(Fraction(c) * Fraction(d) for c, d in zip(a, y))
+        return ZERO if ay <= 0 else INF if b == 0.0 else None
+
+    return halfspace_set(np.array(a), b), halfspace_tag
+
+
+def points(s):
+    return st.lists(_COORDINATES, min_size=s.dim, max_size=s.dim)
+
+
+class TestClosedFormGauges:
+    """Balls, boxes and halfspaces answer gauge from their formulas; the
+    upper transform of the indicator is the bisection they replace."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_bisection(self, data):
+        s, true_tag = data.draw(closed_form_sets())
+        y = data.draw(points(s))
+        got, bisected = gauge(s, y), upper(indicator_oracle(s)).value(y)
+        tag = true_tag(y)
+        if tag is not None:
+            assert got is tag and bisected is tag
+        elif 1e-11 <= bisected.as_float() <= 1e11:
+            assert got.is_finite
+            assert abs(got.value - bisected.value) <= 1.01 * TOL * max(got.value, 1.0)
+        else:
+            assert got.is_finite
+
+    @given(st.data(), st.sampled_from([60, -60]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exact_beyond_the_caps(self, data, k):
+        """Scaling y by 2^k scales the gauge by 2^k to the bit, also where
+        the bisection stops at a cap and gives a tag instead."""
+        s, true_tag = data.draw(closed_form_sets())
+        y = data.draw(points(s))
+        g = gauge(s, y)
+        far = [math.ldexp(c, k) for c in y]
+        if not g.is_finite:
+            assert gauge(s, far) is g
+            return
+        assert gauge(s, far) == ExtPos.finite(math.ldexp(g.value, k))
+        if 1e-3 <= g.value <= 1e3:
+            assert upper(indicator_oracle(s)).value(far) is (INF if k > 0 else ZERO)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_gauge_beyond_the_largest_float_raises(self, data):
+        """At y 2^1018 (finite: |y_i| <= 10) the gauge is g 2^1018, which
+        overflows for g >= 64."""
+        s, _ = data.draw(closed_form_sets())
+        y = data.draw(points(s))
+        g = gauge(s, y)
+        far = [math.ldexp(c, 1018) for c in y]
+        if not g.is_finite:
+            assert gauge(s, far) is g
+            return
+        try:
+            want = math.ldexp(g.value, 1018)
+        except OverflowError:
+            with pytest.raises(OverflowRiskError, match="left the finite range"):
+                gauge(s, far)
+        else:
+            assert math.isclose(gauge(s, far).value, want, rel_tol=1e-15)
+
+    def test_a_gauge_below_the_smallest_float_raises(self):
+        # The last: a.y = 1e-600 underflows to 0 in floats, which is no tag.
+        for s, y in [(ball_set(1, 1e300), [1e-300]), (box_set(np.array([-1e300]), np.array([1.0])), [-1e-300]), (halfspace_set(np.array([1e-300]), 1e300), [1.0]), (halfspace_set(np.array([1e-300]), 1.0), [1e-300])]:
+            with pytest.raises(OverflowRiskError, match="left the finite range"):
+                gauge(s, y)
+
+    def test_a_product_that_overflows_is_taken_exactly(self):
+        # a.y = 2e308 overflows; a.y / b = 2e307 does not.
+        s = halfspace_set(np.array([1e308, 1e308]), 10.0)
+        assert gauge(s, [1.0, 1.0]) == ExtPos.finite(2e307)
+        assert gauge(halfspace_set(np.array([1e308, -1e308]), 0.0), [1e10, 1e10]) is ZERO
+
+    def test_a_cancelling_sum_is_taken_exactly(self):
+        # In floats 1e16 + 1 - 1e16 is 0, the tag, and 1e16 + 3 - 1e16 is 4;
+        # exactly they are 1 and 3.
+        assert gauge(halfspace_set(np.ones(3), 1.0), [1e16, 1.0, -1e16]) == ExtPos.finite(1.0)
+        assert gauge(halfspace_set(np.ones(3), 1.0), [1e16, 3.0, -1e16]) == ExtPos.finite(3.0)
+        assert gauge(halfspace_set(np.ones(3), 0.0), [1e16, 1.0, -1e16]) is INF
+        assert gauge(halfspace_set(np.ones(3), 1.0), [1e16, -1.0, -1e16]) is ZERO
+
+    @given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_non_finite_coordinate_gets_the_bisections_answer(self, data, bad):
+        s, _ = data.draw(closed_form_sets())
+        y = data.draw(points(s))
+        y[data.draw(st.integers(0, s.dim - 1))] = bad
+        assert gauge(s, y) == upper(indicator_oracle(s)).value(y)
+
+    def test_a_membership_only_set_is_bisected(self):
+        s = SetOracle(2, ball_set(2, 1.0).member)
+        assert s.gauge is None
+        assert gauge(s, [3.0, 4.0]) == upper(indicator_oracle(s)).value([3.0, 4.0])
+
+    def test_the_origin_is_checked_once(self):
+        calls = []
+        s = SetOracle(1, lambda x: calls.append(x) or bool(abs(x[0]) <= 1.0), lambda y: abs(y[0]))
+        for y in ([0.5], [2.0], [-3.0]):
+            gauge(s, y)
+        assert len(calls) == 1
+
+    def test_the_vector_shape_is_checked(self):
+        with pytest.raises(ValueError, match=r"expected a vector of length 2, got shape \(3,\)"):
+            gauge(ball_set(2, 1.0), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"expected a vector of length 2, got shape \(3,\)"):
+            gauge(SetOracle(2, ball_set(2, 1.0).member), [1.0, 2.0, 3.0])
 
 
 class TestDualGradient:
@@ -613,12 +757,20 @@ class TestPinnedValues:
         assert at(rule.eval, ([0.3], [-1.2], [0.9], [2.5])) == pinned([0.7864881165442057, 1.0, 1.0, 0.0])
 
     def test_gauges(self):
+        """The indicator's upper transform keeps the bits of the bisection
+        that gauge ran before these sets had closed forms, and each
+        closed-form gauge lies within tol of it."""
         ball, box = ball_set(2, 1.5), box_set(np.array([-1.0, -2.0]), np.array([2.0, 1.0]))
         halfspace = halfspace_set(np.array([1.0, -2.0]), 1.5)
-        got = at(lambda y: gauge(ball, y), ([3.0, 4.0], [0.1, -0.2], [0.0, 0.0], [-7.0, 1.0]))
-        assert got == pinned([3.333333333255723, 0.1490711984806694, 0.0, 4.714045207481831])
-        assert at(lambda y: gauge(box, y), ([0.5, -2.0], [3.0, 0.25], [-0.3, 0.9])) == pinned([0.9999999999417923, 1.4999999998835847, 0.8999999999650754])
-        assert at(lambda y: gauge(halfspace, y), ([3.0, 0.5], [-1.0, 0.2], [0.7, 0.0])) == pinned([1.3333333332557231, 0.0, 0.46666666661622])
+        cases = [
+            (ball, ([3.0, 4.0], [0.1, -0.2], [0.0, 0.0], [-7.0, 1.0]), [3.333333333255723, 0.1490711984806694, 0.0, 4.714045207481831], [3.333333333333333, 0.14907119849998599, 0.0, 4.714045207910317]),
+            (box, ([0.5, -2.0], [3.0, 0.25], [-0.3, 0.9]), [0.9999999999417923, 1.4999999998835847, 0.8999999999650754], [1.0, 1.5, 0.9]),
+            (halfspace, ([3.0, 0.5], [-1.0, 0.2], [0.7, 0.0]), [1.3333333332557231, 0.0, 0.46666666661622], [1.3333333333333333, 0.0, 0.4666666666666666]),
+        ]
+        for s, points, bisected, closed in cases:
+            assert at(upper(indicator_oracle(s)).value, points) == pinned(bisected)
+            assert at(lambda y: gauge(s, y), points) == pinned(closed)
+            assert all(abs(b - c) <= TOL * max(c, 1.0) for b, c in zip(bisected, closed))
 
 
 class TestFloatCallbacks:

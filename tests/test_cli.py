@@ -297,6 +297,10 @@ POLYHEDRON_IN_POLYHEDRON = {
     "type": "polyhedron",
     "halfspaces": [{"schema": "radial/v1", "type": "polyhedron", "halfspaces": []}],
 }
+# json.load reads Infinity; the shape is refused before numpy computes with it.
+INFINITE_SHAPE = {"schema": "radial/v1", "type": "ellipsoid", "center": {"x": [0.0], "u": 2.0}, "shape": [[math.inf, 0.0], [0.0, 1.0]]}
+# The image's height component -(zeta.x + delta u) overflows.
+HUGE_NORMAL = {"schema": "radial/v1", "type": "halfspace", "normal_x": [1e308, 1e308], "normal_u": 1e308, "anchor": {"x": [1.0, 1.0], "u": 1.0}}
 
 
 class TestSetTransform:
@@ -390,6 +394,18 @@ class TestSetTransform:
         code, out, err = run_cli(["set-transform", "--in", str(src), "--out", str(dst)], capsys)
         assert (code, out) == (2, "")
         assert err == "error: bad polyhedron document: a polyhedron's parts must be halfspaces\n"
+        assert not dst.exists()
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [(INFINITE_SHAPE, "bad ellipsoid document: shape must be finite"), (HUGE_NORMAL, "cannot transform halfspace: normal_u must be finite")],
+        ids=["infinite-shape", "huge-normal"],
+    )
+    def test_a_set_out_of_the_float_range_exits_2_with_one_line(self, doc, message, capsys, tmp_path):
+        src, dst = tmp_path / "s.json", tmp_path / "o.json"
+        src.write_text(json.dumps(doc))
+        code, out, err = run_cli(["set-transform", "--in", str(src), "--out", str(dst)], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not dst.exists()
 
 
@@ -608,7 +624,8 @@ EDGE_ELLIPSOID = {
 }
 # The files CONTRACT reads as {dir}/name.  The five from nan_a.json on are
 # constraint documents that json.load reads (it accepts NaN and Infinity)
-# and the schema refuses; the last four are refused by their shape.
+# and the schema refuses; the four from ellipsoid_part.json on are refused
+# by their shape, and the last two by numbers that leave the float range.
 CONTRACT_FILES = {
     "box2.json": BOX_2D,
     "edge.json": EDGE_ELLIPSOID,
@@ -621,6 +638,8 @@ CONTRACT_FILES = {
     "polyhedron_part.json": POLYHEDRON_IN_POLYHEDRON,
     "nested_a.json": {"schema": "radial/v1", "type": "halfspace", "a": [[1]], "b": 1},
     "nested_lo.json": {"schema": "radial/v1", "type": "box", "lo": [[-1]], "hi": [[1]]},
+    "infinite_shape.json": INFINITE_SHAPE,
+    "huge_normal.json": HUGE_NORMAL,
 }
 
 # argv -> exit code.  {dir} is a writable scratch directory, {missing} a
@@ -671,6 +690,9 @@ CONTRACT = [
     (["set-transform", "--in", "{dir}/polyhedron_part.json", "--out", "{dir}/o.json"], 2),
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/nested_a.json"], 2),
     (["solve", "--f", CAP, "--dim", "1", "--y0", "2", "--constraint", "{dir}/nested_lo.json"], 2),
+    # Set numbers whose arithmetic leaves the float range end in one line.
+    (["set-transform", "--in", "{dir}/infinite_shape.json", "--out", "{dir}/o.json"], 2),
+    (["set-transform", "--in", "{dir}/huge_normal.json", "--out", "{dir}/o.json"], 2),
     # Grid, box and point specifications refused before any search.
     (["grid", "--f", "x0", "--dim", "3", "--grid=0:1:2", "--out", "{dir}/o.csv"], 2),
     (["grid", "--f", "x0", "--dim", "1", "--grid=0:1:2,0:1:2", "--out", "{dir}/o.csv"], 2),

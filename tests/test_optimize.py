@@ -332,6 +332,16 @@ class TestConstrainedPattern:
         assert float(np.max(np.abs(mapped - x_best))) <= 1e-4
 
 
+    def test_box_corner_is_never_a_wrong_converged_corner(self):
+        """The box's best point is its corner (0.4, 0.2), where the cap is
+        2; the descent stalls on the gauge's kinks, so an exhausted budget
+        is an honest exit, and a converged one must be at that corner."""
+        f = parse_function("pos(3-(x0-1)^2-(x1-1)^2)", 2)
+        s = box_set(np.array([-0.3, -0.3]), np.array([0.4, 0.2]))
+        ds, ps = solve_via_dual(f, np.array([0.05, 0.05]), SolveParams(budget=2000), constraint=s)
+        assert not ds.converged or abs(ps.p_star.value - 2.0) <= 1e-6
+
+
 class TestGoldenSolves:
     """Whole CLI solves pinned to the bytes they printed when every search
     evaluated its profile through perspective; the float profile must leave
@@ -348,15 +358,19 @@ class TestGoldenSolves:
         )
 
     def test_ball_constrained_solve_stdout(self, capsys, tmp_path):
+        # Pinned since the ball's gauge is its closed form |y| / radius
+        # (the bisected gauge took 16 iterations to p* 1.7499994158644898).
         path = tmp_path / "ball.json"
         path.write_text(json.dumps({"schema": "radial/v1", "type": "ball", "dim": 1, "radius": 0.5}))
         code = main(["solve", "--f", "pos(2 - (x0-1)^2)", "--dim", "1", "--y0", "2", "--constraint", str(path)])
-        assert (code, capsys.readouterr().out) == (
+        out = capsys.readouterr().out
+        assert (code, out) == (
             0,
-            '{"converged": true, "d_star": 0.5714287621667609, "grad_norm": 0.2661545295268297, "iterations": 16, '
-            '"p_star": 1.7499994158644898, "schema": "radial/v1", "status": "step", "x_star": [0.4999994157961996], '
-            '"y_star": [0.2857140472525259]}\n',
+            '{"converged": true, "d_star": 0.5714288087328896, "grad_norm": 0.18467654394616062, "iterations": 12, '
+            '"p_star": 1.7499992732558274, "schema": "radial/v1", "status": "step", "x_star": [0.4999992731895839], '
+            '"y_star": [0.28571398904603457]}\n',
         )
+        assert abs(json.loads(out)["p_star"] - 1.75) <= 1e-6
 
     def test_a_parsed_solve_builds_only_its_results_extpos(self, capsys):
         """Inside the solver f is read through its float form: the whole
