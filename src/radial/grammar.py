@@ -627,12 +627,11 @@ def unparse(node) -> str:
 def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META, name=None) -> FunctionOracle:
     """Build a FunctionOracle from expression source.
 
-    The tree is compiled twice, each time into a perspective profile: with
-    the scalar rules into kernel(y, v), which is both the scalar callback
-    (at v = 1.0; FunctionOracle derives eval from it) and the profile
-    callback, and with the numpy rules into kernel(x, v=None), which is
-    both the batch callback (without v) and the batch profile callback.
-    eval_float and eval_many return floats with 0.0 and inf as the tags.
+    The tree is compiled twice, each time into a perspective profile
+    passed once: with the scalar rules into kernel(y, v=1.0), the profile
+    (eval_float at the default height; eval is derived from it), and with
+    the numpy rules into kernel(x, v=None), the batch profile (eval_many
+    without heights), each with 0.0 and inf as the tags.
     Without grad the gradient falls back to finite differences (no
     analytic composition is attempted); grad, hess, meta and name
     (default: the unparsed source) are attached as given, so a caller that
@@ -645,4 +644,4 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
     source, nodes = unparse(tree), _postorder(tree)
     batch = _kernel(nodes, _NUMPY_OPS, _NUMPY_INLINE, _BATCH_PROFILE)
     profile = _kernel(nodes, _MATH_OPS, _MATH_INLINE, _PROFILE, _MATH_RAISING)
-    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, many=batch, scalar=profile, profile=profile, profile_many=batch)
+    return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, profile=profile, profile_many=batch)

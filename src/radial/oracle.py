@@ -4,8 +4,9 @@ A FunctionOracle is an evaluation handle for f mapping vectors to extended
 positive values, total on the whole space (value zero outside the
 effective domain, never an exception), with optional analytic gradient
 and Hessian callbacks that are only queried where the value is finite.
-Inside the library f is read through its float forms (eval_float,
-eval_many); ExtPos is built only where a value leaves it.
+Inside the library f is read through its perspective profile, one float
+callback per arity, whose values at height 1 are eval_float and
+eval_many; ExtPos is built only where a value leaves it.
 """
 
 from __future__ import annotations
@@ -41,38 +42,33 @@ DECLARED_UPPER = RadialityMeta.RADIAL
 class FunctionOracle:
     """Evaluation handle for f: R^dim -> {0} | (0, inf) | {inf}.
 
-    f is given by one evaluation callback, in either form (or both): eval_fn
-    takes a 1-D float array of length dim and returns ExtPos; scalar takes
-    a list of dim floats and returns one float in [0, inf], where 0.0 and
-    inf are the ZERO and INF tags.  The missing form is derived here: eval
-    from scalar as ExtPos.from_float(scalar(x.tolist())), and the scalar
-    form from eval_fn through eval, which keeps eval's ExtPos check.  Two
-    optional callbacks are accelerators.  The batch callback many takes an
-    (m, dim) float array and returns m such floats; without it eval_many
-    loops over eval_float.  The profile callback profile(y, v) takes a list
-    of dim floats and a height v > 0 and returns perspective(f, y,
-    v).as_float(), with perspective's tags and errors; without it the
-    profile is derived from the scalar form (profile_over), and a search
-    calls it once per evaluation.  The batch profile callback
-    profile_many(ys, v) is its counterpart on an (m, dim) array ys and m
-    heights v > 0, one float per row; without it the batch profile is
-    derived from the batch form (profile_many_over), and a lockstep search
-    calls it once per step.  Oracles are immutable after construction
-    and callbacks must be reentrant; concurrent evaluation over grids is
-    permitted.
+    f is held as one float callback per arity.  The profile profile(y,
+    v=1.0) maps a list of dim floats and a height v > 0 to perspective(f,
+    y, v).as_float(), 0.0 and inf being the tags; eval_float is it at the
+    default height.  The batch profile profile_many(x, v=None) is its
+    counterpart on the rows of an (m, dim) array, one height per row;
+    eval_many is it without heights.  Either is given or derived once: the
+    profile from scalar (a list of dim floats in, one float out;
+    profile_over), else from eval_fn (a float vector in, ExtPos out,
+    through eval's ExtPos check); the batch profile from many (an (m, dim)
+    array in, m floats out; profile_many_over), else row by row over the
+    profile (_each_row, not _native).  Oracles are immutable after
+    construction and callbacks must be reentrant; concurrent evaluation
+    over grids is permitted.
     """
 
     def __init__(self, dim, eval_fn=None, grad=None, hess=None, meta=UNKNOWN_META, name=None, many=None, scalar=None, profile=None, profile_many=None):
         if int(dim) < 1:
             raise ValueError("dim must be >= 1")
-        if eval_fn is None and scalar is None:
-            raise TypeError("FunctionOracle needs eval_fn or scalar")
+        if profile is None:
+            if eval_fn is None and scalar is None:
+                raise TypeError("FunctionOracle needs eval_fn, scalar or profile")
+            profile = profile_over(scalar if scalar is not None else lambda x: self.eval(np.array(x)).as_float())
         self.dim = int(dim)
-        self._eval_fn = eval_fn if eval_fn is not None else lambda x: ExtPos.from_float(scalar(x.tolist()))
-        self._many_fn = many
-        self._scalar_fn = scalar if scalar is not None else lambda x: self.eval(np.array(x)).as_float()
-        self._profile_fn = profile if profile is not None else profile_over(self._scalar_fn)
-        self._profile_many_fn = profile_many if profile_many is not None else profile_many_over(many if many is not None else self.eval_many)
+        self._eval_fn = eval_fn if eval_fn is not None else lambda x: ExtPos.from_float(profile(x.tolist()))
+        self._profile_fn = profile
+        self._profile_many_fn = profile_many if profile_many is not None else profile_many_over(many) if many is not None else self._each_row
+        self._native = many is not None or profile_many is not None
         self.grad = grad
         self.hess = hess
         self.meta = meta
@@ -90,44 +86,36 @@ class FunctionOracle:
     __call__ = eval
 
     def eval_many(self, xs) -> np.ndarray:
-        """Values at the rows of xs, an (m, dim) array, as floats with 0.0
-        and inf for the ZERO and INF tags, with eval_float's range check.
-        Without a batch callback, an ExpressionRangeError raised by
-        eval_float names its row of xs."""
+        """Values at the rows of xs, an (m, dim) array, as floats (0.0 and
+        inf are the tags): the batch profile without heights."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != self.dim:
             raise ValueError(f"expected an (m, {self.dim}) array, got shape {xs.shape}")
-        if self._many_fn is not None:
-            values = self._many_fn(xs)
-            if not np.all(values >= 0.0):  # nan compares false
-                raise finite_error(values[np.argmin(values >= 0.0)])
-            return values
-        return self._each_row(xs)
+        return self._profile_many_fn(xs)
 
-    def _each_row(self, xs: np.ndarray) -> np.ndarray:
-        """eval_float at each row of xs, an (m, dim) array, in order; an
-        ExpressionRangeError names its row."""
+    def _each_row(self, xs: np.ndarray, v=None) -> np.ndarray:
+        """The profile at each row of xs in order, at height 1 without v, else
+        at v[i] on row i; an ExpressionRangeError names its row."""
+        heights = [1.0] * len(xs) if v is None else v.tolist()
         values = []
-        for i, x in enumerate(xs.tolist()):
+        for i, (x, height) in enumerate(zip(xs.tolist(), heights)):
             try:
-                values.append(self.eval_float(x))
+                values.append(self._profile_fn(x, height))
             except ExpressionRangeError as exc:
                 raise exc.at_row(i) from exc
         return np.array(values, dtype=float)
 
     def eval_float(self, x: list) -> float:
         """The value at one point x, a list of dim floats, as a float with
-        0.0 and inf for the ZERO and INF tags: the scalar callback's answer,
-        with eval's ValueError for a negative or nan one."""
+        0.0 and inf for the ZERO and INF tags: the profile at height 1."""
         if len(x) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
-        value = self._scalar_fn(x)
-        if not value >= 0.0:
-            raise finite_error(value)
-        return value
+        return self._profile_fn(x)
 
     def with_meta(self, meta: RadialityMeta) -> "FunctionOracle":
-        return FunctionOracle(self.dim, self._eval_fn, self.grad, self.hess, meta, self.name, self._many_fn, self._scalar_fn, self._profile_fn, self._profile_many_fn)
+        other = object.__new__(FunctionOracle)
+        other.__dict__.update(vars(self), meta=meta)
+        return other
 
     def __repr__(self):
         label = self.name or "<callback>"
@@ -176,13 +164,13 @@ def profile_tag(v: float, value: float) -> float:
 
 
 def profile_over(scalar):
-    """The profile callback (y, v) -> perspective(f, y, v).as_float() over
-    f's scalar callback: y / v divides as Python floats, as perspective
-    divides it, and a product out of (0, inf) goes to profile_tag.  y is a
-    list of floats whose length the caller has checked."""
+    """The profile callback (y, v=1.0) -> perspective(f, y, v).as_float()
+    over f's scalar callback: y / v divides as Python floats (at v = 1.0 it
+    is y itself), and a product out of (0, inf) goes to profile_tag.  y is
+    a list of floats whose length the caller has checked."""
 
     def profile(y: list, v: float = 1.0) -> float:
-        value = scalar([c / v for c in y])
+        value = scalar(y if v == 1.0 else [c / v for c in y])
         scaled = v * value
         return scaled if 0.0 < scaled < math.inf else profile_tag(v, value)
 
@@ -214,14 +202,19 @@ def products_in_range(scaled, value) -> bool:
 
 
 def profile_many_over(many):
-    """The batch profile callback (ys, v) -> [perspective(f, ys[i],
-    v[i]).as_float() for each row i] over f's batch callback many: ys / v
-    divides row by row, and the products take profile_products's rule
-    (-0.0 turning into 0.0).  ys is an (m, dim) array and v m heights."""
+    """The batch profile callback over f's batch callback many: (x, v) ->
+    [perspective(f, x[i], v[i]).as_float() for each row i] by
+    profile_products's rule, and (x) -> many(x) with eval's ValueError for
+    a negative or nan value.  Both turn -0.0 into 0.0."""
 
-    def profile_many(ys: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def profile_many(x: np.ndarray, v=None) -> np.ndarray:
+        if v is None:
+            values = many(x)
+            if not np.all(values >= 0.0):  # nan compares false
+                raise finite_error(values[np.argmin(values >= 0.0)])
+            return values + 0.0
         with np.errstate(over="ignore"):
-            return profile_products(v, many(ys / v[:, None]) + 0.0)
+            return profile_products(v, many(x / v[:, None]) + 0.0)
 
     return profile_many
 

@@ -381,21 +381,26 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     scale = float(np.max(np.abs(a), initial=0.0)) or 1.0
     normal = a.tolist()
 
-    def member(x: np.ndarray) -> bool:
-        # A non-finite a.x may hide inf - inf (nan, or inf from a fused dot
-        # kernel); a nan a.x, from inf - inf or a nan coordinate, is outside.
-        with np.errstate(over="ignore", invalid="ignore"):
-            ax = float(a @ x)
-            return ax <= b if math.isfinite(ax) else float((a / scale) @ x) <= b / scale
-
-    def gauge(y: list) -> float:
-        # max(a.y, 0) / b; for b = 0 the tags.  Where the float a.y cancels
-        # more than 12 bits (its sign or size in doubt), or leaves the normal
-        # range, a.y and the quotient are taken exactly.
+    def dot(y: list):
+        # a.y at a finite y, exactly (a Fraction) where the float sum cancels
+        # more than 12 bits (sign or size in doubt) or leaves the normal range.
         terms = list(map(operator.mul, normal, y))
         ay = sum(terms)
         if not abs(ay) > max(2.0**-12 * sum(map(abs, terms)), 2.0**-1000):
             ay = sum(map(operator.mul, map(Fraction, normal), map(Fraction, y)))
+        return ay
+
+    def member(x: np.ndarray) -> bool:
+        if np.isfinite(x).all():
+            return dot(x.tolist()) <= b
+        # A nan a.x, from inf - inf or a nan coordinate, is outside.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float((a / scale) @ x) <= b / scale
+
+    def gauge(y: list) -> float:
+        # max(a.y, 0) / b; for b = 0 the tags.  An exact a.y gives an exact
+        # quotient.
+        ay = dot(y)
         if not ay > 0:
             return 0.0
         if b == 0.0:

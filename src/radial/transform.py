@@ -19,9 +19,9 @@ the library).  eval (also named value) and eval_float run it on one point
 over Python floats, one call of the base's profile callback per
 evaluation: a parsed expression's is its compiled kernel, which divides
 the coordinates and applies perspective's rules in one generated
-function, and any other base's divides them as floats and answers through
-the base's scalar callback, so a nested handle's query is a float search
-too.
+function, a handle's is its own search (_search), so a nested handle's
+query is a float search too, and any other base's divides them as floats
+and answers through the base's scalar callback.
 value_with_certificate takes the same steps with one perspective call per
 evaluation and returns a bracket certificate.  eval_many (also named
 values) runs it on many points in lockstep over float arrays, one call of
@@ -67,7 +67,7 @@ import numpy as np
 
 from .core import ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError
-from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, as_vector, perspective
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, as_vector, perspective, profile_tag
 
 DEFAULT_TOL = 1e-10
 #: The finest tol accepted.  Since ulp(v) <= MIN_TOL * max(v, 1), the stop
@@ -233,20 +233,18 @@ class DualHandle(FunctionOracle):
         self.sense = sense
         self.tol = checked_tol(tol)
         self.global_scan = bool(global_scan)
-        # A lockstep is batch-native when its cost per step does not grow
-        # with its rows: over a leaf built with a batch callback, and with
-        # no global scan on the way down.  Speculative bisection pays only
-        # where each probe of the base is such a lockstep.
-        native = base._native if isinstance(base, DualHandle) else base._many_fn is not None
-        self._native = native and not self.global_scan
         self._scans = self.global_scan or (isinstance(base, DualHandle) and base._scans)
         super().__init__(
             base.dim,
             meta=DECLARED_UPPER,
             name=f"{sense.value}-transform({base.name or 'f'})",
             many=self._lockstep,
-            scalar=self._search,
+            profile=self._search,
         )
+        # A lockstep is batch-native (its cost per step does not grow with
+        # its rows) over a batch-native leaf with no global scan on the way
+        # down; speculative bisection pays only over such a lockstep.
+        self._native = base._native and not self.global_scan
 
     value = FunctionOracle.eval
     values = FunctionOracle.eval_many
@@ -266,11 +264,15 @@ class DualHandle(FunctionOracle):
 
     # -- search ---------------------------------------------------------
 
-    def _search(self, y: list) -> float:
-        """The transform at y, a list of dim floats, as a float with 0.0 and
-        inf for the ZERO and INF tags, searched over the base's profile; as
-        the handle's scalar callback, it keeps a nested search in floats."""
-        return self._solve(y, functools.partial(self.base._profile_fn, y))[0]
+    def _search(self, y: list, v: float = 1.0) -> float:
+        """The handle's profile v T(y/v) at y, a list of dim floats, by
+        profile_tag's rule (T(y) at the default height), T searched over the
+        base's profile, so a nested search stays in floats."""
+        if v != 1.0:
+            y = [c / v for c in y]
+        value = self._solve(y, functools.partial(self.base._profile_fn, y))[0]
+        scaled = v * value
+        return scaled if 0.0 < scaled < math.inf else profile_tag(v, value)
 
     def _solve(self, y: list, profile) -> tuple[float, float, float, float, float, int]:
         """The search on one point y, a list of floats, over a float profile

@@ -421,6 +421,23 @@ class TestClosedFormGauges:
         assert gauge(halfspace_set(np.ones(3), 0.0), [1e16, 1.0, -1e16]) is INF
         assert gauge(halfspace_set(np.ones(3), 1.0), [1e16, -1.0, -1e16]) is ZERO
 
+    def test_an_exact_quotient_beyond_the_largest_float_raises(self):
+        # Exactly a.y = 1e304 (the float sum of the magnitudes overflows),
+        # and 1e304 / 1e-10 is beyond the float range.
+        with pytest.raises(OverflowRiskError, match="left the finite range"):
+            gauge(halfspace_set(np.ones(3), 1e-10), [1e308, -1e308, 1e304])
+
+    def test_membership_takes_a_cancelling_sum_exactly(self):
+        """member decides a.x <= b on the exact a.x where the float one
+        cancels (1 and 3 exactly, 0 and 4 in floats), so the indicator's
+        upper transform is the gauge there, not a tag."""
+        s = halfspace_set(np.ones(3), 1.0)
+        assert [s.member(np.array([1e16, c, -1e16])) for c in (1.0, 3.0, -1.0)] == [True, False, True]
+        assert not halfspace_set(np.ones(3), 0.5).member(np.array([1e16, 1.0, -1e16]))
+        assert halfspace_set(np.ones(3), 3.5).member(np.array([1e16, 3.0, -1e16]))
+        value = upper(indicator_oracle(halfspace_set(np.ones(3), 1.0))).value([1e16, 1.0, -1e16])
+        assert abs(value.as_float() - 1.0) <= TOL
+
     @given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_a_non_finite_coordinate_gets_the_bisections_answer(self, data, bad):

@@ -175,7 +175,7 @@ class TestMeta:
         numpy batch (no loop over eval), row i equals eval up to 4 ulp,
         and the analytic derivatives stay attached."""
         f = make()
-        assert f._many_fn is not None and (f.grad is not None, f.hess is not None) == (grad, hess)
+        assert f._native and (f.grad is not None, f.hess is not None) == (grad, hess)
         xs = np.random.default_rng(0).uniform(-2.5, 2.5, size=(200, f.dim))
         want = [f.eval(x).as_float() for x in xs]
         for w, g in zip(want, f.eval_many(xs).tolist()):
@@ -260,7 +260,7 @@ class TestOneCallback:
     derives the other form."""
 
     def test_needs_a_callback(self):
-        with pytest.raises(TypeError, match="needs eval_fn or scalar"):
+        with pytest.raises(TypeError, match="needs eval_fn, scalar or profile"):
             FunctionOracle(1)
 
     def test_eval_from_a_scalar_callback_keeps_the_shape_rule(self):
@@ -287,8 +287,9 @@ class TestOneCallback:
             calls.append(x)
             return 1.0 + x[0] ** 2
 
-        f = FunctionOracle(1, scalar=scalar).with_meta(RadialityMeta.STRICT)
-        assert f.meta is RadialityMeta.STRICT and f._scalar_fn is scalar
+        plain = FunctionOracle(1, scalar=scalar)
+        f = plain.with_meta(RadialityMeta.STRICT)
+        assert f.meta is RadialityMeta.STRICT and f._profile_fn is plain._profile_fn
         assert (f.eval(np.array([2.0])), f.eval_float([1.0]), calls) == (ExtPos.finite(5.0), 2.0, [[2.0], [1.0]])
 
     def test_scalar_from_eval_keeps_the_extpos_check(self):
@@ -308,7 +309,7 @@ class TestOneCallback:
             heights.append(v)
             return cap._profile_fn(y, v)
 
-        f = FunctionOracle(1, scalar=cap._scalar_fn, profile=profile).with_meta(RadialityMeta.STRICT)
+        f = FunctionOracle(1, scalar=cap.eval_float, profile=profile).with_meta(RadialityMeta.STRICT)
         assert f._profile_fn is profile and cap._profile_fn(_y := [0.6], 0.75) == perspective(cap, _y, 0.75).as_float()
         value, certificate = DualHandle(cap).value_with_certificate([0.6])
         assert DualHandle(f).value([0.6]) == value and len(heights) == certificate.evaluations
@@ -411,13 +412,19 @@ class TestOneProfileRule:
     def test_the_first_pair_out_of_the_rule_decides_a_batch(self, pairs, want):
         f = FunctionOracle(1, scalar=lambda x: 1.0, many=lambda xs: np.array([value for value, _ in pairs]))
         assert _bits_or_error(lambda: _profile_many(f, [v for _, v in pairs])) == want
+        # Without a batch form the profile runs row by row: row i is y = i + 1.
+        lookup = {(i + 1) / v: value for i, (value, v) in enumerate(pairs)}
+        plain = FunctionOracle(1, scalar=lambda x: lookup[x[0]])
+        ys, heights = np.arange(1.0, len(pairs) + 1)[:, None], np.array([v for _, v in pairs])
+        assert _bits_or_error(lambda: _perspective_many(plain, ys, heights, np.arange(len(pairs)))) == want
 
     def test_the_zero_tag_has_one_sign(self):
         """A value of -0.0 is the ZERO tag, and every form of the profile
         answers it as +0.0: perspective, the scalar profile derived from a
         float callback, the batch profile derived from a batch callback or
-        from eval_many, and both compiled kernels (x0 * 0 is -0.0 at a
-        negative x0)."""
+        from the scalar profile, and both compiled kernels (x0 * 0 is -0.0
+        at a negative x0); so do the value forms, eval_float and eval_many,
+        the profiles at height 1."""
         y, v = [-0.5], 2.0
         plain = FunctionOracle(1, scalar=lambda x: -0.0)
         batched = FunctionOracle(1, scalar=lambda x: -0.0, many=lambda xs: np.full(len(xs), -0.0))
@@ -428,6 +435,8 @@ class TestOneProfileRule:
                 "perspective": perspective(f, y, v).as_float(),
                 "profile": f._profile_fn(y, v),
                 "batch profile": float(f._profile_many_fn(np.array([y]), np.array([v]))[0]),
+                "eval_float": f.eval_float(y),
+                "eval_many": float(f.eval_many(np.array([y]))[0]),
             }
             for form, value in forms.items():
                 assert value == 0.0 and math.copysign(1.0, value) == 1.0, (name, form)

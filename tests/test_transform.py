@@ -995,7 +995,7 @@ def _counting(f):
         calls.append(len(xs))
         return f.eval_many(xs)
 
-    return FunctionOracle(f.dim, meta=f.meta, many=many, scalar=f._scalar_fn, profile=f._profile_fn), calls
+    return FunctionOracle(f.dim, meta=f.meta, many=many, profile=f._profile_fn), calls
 
 
 class TestSmallBatches:
