@@ -34,6 +34,7 @@ from .oracle import (
     RadialityMeta,
     as_vector,
     difference_gradient,
+    dot,
     gradient,  # unused here; perfbench/tracing.py spans calculus.gradient
 )
 from .sets import NormalVector, SetOracle
@@ -215,20 +216,20 @@ def gauge(s: SetOracle, y, tol: float = DEFAULT_TOL) -> ExtPos:
 
 
 def _dual_preamble(f: FunctionOracle, y, f_dual_y: float):
-    """What both dual derivatives start from: the mapped point x = y /
-    dual(y), f(x), grad f(x) (the analytic callback, else gradient's
-    differences around that f(x)) and the strictness denominator
-    grad f(x).x - f(x), which must be strictly negative."""
+    """What both dual derivatives start from, as lists of floats: the mapped
+    point x = y / dual(y), f(x), grad f(x) (the analytic callback, else
+    gradient's differences around that f(x)) and the strictness denominator
+    grad f(x).x - f(x) (oracle.dot's bits), which must be strictly
+    negative."""
     f_dual_y = float(f_dual_y)
     if not (f_dual_y > 0.0) or not math.isfinite(f_dual_y):
         raise ValueError("dual value must be finite and > 0")
-    x = as_vector(y, f.dim) / f_dual_y
-    xs = x.tolist()
-    fx = f.eval_float(xs)
+    x = [c / f_dual_y for c in as_vector(y, f.dim).tolist()]
+    fx = f.eval_float(x)
     if not 0.0 < fx < math.inf:
         raise ValueError("mapped point y / dual(y) lies outside the effective domain")
-    g = np.atleast_1d(np.asarray(f.grad(x), dtype=float)) if f.grad is not None else difference_gradient(f.eval_float, xs, fx)
-    denom = float(g @ x) - fx
+    g = np.atleast_1d(np.asarray(f.grad(np.array(x)), dtype=float)).tolist() if f.grad is not None else difference_gradient(f.eval_float, x, fx)
+    denom = dot(g, x) - fx
     if denom >= STRICTNESS_FLOOR:
         raise StrictnessViolatedError(f"strictness denominator {denom:g} is not strictly negative")
     return x, fx, g, denom
@@ -245,7 +246,7 @@ def dual_gradient(f: FunctionOracle, y, f_dual_y: float) -> np.ndarray:
     dual value is small.
     """
     _, _, g, denom = _dual_preamble(f, y, f_dual_y)
-    return g / denom
+    return np.array([c / denom for c in g])
 
 
 def dual_hessian(f: FunctionOracle, y, f_dual_y: float) -> np.ndarray:
@@ -254,6 +255,7 @@ def dual_hessian(f: FunctionOracle, y, f_dual_y: float) -> np.ndarray:
     if f.hess is None:
         raise ValueError("dual_hessian requires an analytic Hessian callback")
     x, fx, g, denom = _dual_preamble(f, y, f_dual_y)
+    x = np.array(x)
     h = np.asarray(f.hess(x), dtype=float)
     j = np.eye(f.dim) - np.outer(g, x) / denom
     out = (fx / denom) * (j @ h @ j.T)

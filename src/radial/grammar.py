@@ -5,8 +5,10 @@ straight-line generated Python function with an assignment per node.  The
 scalar table (math functions on Python floats) gives the perspective
 profile kernel(y, v) = v f(y / v) over a list y: each variable reads
 y[i] / v and the tail makes the range check, the product and its tag and
-overflow rules, so a search pays one generated call per evaluation; at
-the default v = 1.0 it is f(y) bit for bit and serves eval and eval_float.
+overflow rules; at the default v = 1.0 it is f(y) bit for bit and serves
+eval and eval_float.  The same emitter writes a transform's scalar search
+(search_kernel) from one template, with that body inlined at its probes,
+so a search over a parsed expression makes no call per evaluation.
 The numpy table gives its batch counterpart kernel(x, v=None) over an
 (m, n) array x: with heights v it first divides each row by its height,
 x / v[:, None], and its tail makes the same checks column-wise, so a
@@ -50,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExpressionRangeError, ParseError
-from .oracle import UNKNOWN_META, FunctionOracle, products_in_range, profile_products, profile_tag
+from .oracle import UNKNOWN_META, FunctionOracle, products_in_range, profile_tag
 from .sets import SetOracle, ball_set, box_set, halfspace_set
 
 GRAMMAR_EBNF = """
@@ -486,60 +488,141 @@ def _postorder(tree, max_depth=MAX_DEPTH) -> list:
     return order[::-1]
 
 
-_compiled = functools.lru_cache(maxsize=256)(compile)  # one code object per kernel source
+_compiled = functools.lru_cache(maxsize=256)(compile)  # one code object per generated source
 #: The plain scalar function of a tree: f(y) with no range check.
 _VALUE = """def kernel(y, v=1.0):
     {body}
-    return {0}"""
-#: parse_function's scalar kernel, the perspective profile v f(y / v): a
-#: negative or nan f(y / v) raises at the point y / v, and a product out of
-#: (0, inf) takes profile_tag's rules.
-_PROFILE = """def kernel(y, v=1.0):
-    {body}
-    if not {0} >= 0.0:
-        raise range_error({0}, [c / v for c in y])
-    s = v * {0}
-    return s if 0.0 < s < inf else profile_tag(v, {0})"""
+    return {result}"""
+#: The scalar profile at height v, as p: the tree's assignments, then
+#: perspective's rules: a negative or nan f(y / v) raises at the point
+#: y / v, and a product out of (0, inf) takes profile_tag's rules.
+#: parse_function's scalar kernel is this block, and so is each probe of a
+#: search over a parsed expression.
+_PROBE = """{body}
+if not {result} >= 0.0:
+    raise range_error({result}, [c / v for c in y])
+p = v * {result}
+if not 0.0 < p < inf:
+    p = profile_tag(v, {result})"""
 #: parse_function's numpy kernel: without heights f at the rows of x
 #: (eval_many), with heights v the batch perspective profile, v[i] f(x[i] /
-#: v[i]) row by row.  A negative or nan value raises at its row's point,
-#: with the kernel's row number, before any product's error; the products
-#: take profile_products's rule.  products_in_range fails on a negative or
-#: nan value too, so a batch with nothing to raise makes that one check.
-#: A constant expression compiles to a scalar, and adding zeros also turns
-#: -0.0 into 0.0.
+#: v[i]) row by row.  A batch with nothing to raise makes one check,
+#: products_in_range (which fails on a negative or nan value too); else the
+#: first row in row order that breaks a rule raises, at its point and with
+#: the kernel's row number for a negative or nan value, and through
+#: profile_tag for a product out of range.  A constant expression compiles
+#: to a scalar, and adding zeros also turns -0.0 into 0.0.
 _BATCH_PROFILE = """def kernel(x, v=None):
     with errstate(all="ignore"):
         if v is not None:
             x = x / v[:, None]
         {body}
-        t = {0} + zeros(len(x))
-        if v is not None:
+        t = {result} + zeros(len(x))
+        if v is None:
+            broken = ~(t >= 0.0)
+            if not count_nonzero(broken):
+                return t
+        else:
             s = v * t
             if products_in_range(s, t):
                 return s
-        valid = t >= 0.0
-        if count_nonzero(valid) != t.size:
-            i = int(argmin(valid))
+            broken = ~((0.0 < s) & (s < inf)) & (t != 0.0) & (t != inf)
+        i = int(argmax(broken))
+        if not t[i] >= 0.0:
             raise range_error(float(t[i]), x[i].tolist(), i)
-        return t if v is None else profile_products(v, t)"""
+        profile_tag(float(v[i]), float(t[i]))  # raises: t[i] is no tag"""
+#: DualHandle's scalar search (see transform), one function per handle:
+#: y, a list of floats, is divided by the height w, and the level-1 crossing
+#: of the profile along y is bracketed from the start block (both sides
+#: open, or a global scan's cell), expanded to a cap with the guard block
+#: after each probe, then bisected; the answer block answers from value,
+#: the transform at y / w as a float (0.0 and inf are the tags).  Each probe
+#: block sets p, the base's profile at height v.  A scanned cell's open side
+#: sits at a cap, so the expansion exits at once on a tag; once bracketed,
+#: the cap tests, the expansion and the guard cannot fire, so the bisection
+#: loop tests only the stop rule.
+_SEARCH = """def search(y, w=1.0):
+    if w != 1.0:
+        y = [c / w for c in y]
+    {start}
+    while (hi == inf or lo == -inf) and lo < V_MAX and hi > V_MIN:
+        if hi == inf:
+            v = 1.0 if lo == -inf else 2.0 * lo
+            if v > V_MAX:
+                v = V_MAX
+        else:
+            v = 0.5 * hi
+            if v < V_MIN:
+                v = V_MIN
+        {probe}
+        evals += 1
+        {guard}
+        if {low}:
+            lo, p_lo = v, p
+        else:
+            hi, p_hi = v, p
+    if hi == inf or lo == -inf:
+        value = inf if hi == inf else 0.0
+    else:
+        while hi - lo > tol * (lo if lo > 1.0 else 1.0):
+            v = 0.5 * (lo + hi)
+            {probe}
+            evals += 1
+            if {low}:
+                lo, p_lo = v, p
+            else:
+                hi, p_hi = v, p
+        value = {found}
+    {answer}"""
+#: The guard, for a base not declared ray-monotone: an expansion probe
+#: whose profile falls from the probe before it by more than GUARD raises.
+#: Both sides are open only at the first probe, where p_lo and p_hi are nan
+#: and the comparisons false.
+_GUARD = ("if hi == inf and p_lo - p > GUARD:", "    raise nonmonotone(y, lo, p_lo, v, p)", "if lo == -inf and p - p_hi > GUARD:", "    raise nonmonotone(y, v, p, hi, p_hi)")
+#: The answer blocks: the handle's profile w T(y / w) by profile_tag's rule,
+#: or the bracket form, T(y / w) with its final bracket, the profile at its
+#: ends and the number of evaluations.
+_ANSWERS = {False: ("s = w * value", "return s if 0.0 < s < inf else profile_tag(w, value)"), True: ("return value, lo, hi, p_lo, p_hi, evals",)}
 #: The names the frames read.
-_KERNEL_NAMES = {"range_error": ExpressionRangeError, "profile_tag": profile_tag, "profile_products": profile_products, "inf": math.inf}
-_KERNEL_NAMES.update(products_in_range=products_in_range, errstate=np.errstate, zeros=np.zeros, count_nonzero=np.count_nonzero, argmin=np.argmin)
+_KERNEL_NAMES = {"range_error": ExpressionRangeError, "profile_tag": profile_tag, "inf": math.inf}
+_KERNEL_NAMES.update(products_in_range=products_in_range, errstate=np.errstate, zeros=np.zeros, count_nonzero=np.count_nonzero, argmax=np.argmax)
 
 
-def _kernel(nodes, ops, inline, frame, raising=()):
-    """Compile a syntax tree, given as its _postorder nodes, over one op
-    table into a straight-line function, one assignment per node (see the
-    module docstring).  A constant subtree is folded: its ops run once,
-    here.  A constant right operand that cannot reach the general rule's
-    special cases, a divisor neither zero nor nan or a positive exponent,
-    takes the plain op ("/c", "^c"), which gives the same bits.  An op
-    that raising maps to a function calls it and falls back to the table's
-    rule where it raises ValueError or OverflowError.
-    frame is the function's source, with {body} where the assignments go,
-    at their indentation, and {0} for the result's name."""
-    namespace, lines = dict(_KERNEL_NAMES), []
+@functools.lru_cache(maxsize=256)  # one fill per generated source
+def _source(frame: str, blocks: tuple, **fields) -> str:
+    """frame with its fields filled in (str.format), then each line that is
+    only the {name} of a (name, lines) pair of blocks replaced by those
+    lines, each at that line's indentation."""
+    blocks = dict(blocks)
+    text = frame.format(**fields, **{name: f"{{{name}}}" for name in blocks})
+    site = re.compile(rf"^( *)\{{({'|'.join(blocks)})\}}$", re.M)
+    return site.sub(lambda m: "\n".join(m[1] + line for line in blocks[m[2]]), text)
+
+
+#: parse_function's scalar kernel, the perspective profile v f(y / v).
+_PROFILE = _source("""def kernel(y, v=1.0):
+    {probe}
+    return p""", (("probe", tuple(_PROBE.split("\n"))),))
+
+
+def _defined(source: str, namespace: dict, name: str):
+    """The function name that source defines, over namespace's names, from
+    one cached code object per source."""
+    exec(_compiled(source, "<radial kernel>", "exec"), namespace)
+    return namespace.pop(name)  # no function-globals cycle for the collector
+
+
+def _body(nodes, ops, inline, namespace, raising=()) -> tuple[tuple, str]:
+    """The assignments of a syntax tree, given as its _postorder nodes, over
+    one op table, one per node (see the module docstring), and the name of
+    its result; constants and callables are bound by name in namespace.
+    A constant subtree is folded: its ops run once, here.  A constant right
+    operand that cannot reach the general rule's special cases, a divisor
+    neither zero nor nan or a positive exponent, takes the plain op ("/c",
+    "^c"), which gives the same bits.  An op that raising maps to a
+    function calls it and falls back to the table's rule where it raises
+    ValueError or OverflowError."""
+    lines = []
 
     def bind(value, prefix):
         name = f"{prefix}{len(namespace)}"
@@ -584,10 +667,43 @@ def _kernel(nodes, ops, inline, frame, raising=()):
         stack.append(f"t{len(lines)}")
         lines.append(f"t{len(lines)} = {text}")
     (result,) = stack
-    pad = frame[: frame.index("{body}")].rpartition("\n")[2]
-    source = frame.format(result if type(result) is str else bind(result, "c"), body=f"\n{pad}".join(lines))
-    exec(_compiled(source, "<radial kernel>", "exec"), namespace)
-    return namespace.pop("kernel")  # no function-globals cycle for the collector
+    return tuple(lines), result if type(result) is str else bind(result, "c")
+
+
+def _kernel(nodes, ops, inline, frame, raising=()):
+    """Compile a syntax tree, given as its _postorder nodes, over one op
+    table into a straight-line function (_body's assignments).  frame is
+    the function's source, with {body} where the assignments go, at their
+    indentation, and {result} for the result's name."""
+    namespace = dict(_KERNEL_NAMES)
+    lines, result = _body(nodes, ops, inline, namespace, raising)
+    return _defined(_source(frame, (("body", lines),), result=result), namespace, "kernel")
+
+
+def search_kernel(profile, names: dict, upper: bool, guarded: bool, scan: bool, bracket: bool):
+    """DualHandle's scalar search over profile(y, v), a base's perspective
+    profile, generated from _SEARCH: the handle's profile search(y, w=1.0)
+    or, with bracket, its bracket form.  Where profile is parse_function's
+    scalar kernel (it carries the tree's nodes), each probe is that
+    kernel's block (_PROBE) inlined; else each probe calls profile(y, v),
+    as does a global scan's (scan) starting cell.  upper picks the sense's
+    low side and returned endpoint, guarded the guard block.  names binds
+    the search's own names: tol, the caps V_MIN and V_MAX, GUARD,
+    nonmonotone (the guard's error), scan_cells (the scan's cell rule over
+    an array of rows), array, SCAN_HEIGHTS and SCAN_POINTS.  The source
+    depends on the tree's shape and the flags only."""
+    namespace = {**_KERNEL_NAMES, **names, "profile": profile, "nan": math.nan}
+    nodes = getattr(profile, "nodes", None)
+    if nodes is None:
+        probe = ("p = profile(y, v)",)
+    else:
+        lines, result = _body(nodes, _MATH_OPS, _MATH_INLINE, namespace, _MATH_RAISING)
+        probe = tuple(_source(_PROBE, (("body", lines),), result=result).split("\n"))
+    scanned = f"lo, p_lo, hi, p_hi = scan_cells(array([[profile(y, h) for h in SCAN_HEIGHTS]]), {upper})[:, 0].tolist()"
+    start = (scanned, "evals = SCAN_POINTS") if scan else ("lo, p_lo, hi, p_hi, evals = -inf, nan, inf, nan, 0",)
+    blocks = (("start", start), ("probe", probe), ("guard", _GUARD if guarded else ()), ("answer", _ANSWERS[bracket]))
+    source = _source(_SEARCH, blocks, low="p <= 1.0" if upper else "p < 1.0", found="lo" if upper else "hi")
+    return _defined(source, namespace, "search")
 
 
 def evaluate(node, x: np.ndarray) -> float:
@@ -631,7 +747,9 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
     passed once: with the scalar rules into kernel(y, v=1.0), the profile
     (eval_float at the default height; eval is derived from it), and with
     the numpy rules into kernel(x, v=None), the batch profile (eval_many
-    without heights), each with 0.0 and inf as the tags.
+    without heights), each with 0.0 and inf as the tags.  The scalar
+    kernel carries the tree's nodes, so a transform's search over it
+    inlines its body (search_kernel).
     Without grad the gradient falls back to finite differences (no
     analytic composition is attempted); grad, hess, meta and name
     (default: the unparsed source) are attached as given, so a caller that
@@ -644,4 +762,5 @@ def parse_function(text: str, dim: int, grad=None, hess=None, meta=UNKNOWN_META,
     source, nodes = unparse(tree), _postorder(tree)
     batch = _kernel(nodes, _NUMPY_OPS, _NUMPY_INLINE, _BATCH_PROFILE)
     profile = _kernel(nodes, _MATH_OPS, _MATH_INLINE, _PROFILE, _MATH_RAISING)
+    profile.nodes = nodes  # a search over this profile inlines its block
     return FunctionOracle(dim, grad=grad, hess=hess, meta=meta, name=name or source, profile=profile, profile_many=batch)

@@ -4,6 +4,10 @@ transform, plus a demonstration solver.
 The solver is deliberately plain backtracking gradient descent: the point
 is the correspondence (maximize f by minimizing the transform, then map
 the minimizer back through the point transform), not convergence rates.
+Its iteration runs in floats: the iterate, its gradient and each
+candidate are lists, each objective value is one generated scalar search
+(DualHandle.eval_float), and the dot products and norms keep numpy's bits
+(oracle.dot).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (
     RadialityRequiredError,
     StrictnessViolatedError,
 )
-from .oracle import FunctionOracle, RadialityMeta, as_vector, difference_probes, gradient
+from .oracle import FunctionOracle, RadialityMeta, as_vector, difference_probes, dot, gradient
 from .sets import SetOracle
 from .transform import DEFAULT_TOL, DualHandle, Sense, check_radial, checked_tol
 
@@ -112,20 +116,20 @@ class SolveParams:
         checked_tol(self.tol)
 
 
-def _fd_grad(phi, y: list, base: float) -> np.ndarray:
+def _fd_grad(phi, y: list, base: float) -> list:
     """Difference quotients of the float dual objective over the probes
-    oracle.gradient takes.  Unlike oracle.gradient it returns a quotient at a
-    kink (an active gauge) instead of raising: descent still needs a
-    direction there, so a coordinate with one infinite probe takes the
-    one-sided quotient of the other."""
-    out = np.empty(len(y))
+    oracle.gradient takes, as a list.  Unlike oracle.gradient it returns a
+    quotient at a kink (an active gauge) instead of raising: descent still
+    needs a direction there, so a coordinate with one infinite probe takes
+    the one-sided quotient of the other."""
+    out = []
     for i, h, fp, fm in difference_probes(phi, y):
         if math.isfinite(fp) and math.isfinite(fm):
-            out[i] = (fp - fm) / (2.0 * h)
+            out.append((fp - fm) / (2.0 * h))
         elif math.isfinite(fp):
-            out[i] = (fp - base) / h
+            out.append((fp - base) / h)
         elif math.isfinite(fm):
-            out[i] = (base - fm) / h
+            out.append((base - fm) / h)
         else:
             raise ValueError("objective is not finite around the iterate")
     return out
@@ -171,19 +175,21 @@ def solve_via_dual(
             val = max(val, gauge(constraint, y, tol=params.tol).as_float())
         return val
 
-    def grad_at(y: np.ndarray, fy: float) -> tuple[np.ndarray, bool]:
+    def grad_at(y: list, fy: float) -> tuple[list, bool]:
         # The formula gradient (even over a difference-quotient primal
         # gradient) is far less noisy than differencing the bisected
         # transform value, so prefer it whenever it applies.
         if not use_gauge:
             try:
-                return dual_gradient(f, y, fy), True
+                return dual_gradient(f, y, fy).tolist(), True
             except (StrictnessViolatedError, NotDifferentiableError, ValueError):
                 pass
-        return _fd_grad(phi, y.tolist(), fy), False
+        return _fd_grad(phi, y, fy), False
 
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
-    fy = phi(y.tolist())
+    # The iterate, its gradient and each candidate are lists of floats; the
+    # norms are oracle.dot's, numpy's bits.
+    y = np.atleast_1d(np.asarray(y0, dtype=float)).tolist()
+    fy = phi(y)
     if not math.isfinite(fy) or fy <= 0.0:
         raise ValueError(f"dual objective at the start point is {fy!r}; provide a feasible y0")
 
@@ -191,7 +197,7 @@ def solve_via_dual(
     iterations = 0
     g, analytic = grad_at(y, fy)
     for iterations in range(1, params.budget + 1):
-        grad_norm = float(np.linalg.norm(g))
+        grad_norm = math.sqrt(dot(g, g))
         if grad_norm <= params.tol_grad:
             status = "gradient"
             break
@@ -199,15 +205,15 @@ def solve_via_dual(
         step = STEP_INIT
         accepted = False
         while step >= STEP_MIN:
-            cand = y - step * g
-            fc = phi(cand.tolist())
+            cand = [a - step * b for a, b in zip(y, g)]
+            fc = phi(cand)
             decrease = ARMIJO * step * grad_norm**2
             if math.isfinite(fc):
                 if analytic and decrease <= noise:
                     # Value comparisons are below the bisection resolution;
                     # trust the formula gradient and ask for contraction.
                     gc, gc_analytic = grad_at(cand, fc)
-                    if float(np.linalg.norm(gc)) <= 0.9 * grad_norm:
+                    if math.sqrt(dot(gc, gc)) <= 0.9 * grad_norm:
                         y, fy, g, analytic = cand, fc, gc, gc_analytic
                         accepted = True
                         break
@@ -225,7 +231,7 @@ def solve_via_dual(
 
     # Report what is held for the returned iterate: its objective value and
     # the norm of its gradient (after a budget exit, the last accepted step's).
-    grad_norm = float(np.linalg.norm(g))
-    dual_solution = DualSolution(y, ExtPos.from_float(fy), iterations, grad_norm, status)
+    grad_norm = math.sqrt(dot(g, g))
+    dual_solution = DualSolution(np.array(y), ExtPos.from_float(fy), iterations, grad_norm, status)
     primal_solution = map_dual_to_primal(dual_solution)
     return dual_solution, primal_solution

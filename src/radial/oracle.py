@@ -254,16 +254,17 @@ def gradient(f: FunctionOracle, x) -> np.ndarray:
         raise ValueError("gradient requires a point with finite value")
     if f.grad is not None:
         return np.atleast_1d(np.asarray(f.grad(x), dtype=float))
-    return difference_gradient(f.eval_float, x.tolist(), base)
+    return np.array(difference_gradient(f.eval_float, x.tolist(), base))
 
 
-def difference_gradient(fn, x: list, base: float) -> np.ndarray:
+def difference_gradient(fn, x: list, base: float) -> list:
     """gradient's central differences of fn over difference_probes at x, a
     list of floats at which fn has the finite value base (the caller's, so
-    f(x) is not evaluated twice), with gradient's NotDifferentiableError."""
+    f(x) is not evaluated twice), as a list, with gradient's
+    NotDifferentiableError."""
     # The zero tag is a legitimate value (kinks like |x| at the origin are
     # reported by the quotient disagreement below, not rejected up front).
-    out = np.empty(len(x))
+    out = []
     for i, h, fp, fm in difference_probes(fn, x):
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NotDifferentiableError(f"non-finite probe next to coordinate {i}")
@@ -274,5 +275,12 @@ def difference_gradient(fn, x: list, base: float) -> np.ndarray:
             raise NotDifferentiableError(
                 f"one-sided quotients disagree at coordinate {i}: {forward:g} vs {backward:g}"
             )
-        out[i] = (fp - fm) / (2.0 * h)
+        out.append((fp - fm) / (2.0 * h))
     return out
+
+
+def dot(a: list, b: list) -> float:
+    """a . b for two lists of floats, with numpy's bits: the product in one
+    dimension, else np.dot (whose sum may fuse multiply-adds, so a Python
+    sum can differ in the last bit)."""
+    return a[0] * b[0] if len(a) == 1 else float(np.dot(a, b))

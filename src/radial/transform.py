@@ -16,20 +16,22 @@ as INF).
 The search runs in two forms that take the same decisions, over floats
 with 0.0 and inf as the tags (ExtPos appears only where a value leaves
 the library).  eval (also named value) and eval_float run it on one point
-over Python floats, one call of the base's profile callback per
-evaluation: a parsed expression's is its compiled kernel, which divides
-the coordinates and applies perspective's rules in one generated
-function, a handle's is its own search (_search), so a nested handle's
-query is a float search too, and any other base's divides them as floats
-and answers through the base's scalar callback.
-value_with_certificate takes the same steps with one perspective call per
-evaluation and returns a bracket certificate.  eval_many (also named
-values) runs it on many points in lockstep over float arrays, one call of
-the base's batch profile per step: a parsed expression's is its numpy
-kernel, which divides the rows and applies perspective's rules column-wise
-in one generated function, and any other base's divides them and answers
-through the base's batch callback, so a nested handle hands its inner
-handle one batch per outer step.  A batch of fewer than LOCKSTEP_MIN_ROWS
+over Python floats: the handle's profile is its scalar search, generated
+when the handle is built from one template in the expression emitter
+(grammar.search_kernel), with two probe forms.  Over a parsed expression
+each probe is the compiled kernel's body inlined, which divides the
+coordinates and applies perspective's rules with no call; over any other
+base each probe calls the base's profile callback: a handle's is its own
+generated search, so a nested handle's query is a float search too, and
+a callback oracle's divides the coordinates as floats and answers through
+its scalar callback.  value_with_certificate runs the same template with
+one perspective call per evaluation and returns a bracket certificate.
+eval_many (also named values) runs it on many points in lockstep over
+float arrays, one call of the base's batch profile per step: a parsed
+expression's is its numpy kernel, which divides the rows and applies
+perspective's rules column-wise in one generated function, and any other
+base's divides them and answers through the base's batch callback, so a
+nested handle hands its inner handle one batch per outer step.  A batch of fewer than LOCKSTEP_MIN_ROWS
 rows costs less as scalar searches, so values runs those row by row,
 unless a global scan is on the handle or below it.  A global-scan handle
 starts both forms from the extreme feasible cell of a fixed height grid,
@@ -58,7 +60,6 @@ are asymmetric; see the package README.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -67,7 +68,8 @@ import numpy as np
 
 from .core import ExtPos
 from .errors import ExpressionRangeError, NonMonotonePerspectiveError
-from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, as_vector, perspective, profile_tag
+from .grammar import search_kernel
+from .oracle import DECLARED_UPPER, FunctionOracle, RadialityMeta, as_vector, perspective
 
 DEFAULT_TOL = 1e-10
 #: The finest tol accepted.  Since ulp(v) <= MIN_TOL * max(v, 1), the stop
@@ -209,12 +211,31 @@ def _scan_cells(profiles: np.ndarray, upper: bool) -> np.ndarray:
     return np.stack((heights[i + 1], padded[rows, i + 1], heights[i + 2], padded[rows, i + 2]))
 
 
+def _nonmonotone(y, v_small, p_small, v_big, p_big) -> NonMonotonePerspectiveError:
+    """The guard's error: the profile along y fell from p_small at v_small to
+    p_big at v_big > v_small."""
+    return NonMonotonePerspectiveError(
+        "perspective profile decreased from "
+        f"{p_small:g} at v={v_small:g} to {p_big:g} at v={v_big:g}; "
+        "the base function is not declared ray-monotone "
+        "(retry with global_scan for a scanned approximation)",
+        witness=MonotoneWitness(np.array(y), float(v_small), float(v_big), float(p_small), float(p_big)),
+    )
+
+
+#: What the generated scalar search reads beyond the emitter's own names
+#: and its handle's tol (see grammar.search_kernel).
+_SEARCH_NAMES = {"V_MIN": V_MIN, "V_MAX": V_MAX, "GUARD": MONOTONE_GUARD, "nonmonotone": _nonmonotone, "scan_cells": _scan_cells}
+_SEARCH_NAMES.update(array=np.array, SCAN_HEIGHTS=_SCAN_HEIGHTS.tolist(), SCAN_POINTS=GLOBAL_SCAN_POINTS)
+
+
 class DualHandle(FunctionOracle):
     """A FunctionOracle representing the upper or lower transform of a base
     oracle, evaluated on demand by bisection: one point at a time through
-    eval (also named value) and eval_float, over floats, or
-    value_with_certificate, through perspective; many points in lockstep
-    through eval_many (also named values), whose row i is value(ys[i]).
+    eval (also named value) and eval_float, over floats, by its generated
+    scalar search, or value_with_certificate, through perspective; many
+    points in lockstep through eval_many (also named values), whose row i
+    is value(ys[i]).
 
     Handles compose: a DualHandle can be the base of another DualHandle.
     The perspective profile of a transformed function is nondecreasing in
@@ -239,7 +260,7 @@ class DualHandle(FunctionOracle):
             meta=DECLARED_UPPER,
             name=f"{sense.value}-transform({base.name or 'f'})",
             many=self._lockstep,
-            profile=self._search,
+            profile=self._scalar_search(base._profile_fn),
         )
         # A lockstep is batch-native (its cost per step does not grow with
         # its rows) over a batch-native leaf with no global scan on the way
@@ -253,7 +274,10 @@ class DualHandle(FunctionOracle):
         """value(y) and its bracket certificate, from the same search with
         perspective as its profile: one perspective call per evaluation."""
         y = as_vector(y, self.dim)
-        value, lo, hi, p_lo, p_hi, evals = self._solve(y.tolist(), lambda v: perspective(self.base, y, v).as_float())
+        base = self.base
+        # The search's y is this point, as a list; perspective takes the vector.
+        search = self._scalar_search(lambda _, v: perspective(base, y, v).as_float(), bracket=True)
+        value, lo, hi, p_lo, p_hi, evals = search(y.tolist())
         # A tag's certificate records the cap probe at both ends.
         if hi == math.inf:
             hi, p_hi = lo, p_lo
@@ -264,73 +288,29 @@ class DualHandle(FunctionOracle):
 
     # -- search ---------------------------------------------------------
 
-    def _search(self, y: list, v: float = 1.0) -> float:
-        """The handle's profile v T(y/v) at y, a list of dim floats, by
-        profile_tag's rule (T(y) at the default height), T searched over the
-        base's profile, so a nested search stays in floats."""
-        if v != 1.0:
-            y = [c / v for c in y]
-        value = self._solve(y, functools.partial(self.base._profile_fn, y))[0]
-        scaled = v * value
-        return scaled if 0.0 < scaled < math.inf else profile_tag(v, value)
-
-    def _solve(self, y: list, profile) -> tuple[float, float, float, float, float, int]:
-        """The search on one point y, a list of floats, over a float profile
-        v -> v f(y/v): the transform as a float (0.0 and inf are the tags),
-        the final bracket (lo, hi), the profile values at its ends and the
-        number of profile evaluations."""
-        upper = self.sense is Sense.UPPER
-        guarded = not self.base.meta.radial
-        # Both sides open; the guard's comparisons with nan are false.
-        lo, p_lo, hi, p_hi, evals = -math.inf, math.nan, math.inf, math.nan, 0
-        if self.global_scan:
-            # The scanned cell is bisected by the loop below; an open side
-            # sits at a cap, so the loop exits at once on a tag.
-            profiles = np.array([[profile(v) for v in _SCAN_HEIGHTS.tolist()]])
-            lo, p_lo, hi, p_hi = _scan_cells(profiles, upper)[:, 0].tolist()
-            evals = GLOBAL_SCAN_POINTS
-        # While a side is open the stop rule cannot hold: expand to a cap.
-        while (hi == math.inf or lo == -math.inf) and lo < V_MAX and hi > V_MIN:
-            if hi == math.inf:
-                v = 1.0 if lo == -math.inf else min(2.0 * lo, V_MAX)
-            else:
-                v = max(0.5 * hi, V_MIN)
-            p = profile(v)
-            evals += 1
-            if guarded and hi == math.inf and p_lo - p > MONOTONE_GUARD:
-                raise self._nonmonotone(y, lo, p_lo, v, p)
-            if guarded and lo == -math.inf and p - p_hi > MONOTONE_GUARD:
-                raise self._nonmonotone(y, v, p, hi, p_hi)
-            if p <= 1.0 if upper else p < 1.0:
-                lo, p_lo = v, p
-            else:
-                hi, p_hi = v, p
-        if hi == math.inf or lo == -math.inf:
-            return (math.inf if hi == math.inf else 0.0), lo, hi, p_lo, p_hi, evals
-        # Bracketed: the cap tests, the expansion and the guard cannot fire.
-        while hi - lo > self.tol * (lo if lo > 1.0 else 1.0):
-            v = 0.5 * (lo + hi)
-            p = profile(v)
-            evals += 1
-            if p <= 1.0 if upper else p < 1.0:
-                lo, p_lo = v, p
-            else:
-                hi, p_hi = v, p
-        return (lo if upper else hi), lo, hi, p_lo, p_hi, evals
+    def _scalar_search(self, profile, bracket: bool = False):
+        """This handle's scalar search over profile(y, v), generated from the
+        emitter's search template (grammar.search_kernel): the handle's
+        profile search(y, w=1.0), w T(y / w) by profile_tag's rule, or with
+        bracket the tuple (T(y / w), lo, hi, p_lo, p_hi, evaluations) of the
+        final bracket and the profile at its ends; y is a list of dim
+        floats."""
+        names = {**_SEARCH_NAMES, "tol": self.tol}
+        return search_kernel(profile, names, self.sense is Sense.UPPER, not self.base.meta.radial, self.global_scan, bracket)
 
     def _lockstep(self, ys: np.ndarray) -> np.ndarray:
-        """The search of _solve run on all rows at once, over float arrays.
+        """The scalar search run on all rows at once, over float arrays.
 
         Every step probes one height per active row, through one call of
-        the base's batch profile, takes the same decisions as _solve on it
+        the base's batch profile, takes the scalar search's decisions on it
         and retires the rows that reach a cap or the tol rule.  Every row
-        starts with both sides open, as in _solve.  A global-scan handle
-        scans every row's heights first, in blocks of whole rows
+        starts with both sides open, as in the scalar search.  A global-scan
+        handle scans every row's heights first, in blocks of whole rows
         (_profile_blocks), and starts each row from its scanned cell, as
-        _solve does; a row with an open side sits at a cap and retires at
-        the first cap test, so the guard cannot fire.  A nested handle over
-        a batch-native base takes up to SPECULATIVE_LEVELS steps per base
-        call (_speculate), the first one included.
+        the scalar search does; a row with an open side sits at a cap and
+        retires at the first cap test, so the guard cannot fire.  A nested
+        handle over a batch-native base takes up to SPECULATIVE_LEVELS steps
+        per base call (_speculate), the first one included.
         A batch of fewer than LOCKSTEP_MIN_ROWS rows, with no global scan
         on this handle or below it, runs the scalar search row by row
         instead, in row order: eval_float's values, and the first row that
@@ -393,7 +373,7 @@ class DualHandle(FunctionOracle):
                         i = int(tripped.argmax())
                         small, big = (lo[i], v[i]) if up[i] else (v[i], hi[i])
                         p_small, p_big = (p_edge[i], p[i]) if up[i] else (p[i], p_edge[i])
-                        raise self._nonmonotone(ys[i], small, p_small, big, p_big)
+                        raise _nonmonotone(ys[i], small, p_small, big, p_big)
                 low = p <= 1.0 if upper else p < 1.0
                 lo = np.where(low, v, lo)
                 hi = np.where(low, hi, v)
@@ -431,14 +411,6 @@ class DualHandle(FunctionOracle):
             node = 2 * node + low
         return lo, hi
 
-    def _nonmonotone(self, y, v_small, p_small, v_big, p_big) -> NonMonotonePerspectiveError:
-        return NonMonotonePerspectiveError(
-            "perspective profile decreased from "
-            f"{p_small:g} at v={v_small:g} to {p_big:g} at v={v_big:g}; "
-            "the base function is not declared ray-monotone "
-            "(retry with global_scan for a scanned approximation)",
-            witness=MonotoneWitness(np.array(y), float(v_small), float(v_big), float(p_small), float(p_big)),
-        )
 
 
 # -- radiality checking ---------------------------------------------------

@@ -391,3 +391,24 @@ class TestGoldenSolves:
             '"y_star": [-1.3350024451869768e-11]}\n',
         )
         assert built == [(1, 0.8103727714624256), (1, 1.2340000000189626)]
+
+    def test_a_two_dimensional_solve_stdout(self, capsys):
+        # Two coordinates take the solver's n >= 2 reductions (the dot
+        # products and norms) on a parsed cap, over difference gradients.
+        code = main(["solve", "--f", "pos(3-(x0-1)^2-(x1-0.5)^2)", "--dim", "2", "--y0", "0.5,0.5"])
+        out = capsys.readouterr().out
+        assert (code, out) == (
+            0,
+            '{"converged": true, "d_star": 0.3333333333139308, "grad_norm": 0.0, "iterations": 8, "p_star": 3.000000000174623, '
+            '"schema": "radial/v1", "status": "gradient", "x_star": [1.0000000000279403, 0.4999999999666607], '
+            '"y_star": [0.3333333333232442, 0.1666666666458523]}\n',
+        )
+        assert abs(json.loads(out)["p_star"] - 3.0) <= 1e-5
+
+    def test_a_two_dimensional_library_solve(self):
+        # sqrt_cap(2) carries analytic gradients: the formula path in two
+        # coordinates.
+        ds, ps = solve_via_dual(sqrt_cap(2), np.array([0.7, -1.3]))
+        assert repr((ds.y_star.tolist(), ds.d_star, ds.iterations, ds.grad_norm, ds.status, ps.x_star.tolist(), ps.p_star)) == repr(
+            ([4.259579039316008e-11, -7.910646790398879e-11], ExtPos.finite(1.0), 5, 8.984561549381716e-11, "gradient", [4.259579039316008e-11, -7.910646790398879e-11], ExtPos.finite(1.0))
+        )

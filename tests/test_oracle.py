@@ -418,6 +418,25 @@ class TestOneProfileRule:
         ys, heights = np.arange(1.0, len(pairs) + 1)[:, None], np.array([v for _, v in pairs])
         assert _bits_or_error(lambda: _perspective_many(plain, ys, heights, np.arange(len(pairs)))) == want
 
+    def test_the_first_row_out_of_the_rule_decides_in_every_batch_form(self):
+        """x0^2 - 1 at rows 2e154 and 0.5, heights 2 and 1: row 0's product
+        2 * 1e308 overflows and row 1's value -0.75 is negative.  The parsed
+        numpy kernel, a many= callback and a scalar= callback with no batch
+        form raise for row 0, OverflowRiskError; with the rows swapped, for
+        the negative value (the kernel's ExpressionRangeError names its
+        row)."""
+        oracles = {
+            "parsed": parse_function("x0^2 - 1", 1),
+            "many": FunctionOracle(1, scalar=lambda x: x[0] ** 2 - 1.0, many=lambda xs: xs[:, 0] ** 2 - 1.0),
+            "scalar": FunctionOracle(1, scalar=lambda x: x[0] ** 2 - 1.0),
+        }
+        for name, f in oracles.items():
+            with pytest.raises(OverflowRiskError, match=r"^perspective product 2\.0 \* 1(\.\d+)?e\+308 left the finite range$"):
+                _perspective_many(f, np.array([[2e154], [0.5]]), np.array([2.0, 1.0]), np.arange(2))
+            with pytest.raises((ValueError, ExpressionRangeError), match=r"-0\.75") as raised:
+                _perspective_many(f, np.array([[0.5], [2e154]]), np.array([1.0, 2.0]), np.arange(2))
+            assert getattr(raised.value, "row", 0) == 0, name
+
     def test_the_zero_tag_has_one_sign(self):
         """A value of -0.0 is the ZERO tag, and every form of the profile
         answers it as +0.0: perspective, the scalar profile derived from a

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -8,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import expressions
@@ -35,7 +36,7 @@ from radial import (
     perspective,
 )
 from radial import transform
-from radial.oracle import DECLARED_UPPER, UNKNOWN_META
+from radial.oracle import DECLARED_UPPER, UNKNOWN_META, profile_tag
 from radial.transform import MIN_TOL, extpos_gap_many
 from radial.catalog import (
     absval,
@@ -505,7 +506,11 @@ _PARSED = {
     ]
 }
 _RAY_MONOTONE = {**_CATALOG, **_PARSED, "absval": absval()}
-_NOT_MONOTONE = {"(x0+1)^2 + 0.5": parse_function("(x0+1)^2 + 0.5", 1), "shifted_quadratic": shifted_quadratic()}
+#: x0^2 + 0.1 falls as its expansion doubles upward (the profile y^2 / v +
+#: 0.1 v at y = 0.9 reads 0.91 at v = 1, 0.605 at v = 2); the others fall
+#: as it halves downward.
+_NOT_MONOTONE = {name: parse_function(name, 1) for name in ("(x0+1)^2 + 0.5", "x0^2 + 0.1")}
+_NOT_MONOTONE["shifted_quadratic"] = shifted_quadratic()
 
 _coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 3.0]), st.floats(-3.0, 3.0))
 
@@ -660,9 +665,9 @@ def test_float_profile_matches_perspective(case):
 
 
 def _one_loop(h, y, profile):
-    """DualHandle._solve as one loop that makes the cap tests, the choice of
+    """The scalar search as one loop that makes the cap tests, the choice of
     the next height and the guard's tests on every step: the reference for
-    its bisection-only phase.  A guard trip raises without a witness."""
+    the generated search, whose bisection phase tests only the stop rule."""
     upper, guarded = h.sense is Sense.UPPER, not h.base.meta.radial
     lo, p_lo, hi, p_hi, evals = -math.inf, math.nan, math.inf, math.nan, 0
     if h.global_scan:
@@ -678,9 +683,10 @@ def _one_loop(h, y, profile):
             v = 0.5 * (lo + hi)
         p = profile(v)
         evals += 1
-        drop = p_lo - p if hi == math.inf else p - p_hi if lo == -math.inf else 0.0
-        if guarded and drop > transform.MONOTONE_GUARD:
-            raise NonMonotonePerspectiveError("guard")
+        if guarded and hi == math.inf and p_lo - p > transform.MONOTONE_GUARD:
+            raise transform._nonmonotone(y, lo, p_lo, v, p)
+        if guarded and lo == -math.inf and p - p_hi > transform.MONOTONE_GUARD:
+            raise transform._nonmonotone(y, v, p, hi, p_hi)
         if p <= 1.0 if upper else p < 1.0:
             lo, p_lo = v, p
         else:
@@ -689,24 +695,39 @@ def _one_loop(h, y, profile):
     return value, lo, hi, p_lo, p_hi, evals
 
 
-@given(case=_queries())
+def _query_outcome(query):
+    """What a query returns, as its repr, or what it raises, as its type and
+    message."""
+    try:
+        return repr(query())
+    except (RadialError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(case=_queries(), height=st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+@example(case=(_NOT_MONOTONE["x0^2 + 0.1"], np.array([0.5]), Sense.UPPER, 1e-10, False, False), height=1.0)  # the upward guard
 @settings(max_examples=120, deadline=None, derandomize=True)
-def test_bisection_phase_matches_one_loop(case):
-    """Once the bracket closes, _solve bisects in a loop that tests only
-    the stop rule.  Its value, final bracket, end values and evaluation
-    count are the one-loop search's, bit for bit, and it raises where that
-    search raises."""
+def test_bisection_phase_matches_one_loop(case, height):
+    """The generated search, whose probes inline a parsed base's kernel or
+    call any other base's profile, takes _one_loop's decisions: at y / w its
+    bracket form returns the same value, final bracket, end values and
+    evaluation count, bit for bit, and the handle's profile at height w is w
+    times that value by profile_tag's rule.  Where one raises, the other
+    raises the same error with the same message."""
     f, y, sense, tol, global_scan, bidual = case
     h = DualHandle(f, sense, tol=tol, global_scan=global_scan)
     if bidual:
         h = DualHandle(h, Sense.UPPER, tol=tol)
-    outcomes = []
-    for solve in (h._solve, lambda y, profile: _one_loop(h, y, profile)):
-        try:
-            outcomes.append(repr(solve(y.tolist(), functools.partial(h.base._profile_fn, y.tolist()))))
-        except RadialError as exc:
-            outcomes.append(type(exc).__name__)
-    assert outcomes[0] == outcomes[1], outcomes
+    point = y.tolist() if height == 1.0 else [c / height for c in y.tolist()]
+    profile = functools.partial(h.base._profile_fn, point)
+
+    def scaled():
+        value = _one_loop(h, point, profile)[0]
+        s = height * value
+        return s if 0.0 < s < math.inf else profile_tag(height, value)
+
+    assert _query_outcome(lambda: h._scalar_search(h.base._profile_fn, bracket=True)(y.tolist(), height)) == _query_outcome(lambda: _one_loop(h, point, profile))
+    assert _query_outcome(lambda: h._profile_fn(y.tolist(), height)) == _query_outcome(scaled)
 
 
 class TestLockstep:
@@ -1025,9 +1046,11 @@ class TestSmallBatches:
         ys = np.array([[-1.0], [0.0]])
         for h in (upper(f, global_scan=True), _bidual(f, global_scan=True)):
             calls[:] = []
-            with mock.patch.object(DualHandle, "_search", autospec=True, side_effect=DualHandle._search) as search:
+            with contextlib.ExitStack() as stack:
+                handles = [h, h.base] if isinstance(h.base, DualHandle) else [h]
+                searches = [stack.enter_context(mock.patch.object(g, "_profile_fn", wraps=g._profile_fn)) for g in handles]
                 got = h.values(ys)
-            assert not search.called and calls and max(calls) >= len(ys) * transform.GLOBAL_SCAN_POINTS
+            assert not any(search.called for search in searches) and calls and max(calls) >= len(ys) * transform.GLOBAL_SCAN_POINTS
             assert got.tolist() == [h.value(y).as_float() for y in ys]
 
     @pytest.mark.parametrize("nested", [False, True], ids=["single", "nested"])
