@@ -146,25 +146,39 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LiftedPoint:
     """A point (x, u) of the lifted space: a vector paired with a strictly
-    positive height."""
+    positive height.
+
+    x is stored as a read-only float copy of its input (a scalar becomes a
+    vector of length one) and u as a float.  Two points are equal when their
+    coordinates and heights are equal, and equal points hash alike.
+    """
 
     x: np.ndarray
     u: float
 
-    def __post_init__(self):
-        x = _readonly(np.atleast_1d(self.x))
+    def __init__(self, x, u):
+        x = np.array(x, dtype=float, ndmin=1)  # a copy, never a view of the input
+        x.setflags(write=False)
         if x.ndim != 1:
             raise ValueError("x must be a vector")
-        if not np.isfinite(x).all():
+        if not all(map(math.isfinite, x.tolist())):
             raise ValueError("x must have finite coordinates")
-        u = float(self.u)
-        if not math.isfinite(u) or u <= 0.0:
+        u = float(u)
+        if not 0.0 < u < math.inf:
             raise ValueError(f"height must be finite and > 0, got {u!r}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
+        _set_x(self, x)
+        _set_u(self, u)
+
+    def __eq__(self, other):
+        if type(other) is not LiftedPoint:
+            return NotImplemented
+        return self.u == other.u and self.x.tolist() == other.x.tolist()
+
+    def __hash__(self):
+        return hash((self.u, *self.x.tolist()))  # hash(-0.0) == hash(0.0), as == has it
 
     @property
     def dim(self) -> int:
@@ -172,6 +186,9 @@ class LiftedPoint:
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.x, [self.u]])
+
+
+_set_x, _set_u = LiftedPoint.x.__set__, LiftedPoint.u.__set__
 
 
 def gamma_point_many(xs: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +217,10 @@ def gamma_point(p: LiftedPoint) -> LiftedPoint:
     original point up to floating round-off (bit-exactly when the divisions
     are exact, e.g. at height 1).
     """
-    if p.u < HEIGHT_FLOOR:  # p.u is finite and > 0, checked by LiftedPoint
+    u = p.u
+    if u < HEIGHT_FLOOR:  # u is finite and > 0, checked by LiftedPoint
         raise OverflowRiskError(f"height below {HEIGHT_FLOOR:g}; reciprocal would overflow")
-    ys = [x / p.u for x in p.x.tolist()]  # a float division overflows to inf, with no warning
+    ys = [x / u for x in p.x.tolist()]  # a float division overflows to inf, with no warning
     if not all(map(math.isfinite, ys)):
         raise OverflowRiskError("transformed point is not finite")
-    return LiftedPoint(np.array(ys), 1.0 / p.u)
+    return LiftedPoint(ys, 1.0 / u)

@@ -3,11 +3,14 @@ vocabulary of constraints.
 
 Lifted sets (vectors paired with positive heights) are closed under the
 projective point transform.  The transforms here are exact formulas, not
-sampling approximations; membership predicates use strict arithmetic with
-tolerance zero and serve as the sampling oracles in the test suite.  The
-three lifted types (a halfspace, an ellipsoid, and a polyhedron, whose
-parts are halfspaces) are listed once, in _LIFTED_TYPES, with their
-document "type" and their image; membership, transform_set and
+sampling approximations.  Membership has no tolerance and includes the
+boundary: a halfspace's or a polyhedron's verdict is exact (the float gap,
+recomputed with Fraction where it cancels or leaves the normal range), an
+ellipsoid's is its float quadratic form, outside where that form
+overflows.  The membership predicates serve as the sampling oracles in the
+test suite.  The three lifted types (a halfspace, an ellipsoid, and a
+polyhedron, whose parts are halfspaces) are listed once, in _LIFTED_TYPES,
+with their document "type" and their image; membership, transform_set and
 set_to_json read that table and refuse any other object.
 
 Decision-space sets (ball, box, halfspace over flat vectors) are
@@ -102,6 +105,7 @@ class Halfspace:
 
     Anchored representation: the transform formula is stated at an anchor
     point, and keeping the anchor makes the double transform exact.
+    Membership reads the sign of the gap exactly.
     """
 
     normal_x: np.ndarray
@@ -110,14 +114,16 @@ class Halfspace:
 
     def __post_init__(self):
         _check_normal(self, "normal_x", "normal_u", self.anchor)
+        # (zeta, delta) and the anchor as float lists, for the gap in contains.
+        object.__setattr__(self, "_normal", [*self.normal_x.tolist(), self.normal_u])
+        object.__setattr__(self, "_anchor", [*self.anchor.x.tolist(), self.anchor.u])
 
     @property
     def dim(self) -> int:
         return self.anchor.dim
 
     def contains(self, p: LiftedPoint) -> bool:
-        gap = float(self.normal_x @ (p.x - self.anchor.x)) + self.normal_u * (p.u - self.anchor.u)
-        return gap <= 0.0
+        return _dot(self._normal, [*p.x.tolist(), p.u], self._anchor) <= 0
 
 
 @dataclass(frozen=True)
@@ -149,15 +155,24 @@ class Ellipsoid:
                 f"need H22 - H12^T H11^-1 H12 > 1/u^2, got {schur:g} <= {1.0 / self.center.u ** 2:g}"
             )
         object.__setattr__(self, "shape", _readonly(h))
-        object.__setattr__(self, "_center_array", self.center.as_array())
+        object.__setattr__(self, "_center", [*self.center.x.tolist(), self.center.u])
+        # Offsets d with every |d_i| at most this bound give d.H and d.H.d
+        # no term beyond 2^1000, so contains evaluates them with no overflow.
+        scale = float(np.max(np.abs(h))) * (n + 1) ** 2
+        object.__setattr__(self, "_far", math.sqrt(2.0**1000 / max(scale, 2.0**-1000)))
 
     @property
     def dim(self) -> int:
         return self.center.dim
 
     def contains(self, p: LiftedPoint) -> bool:
-        d = p.as_array() - self._center_array
-        return float(d @ self.shape @ d) <= 1.0
+        d = list(map(operator.sub, [*p.x.tolist(), p.u], self._center))
+        dv = np.array(d)
+        if max(map(abs, d)) <= self._far:
+            return float(dv.dot(self.shape).dot(dv)) <= 1.0
+        # A form that overflows (inf, or nan from inf - inf) is outside.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(dv.dot(self.shape).dot(dv)) <= 1.0
 
 
 @dataclass(frozen=True)
@@ -177,7 +192,11 @@ class Polyhedron:
         object.__setattr__(self, "halfspaces", hs)
 
     def contains(self, p: LiftedPoint) -> bool:
-        return all(h.contains(p) for h in self.halfspaces)
+        y = [*p.x.tolist(), p.u]
+        for h in self.halfspaces:
+            if _dot(h._normal, y, h._anchor) > 0:
+                return False
+        return True
 
 
 class NormalKind(enum.Enum):
@@ -285,15 +304,22 @@ _LIFTED_TYPES = {
 
 def _lifted_type(s) -> tuple[str, Callable]:
     """The entry of s's type in _LIFTED_TYPES; TypeError for any other object."""
-    if type(s) not in _LIFTED_TYPES:
-        raise TypeError(f"unsupported set type {type(s).__name__}")
-    return _LIFTED_TYPES[type(s)]
+    entry = _LIFTED_TYPES.get(type(s))
+    if entry is None:
+        raise _unsupported(s)
+    return entry
+
+
+def _unsupported(s) -> TypeError:
+    return TypeError(f"unsupported set type {type(s).__name__}")
 
 
 def membership(p: LiftedPoint, s) -> bool:
-    """Exact membership predicate (tolerance 0, boundary included)."""
-    _lifted_type(s)
-    return s.contains(p)
+    """Membership of a lifted point, boundary included: exact for a
+    halfspace or a polyhedron, the float quadratic form for an ellipsoid."""
+    if type(s) in _LIFTED_TYPES:
+        return s.contains(p)
+    raise _unsupported(s)
 
 
 # --- decision-space sets ---
@@ -327,6 +353,20 @@ def _in_range(value: float, positive: bool) -> float:
     if positive and not 0.0 < value < math.inf:
         raise OverflowRiskError(f"gauge {value!r} of a finite point left the finite range")
     return value
+
+
+def _dot(normal: list, y: list, base: list | None = None):
+    """normal . (y - base) over finite floats, base defaulting to the origin:
+    the float sum, or the exact value (a Fraction, differences included)
+    where the float sum cancels more than 12 bits (sign or size in doubt) or
+    leaves the normal range.  Its sign, and so a verdict read from it, is
+    always exact."""
+    terms = list(map(operator.mul, normal, y if base is None else map(operator.sub, y, base)))
+    total = sum(terms)
+    if abs(total) > max(2.0**-12 * sum(map(abs, terms)), 2.0**-1000):
+        return total
+    exact_y = map(Fraction, y) if base is None else map(operator.sub, map(Fraction, y), map(Fraction, base))
+    return sum(map(operator.mul, map(Fraction, normal), exact_y))
 
 
 def ball_set(dim: int, radius: float) -> SetOracle:
@@ -381,18 +421,9 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     scale = float(np.max(np.abs(a), initial=0.0)) or 1.0
     normal = a.tolist()
 
-    def dot(y: list):
-        # a.y at a finite y, exactly (a Fraction) where the float sum cancels
-        # more than 12 bits (sign or size in doubt) or leaves the normal range.
-        terms = list(map(operator.mul, normal, y))
-        ay = sum(terms)
-        if not abs(ay) > max(2.0**-12 * sum(map(abs, terms)), 2.0**-1000):
-            ay = sum(map(operator.mul, map(Fraction, normal), map(Fraction, y)))
-        return ay
-
     def member(x: np.ndarray) -> bool:
         if np.isfinite(x).all():
-            return dot(x.tolist()) <= b
+            return _dot(normal, x.tolist()) <= b
         # A nan a.x, from inf - inf or a nan coordinate, is outside.
         with np.errstate(over="ignore", invalid="ignore"):
             return float((a / scale) @ x) <= b / scale
@@ -400,7 +431,7 @@ def halfspace_set(a: np.ndarray, b: float) -> SetOracle:
     def gauge(y: list) -> float:
         # max(a.y, 0) / b; for b = 0 the tags.  An exact a.y gives an exact
         # quotient.
-        ay = dot(y)
+        ay = _dot(normal, y)
         if not ay > 0:
             return 0.0
         if b == 0.0:

@@ -4,10 +4,14 @@ These deliberately avoid the library's own search machinery: extremes come
 from dense grids plus windowed refinement, derivatives from explicit
 difference quotients.  They stay independent of the code paths they check.
 The expression strategies generate grammar sources in one variable, x0;
-``lifted_points`` draws points of the lifted space over the whole float range.
+``lifted_points`` draws points of the lifted space over the whole float range,
+and ``plain_lifted_point`` is the lifted point's constructor written with
+whole-array numpy checks, the reference for its float path.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -123,3 +127,18 @@ lifted_points = st.builds(
     st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
 )
+
+
+def plain_lifted_point(x, u) -> tuple[np.ndarray, float]:
+    """The (x, u) a LiftedPoint stores, checked and converted with whole-array
+    numpy operations in the constructor's order, or the error it raises."""
+    x = np.array(np.atleast_1d(x), dtype=float, copy=True)
+    x.flags.writeable = False
+    if x.ndim != 1:
+        raise ValueError("x must be a vector")
+    if not np.isfinite(x).all():
+        raise ValueError("x must have finite coordinates")
+    u = float(u)
+    if not math.isfinite(u) or u <= 0.0:
+        raise ValueError(f"height must be finite and > 0, got {u!r}")
+    return x, u

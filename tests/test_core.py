@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radial import (
@@ -18,7 +18,7 @@ from radial import (
 )
 from radial.core import HEIGHT_FLOOR
 
-from helpers import lifted_points
+from helpers import lifted_points, plain_lifted_point
 
 
 def lifted(x, u):
@@ -100,7 +100,7 @@ class TestGammaPoint:
             gamma_point(LiftedPoint(np.array([1e300]), 1e-10))
 
     @given(lifted_points)
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500, deadline=None, derandomize=True)
     def test_scalar_path_is_the_batch_kernel_bit_for_bit(self, p):
         scalar_and_batch_agree(p)
 
@@ -135,6 +135,83 @@ class TestGammaPoint:
         scale = max(1.0, abs(x), u)
         assert abs(q.x[0] - x) <= 1e-12 * scale
         assert abs(q.u - u) <= 1e-12 * scale
+
+
+floats_any = st.floats()  # nan and both infinities included
+vectors = st.lists(floats_any, max_size=4)
+
+#: Everything a caller may hand the constructor as x: lists, tuples, ints,
+#: scalars, 0-d, 1-d and 2-d arrays of several dtypes, empty vectors, and
+#: nan or infinite coordinates.
+x_inputs = st.one_of(
+    vectors,
+    vectors.map(tuple),
+    st.lists(st.integers(-(2**70), 2**70), max_size=4),
+    floats_any,
+    st.integers(-(10**6), 10**6),
+    floats_any.map(np.array),
+    vectors.map(np.array),
+    st.lists(st.floats(width=32), max_size=4).map(lambda v: np.array(v, dtype=np.float32)),
+    st.lists(st.integers(-100, 100), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.lists(floats_any, min_size=2, max_size=2), min_size=1, max_size=3).map(np.array),
+)
+#: Coordinates from a small set, so that equal and unequal points both occur.
+few_coordinates = st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]), max_size=3)
+u_inputs = st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-310, 0, -1, 1]), floats_any, st.integers(-5, 5))
+
+
+class TestLiftedPoint:
+    @given(x_inputs, u_inputs)
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @example([1.0, 2.0], 0.0)
+    @example([], 1.0)
+    @example(np.zeros((2, 2)), math.nan)
+    @example(np.array(math.inf), 1.0)
+    @example((3, 4), math.inf)
+    @example(7, 1e-310)
+    @example(np.array([1.0, math.nan]), -1.0)
+    def test_constructor_is_the_plain_checks(self, x, u):
+        """The same stored point (x bytes, u's bits, read-only, a copy of
+        its input) or the same exception type and message as the plain
+        numpy form of the checks."""
+        try:
+            want_x, want_u = plain_lifted_point(x, u)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            with pytest.raises(Exception) as info:
+                LiftedPoint(x, u)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            return
+        p = LiftedPoint(x, u)
+        assert (p.x.dtype, p.x.shape, p.x.tobytes()) == (want_x.dtype, want_x.shape, want_x.tobytes())
+        assert type(p.u) is float and p.u.hex() == want_u.hex()
+        assert not p.x.flags.writeable
+        if isinstance(x, np.ndarray):
+            assert not np.shares_memory(p.x, x)
+
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 2.0]])
+    def test_equality_and_hash_in_every_dimension(self, x):
+        a, b = LiftedPoint(x, 1.0), LiftedPoint(np.array(x), 1)
+        assert a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert a != LiftedPoint(x, 2.0)
+        assert a != LiftedPoint([*x[:-1], 3.0], 1.0)
+        assert a != LiftedPoint([*x, 0.0], 1.0)
+        assert a != (a.x, a.u)
+        zeros, negative_zeros = LiftedPoint([0.0] * len(x), 1.0), LiftedPoint([-0.0] * len(x), 1.0)
+        assert zeros == negative_zeros and hash(zeros) == hash(negative_zeros)
+
+    @given(few_coordinates, st.sampled_from([1.0, 2.0]), few_coordinates, st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equal_is_equal_coordinates_and_height(self, x, u, y, v):
+        p, q = LiftedPoint(x, u), LiftedPoint(y, v)
+        assert (p == q) is (x == y and u == v)
+        if p == q:
+            assert hash(p) == hash(q)
+
+    def test_assignment_raises(self):
+        p = LiftedPoint([1.0], 1.0)
+        with pytest.raises(AttributeError):
+            p.u = 2.0
 
 
 extpos_values = st.one_of(

@@ -1,9 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radial import (
@@ -225,6 +226,121 @@ class TestPolyhedron:
         assert membership(lifted([0.0], 1.0), Ellipsoid(lifted([0.0], 2.0), np.eye(2)))
         assert membership(lifted([0.0], 0.5), Halfspace(np.array([0.0]), 1.0, lifted([0.0], 1.0)))
         assert not membership(lifted([5.0], 1.0), UNIT_SQUARE)
+
+
+def exact_gap(h: Halfspace, p: LiftedPoint) -> Fraction:
+    """(zeta, delta) . ((x', u') - anchor) in exact rational arithmetic."""
+    normal = [*h.normal_x.tolist(), h.normal_u]
+    return sum(Fraction(z) * (Fraction(a) - Fraction(b)) for z, a, b in zip(normal, [*p.x.tolist(), p.u], [*h.anchor.x.tolist(), h.anchor.u]))
+
+
+#: Coordinates that cancel against each other, overflow in products and
+#: differences, or underflow, beside any finite float.
+gap_floats = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.1, 1e16, -1e16, 1e300, -1e300, 1.7e308, -1.7e308, 2.0**-1000, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+gap_heights = st.one_of(st.sampled_from([1.0, 2.0, 0.1, 1e300, 5e-324]), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+
+@st.composite
+def lifted_halfspaces(draw, dim):
+    normal = draw(st.lists(gap_floats, min_size=dim + 1, max_size=dim + 1).filter(any))
+    anchor = LiftedPoint(draw(st.lists(gap_floats, min_size=dim, max_size=dim)), draw(gap_heights))
+    return Halfspace(np.array(normal[:-1]), normal[-1], anchor)
+
+
+@st.composite
+def halfspace_cases(draw, parts=1):
+    """A point and `parts` halfspaces of one dimension in 1-3; the point is
+    sometimes the first part's anchor, where that part's gap is exactly 0."""
+    dim = draw(st.integers(1, 3))
+    hs = [draw(lifted_halfspaces(dim)) for _ in range(parts)]
+    p = hs[0].anchor if draw(st.booleans()) else LiftedPoint(draw(st.lists(gap_floats, min_size=dim, max_size=dim)), draw(gap_heights))
+    return hs, p
+
+
+@st.composite
+def ellipsoid_cases(draw):
+    """An ellipsoid in 1-3 dimensions over a shape scaled by 10^-100 to 10^250,
+    and a point at a drawn multiple t of the boundary's offset along a drawn
+    direction: inside for t < 1, near the boundary, or far enough out that the
+    quadratic form overflows."""
+    h = draw(shapes.filter(lambda m: m.shape[0] <= 4)) * 10.0 ** draw(st.integers(-100, 250))
+    n = h.shape[0] - 1
+    u = math.sqrt(draw(st.floats(1.5, 4.0)) / schur_complement(h))
+    e = Ellipsoid(lifted(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)), u), h)
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)))
+    v[-1] = abs(v[-1])  # upward, so every point has a positive height
+    assume(float(v @ h @ v) > 0.0)
+    t = draw(st.one_of(st.floats(0.0, 1.5), st.sampled_from([1.0 - 2.0**-40, 1.0, 1.0 + 2.0**-40]), st.floats(1.5, 1e308)))
+    with np.errstate(over="ignore"):
+        q = e.center.as_array() + t * v / math.sqrt(float(v @ h @ v))
+    assume(np.isfinite(q).all())
+    return e, lifted(q[:-1], q[-1])
+
+
+class TestExactLiftedMembership:
+    """Halfspace and polyhedron verdicts are exact; an ellipsoid's is its
+    float quadratic form, outside where that form overflows, and never warns."""
+
+    @pytest.mark.parametrize(
+        "normal_x,normal_u,anchor,point,inside",
+        [
+            # The float sum is 0 (1e16 + 1 rounds to 1e16); the exact gap is 1.
+            (np.ones(3), 0.0, lifted(np.zeros(3), 1), lifted([1e16, 1, -1e16], 1), False),
+            # The products overflow to inf and -inf; the exact gap is 0, and 1 at u' = 2.
+            (np.array([1e300, 1e300]), 1.0, lifted([0, 0], 1), lifted([1e300, -1e300], 1), True),
+            (np.array([1e300, 1e300]), 1.0, lifted([0, 0], 1), lifted([1e300, -1e300], 2), False),
+            # x' - x_a overflows to inf; delta (u' - u_a) = -1 does not cancel it.
+            (np.array([1.0]), 1.0, lifted([-1.7e308], 2.0), lifted([1.7e308], 1.0), False),
+            # Each + 1 rounds away at 1e16: the float sum is -2, the exact gap 1.
+            (np.ones(5), 0.0, lifted(np.zeros(5), 1), lifted([1e16, 1, 1, 1, -1e16 - 2], 1), False),
+            # Products of 1.6, -1.4 and -0.4 times 2^-1074 round to 2, -1 and 0
+            # times 2^-1074: the float sum is positive, the exact gap negative.
+            (np.full(3, 2.0**-537), 0.0, lifted(np.zeros(3), 1), lifted([1.6 * 2.0**-537, -1.4 * 2.0**-537, -0.4 * 2.0**-537], 1), True),
+        ],
+    )
+    def test_a_gap_the_float_sum_gets_wrong_is_decided_exactly(self, normal_x, normal_u, anchor, point, inside):
+        h = Halfspace(normal_x, normal_u, anchor)
+        assert exact_gap(h, point) <= 0 if inside else exact_gap(h, point) > 0
+        assert membership(point, h) is inside
+        assert membership(point, Polyhedron((h,))) is inside
+
+    @pytest.mark.parametrize(
+        "x,u,center,shape",
+        [
+            ([1e300], 1.0, lifted([0.0], 2.0), np.eye(2)),
+            ([1.7e308], 1.0, lifted([-1e308], 2.0), np.eye(2)),
+            ([1e200, -1e200], 1e200, lifted([0.0, 0.0], 2.0), np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+        ],
+    )
+    def test_an_ellipsoid_form_that_overflows_is_outside_with_no_warning(self, x, u, center, shape):
+        assert membership(LiftedPoint(x, u), Ellipsoid(center, shape)) is False
+
+    @given(halfspace_cases())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_halfspace_verdict_is_the_exact_gap(self, case):
+        (h,), p = case
+        assert membership(p, h) is (exact_gap(h, p) <= 0)
+
+    @given(halfspace_cases(parts=3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_polyhedron_verdict_is_every_exact_gap(self, case):
+        hs, p = case
+        for parts in (hs[:1], hs):
+            assert membership(p, Polyhedron(tuple(parts))) is all(exact_gap(h, p) <= 0 for h in parts)
+
+    @given(ellipsoid_cases())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_ellipsoid_verdict_is_the_plain_form(self, case):
+        """The numpy form d.H.d <= 1 of the whole lifted offset; where that
+        form overflows (inf, or nan from inf - inf) the point is outside."""
+        e, p = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = p.as_array() - e.center.as_array()
+            form = float(d @ e.shape @ d)
+        assert membership(p, e) is (form <= 1.0)
 
 
 class TestNormalVector:
